@@ -6,61 +6,36 @@ model — exact, machine-independent), the timings (virtual time is
 deterministic, wall time is informational) and any gauges/spans the
 :class:`~repro.obs.metrics.MetricsRegistry` collected.
 
-Section semantics (what :mod:`repro.obs.regress` compares):
+Sections:
 
-=========== ================================================= ==========
-section     contents                                           compared
-=========== ================================================= ==========
-``env``     host fingerprint (python, numpy, platform, cpus)   never
-``params``  workload identity (graph, algorithm, threads...)   exact
-``counters``op counts (``ops.*``, ``kernel.*``, ...)           exact
-``timings`` ``virtual.*`` (deterministic) / ``wall.*``         tolerance
-``gauges``  occupancy peaks, contention, utilization           reported
-``spans``   hierarchical timer records                         never
-``trace_summary`` flat critical-path / contention attribution  tolerance
-=========== ================================================= ==========
+====================== ============================================ ======
+section                contents                                     schema
+====================== ============================================ ======
+``env``                host fingerprint (python, numpy, platform)   /1
+``params``             workload identity (graph, algorithm, ...)    /1
+``counters``           op counts (``ops.*``, ``kernel.*``, ...)     /1
+``timings``            ``virtual.*`` (deterministic) / ``wall.*``   /1
+``gauges``             occupancy peaks, contention, utilization     /1
+``spans``              hierarchical timer records                   /1
+``trace_summary``      flat :meth:`repro.trace.TraceReport.summary` /2
+``faults``             fault-injection event counts and timings     /3
+``serve``              serving replay counts, latencies, bytes      /4
+``serve_latency_hist`` virtual replay latency histogram             /6
+``serve_slo``          SLO objective, violation counts, burn rates  /6
+``update``             incremental-update bench                     /7
+``dist``               multi-node build and routed-serving bench    /8
+====================== ============================================ ======
 
-``trace_summary`` (schema ``/2``, optional) is the flat numeric dict
-produced by :meth:`repro.trace.TraceReport.summary` — makespan
-attribution fractions, critical-path composition and lock-hotspot
-totals.  :mod:`repro.obs.regress` gates its contention/idle fractions
-with an absolute tolerance (``--trace-atol``).
-
-``faults`` (schema ``/3``, optional) is a flat numeric dict describing
-a deterministic fault-injection run (:mod:`repro.faults`): injected
-event counts (exact-gated) plus ``faults.virtual.*`` recovery timings
-(gated upward with the timing ``--rtol``).
-
-``serve`` (schema ``/4``, optional) is a flat numeric dict from the
-query-serving traffic bench (:mod:`repro.serve.bench`): shard-load /
-batching event counts (exact-gated), cache hit rates (gated *downward*
-with ``--serve-atol`` — a hit-rate drop is the regression) and virtual
-latency percentiles (gated upward with the timing ``--rtol``).
-
-``serve_latency_hist`` (schema ``/6``, optional) is the flat dump of
-the virtual replay's :class:`~repro.obs.hist.LatencyHistogram` —
-per-bucket counts plus certified-error quantiles.  The virtual replay
-is deterministic, so **every** key gates exactly: a single bucket
-moving means the replay's latency distribution changed.
-
-``serve_slo`` (schema ``/6``, optional) is the flat
-:class:`~repro.serve.slo.SLOReport`: objective parameters and
-violation counts gate exactly; keys ending in ``burn_rate`` gate
-*upward-only* — burning the error budget faster is the regression,
-burning it slower is an improvement.
-
-``update`` (schema ``/7``, optional) is a flat numeric dict from the
-incremental-update bench (:func:`repro.serve.bench.run_update_smoke`):
-dirty/candidate shard counts, re-solved row totals, store fingerprints
-and the update-vs-rebuild cost ratio.  Every field is deterministic
-and gates exactly; ``update.cost_ratio`` additionally gates
-upward-only (a less incremental update is the regression even when the
-baseline is regenerated with ``--ignore``).
+``params`` must match exactly between two compared artifacts; every
+section in :data:`NUMERIC_SECTIONS` is checked key by key against
+:data:`repro.obs.regress.RULES`; ``env`` and ``spans`` are never
+compared.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -75,6 +50,7 @@ __all__ = [
     "write_artifact",
     "load_artifact",
     "validate_artifact",
+    "NUMERIC_SECTIONS",
 ]
 
 #: bump the suffix when the artifact layout changes incompatibly
@@ -105,6 +81,21 @@ _REQUIRED: Dict[str, type] = {
     "gauges": dict,
     "spans": list,
 }
+
+#: flat ``{key: number}`` sections: the required three, then the optional
+#: ones in schema order; :data:`repro.obs.regress.RULES` covers each
+NUMERIC_SECTIONS = (
+    "counters",
+    "timings",
+    "gauges",
+    "trace_summary",
+    "faults",
+    "serve",
+    "serve_latency_hist",
+    "serve_slo",
+    "update",
+    "dist",
+)
 
 
 def env_fingerprint() -> Dict[str, Any]:
@@ -313,26 +304,22 @@ def validate_artifact(artifact: Any) -> List[str]:
                 f"section {key!r} must be {kind.__name__}, "
                 f"got {type(value).__name__}"
             )
-    for optional in ("trace_summary", "faults", "serve",
-                     "serve_latency_hist", "serve_slo", "update", "dist"):
-        section = artifact.get(optional)
-        if section is not None and not isinstance(section, Mapping):
-            problems.append(
-                f"section {optional!r} must be dict, "
-                f"got {type(section).__name__}"
-            )
-    for section in ("counters", "timings", "gauges", "trace_summary",
-                    "faults", "serve", "serve_latency_hist", "serve_slo",
-                    "update", "dist"):
+    for section in NUMERIC_SECTIONS:
         values = artifact.get(section)
-        if isinstance(values, Mapping):
-            for name, value in values.items():
-                if isinstance(value, bool) or not isinstance(
-                    value, (int, float)
-                ):
-                    problems.append(
-                        f"{section}[{name!r}] must be numeric, got {value!r}"
-                    )
+        if values is not None and not isinstance(values, Mapping):
+            if section not in _REQUIRED:
+                problems.append(
+                    f"section {section!r} must be dict, "
+                    f"got {type(values).__name__}"
+                )
+            continue
+        for name, value in (values or {}).items():
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float)
+            ) or math.isnan(value):
+                problems.append(
+                    f"{section}[{name!r}] must be numeric, got {value!r}"
+                )
     spans = artifact.get("spans")
     if isinstance(spans, list):
         for i, rec in enumerate(spans):

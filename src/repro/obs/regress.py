@@ -3,134 +3,96 @@
 ``python -m repro.obs.regress baseline.json current.json`` diffs two
 ``BENCH_*.json`` artifacts and exits non-zero on a regression:
 
-* **params**  — workload identity must match exactly; artifacts from
-  different solvers/configs are *incomparable*, so any identity mismatch
-  fails with a single clear message (per-key detail in the notes) and
-  skips the counter/timing diffs that could never agree anyway;
-* **counters** — operation counts are machine-independent and must match
-  *exactly*; more merges/relaxations than the baseline means the
-  algorithm got algorithmically worse, fewer means the baseline is stale
-  (both fail, so baselines stay honest);
-* **timings** — ``virtual.*`` entries (deterministic simulator time) may
-  only exceed the baseline by ``--rtol`` (default 10%); ``wall.*``
-  entries are host-dependent noise and are ignored unless
-  ``--include-wall`` is given;
-* **trace_summary** — contention / idle / overhead *fractions* from the
-  unified trace analyzer may only exceed the baseline by ``--trace-atol``
-  (absolute, default 0.02 — fractions live in [0, 1] so a relative
-  tolerance would be meaningless near zero); the remaining keys
-  (makespans, critical-path composition, hotspot totals) are reported
-  as notes;
-* **faults** — the deterministic fault-injection section (schema
-  ``/3``): injected event counts are exact (the plan is seeded, so a
-  changed death/requeue count means the recovery machinery changed
-  behaviour); ``faults.virtual.*`` recovery timings may only exceed the
-  baseline by ``--rtol``, like ``virtual.*`` timings;
-* **serve** — the query-serving traffic bench section (schema ``/5``):
-  event counts (shard loads, coalesced requests, batches, degraded /
-  shed requests — the replay is a seeded trace through a deterministic
-  virtual-time model) are exact; ``*_hit_rate`` and ``*_speedup`` keys
-  gate *downward* with ``--serve-atol`` (a drop in cache hit rate or in
-  the optimised-vs-naive speedup is the regression; higher is better);
-  ``*_ms`` virtual-latency keys gate upward with ``--rtol`` like
-  ``virtual.*`` timings; ``*store_bytes`` / ``*bytes_loaded`` byte
-  totals gate upward with ``--rtol`` (a fatter store or more bytes
-  moved per replay is the regression); ``*max_abs_error`` certified /
-  observed error bounds gate *exactly* — a silently raised bound is a
-  correctness regression, not a perf tradeoff;
-* **serve_latency_hist** — the virtual replay's streaming latency
-  histogram (schema ``/6``): **every** key gates exactly.  The replay
-  is deterministic, so each log-bucket count is as reproducible as an
-  op counter — one bucket moving means the latency distribution
-  changed, which either is a deliberate perf change (regenerate the
-  baseline) or a bug;
-* **serve_slo** — the SLO report (schema ``/6``): keys ending
-  ``burn_rate`` gate *upward-only with no tolerance* (a deterministic
-  replay burning its error budget faster is a regression; burning
-  slower is an improvement and only noted); every other key — the
-  objective's own parameters and the violation counts — gates exactly;
-* **dist** — the multi-node bench section (schema ``/8``): the routed
-  answer fingerprint and every failover / node-loss / recovery event
-  count gate *exactly* (the cluster replay is seeded and virtual-timed,
-  so a changed failover count means the routing machinery changed
-  behaviour); ``*_ms`` routed-serving percentiles and the
-  ``network_bytes`` / makespan volume keys gate *upward* with
-  ``--rtol`` — more bytes over the simulated network or a slower hot
-  shard after rebalancing is the regression the section exists to
-  catch;
-* **update** — the incremental-update bench section (schema ``/7``):
-  everything in it is a pure function of the pinned graph and update
-  batch (dirty-shard counts, re-solved rows, store fingerprints), so
-  every key gates exactly; ``update.cost_ratio`` is additionally
-  flagged when it merely *rises* — a less incremental update is the
-  regression the section exists to catch;
-* **kernel consistency** — artifacts that carry ``kernel.*`` counters
-  must satisfy the cross-layer invariants tying kernel-call accounting
-  to the per-source ``ops.*`` totals (see
-  :func:`check_kernel_consistency`), so a kernel refactor cannot
-  silently desync the cost model;
-* **env / gauges / spans** — reported, never gated.
+* **params** — workload identity must match exactly.  Artifacts from
+  different solvers or configs are *incomparable*: any mismatch fails
+  with one message (per-key detail in the notes) and skips every other
+  section, whose diffs could never agree anyway;
+* every section in :data:`~repro.obs.artifact.NUMERIC_SECTIONS` is
+  gated key by key through :data:`RULES`.  A section or gated key that
+  the baseline has and the current artifact lacks fails; a key new in
+  the current artifact is a note unless its rule is ``closed``;
+* **kernel consistency** — ``kernel.*`` counters must agree with the
+  ``ops.*`` totals (:func:`check_kernel_consistency`).
 
-Exit codes: 0 = no regression, 1 = regression, 2 = bad input.
+``--ignore KEY`` (repeatable) demotes one key of any section to a
+note.  Exit codes: 0 = no regression, 1 = regression, 2 = bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Mapping, Optional, Sequence, Tuple
+from fnmatch import fnmatchcase
+from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .artifact import load_artifact, validate_artifact
+from .artifact import NUMERIC_SECTIONS, load_artifact, validate_artifact
 
-__all__ = ["check_kernel_consistency", "compare_artifacts", "main"]
+__all__ = ["RULES", "check_kernel_consistency", "compare_artifacts", "main"]
 
-#: timing keys with this prefix are host wall-clock and off by default
-WALL_PREFIX = "wall."
 
-#: trace_summary keys with these suffixes are gated (absolute, upward):
-#: more lock-wait, more scheduler idle or more overhead is a regression
-TRACE_GATED_SUFFIXES = (
-    "lock_wait_fraction",
-    "idle_fraction",
-    "overhead_fraction",
+class Rule(NamedTuple):
+    """One row of :data:`RULES`."""
+
+    section: str
+    patterns: Tuple[str, ...]
+    kind: str
+    tol: float
+    reason: str
+
+
+#: ``exact`` fails on any change; ``closed`` is exact and also fails on a
+#: key new in the current artifact; ``up`` may rise by ``tol`` relative,
+#: ``up_abs`` by ``tol`` absolute; ``down_abs`` may fall by ``tol``
+#: absolute; ``note`` is reported, never gated
+EXACT, CLOSED, UP, UP_ABS, DOWN_ABS, NOTE = (
+    "exact", "closed", "up", "up_abs", "down_abs", "note"
 )
 
-#: faults keys with this prefix are virtual recovery timings (rtol,
-#: upward); every other faults key is an exact-gated event count
-FAULT_TIMING_PREFIX = "faults.virtual."
-
-#: serve keys with these suffixes gate downward (higher is better,
-#: a drop past ``--serve-atol`` is the regression)
-SERVE_DOWNWARD_SUFFIXES = ("hit_rate", "speedup")
-
-#: serve keys with this suffix are virtual latencies (rtol, upward);
-#: remaining serve keys are exact-gated replay event counts
-SERVE_LATENCY_SUFFIX = "_ms"
-
-#: serve byte totals (store size, bytes moved per replay) gate upward
-#: with ``--rtol`` — a fatter store or more bytes loaded undoes the
-#: codec's whole point
-SERVE_BYTES_SUFFIXES = ("store_bytes", "bytes_loaded")
-
-#: serve certified/observed error bounds gate *exactly*: the bound is
-#: part of the answer contract, so a silently raised bound is a
-#: correctness regression, not a perf tradeoff
-SERVE_ERROR_SUFFIX = "max_abs_error"
-
-#: serve_slo keys with this suffix gate upward-only with no tolerance
-#: (virtual replay burn rates are deterministic); all other serve_slo
-#: keys and every serve_latency_hist key gate exactly
-SLO_BURN_SUFFIX = "burn_rate"
-
-#: dist keys with these suffixes gate upward with ``--rtol``: routed
-#: percentile latencies, simulated network volume and cluster-build
-#: makespans are virtual-time magnitudes, not event counts
-DIST_UPWARD_SUFFIXES = ("_ms", "network_bytes", "makespan", "_us")
-
-#: the update section's headline ratio: exact-gated like the rest of
-#: the section, but its failure message calls out the direction — a
-#: higher ratio means updates got *less* incremental
-UPDATE_COST_KEY = "update.cost_ratio"
+#: the gating policy: for each key of each numeric section, the first
+#: row whose section matches and one of whose fnmatch patterns matches
+#: the key decides.  Every section ends with a ``*`` row.
+RULES: Tuple[Rule, ...] = (
+    Rule("counters", ("*",), EXACT, 0.0,
+         "op counts must match the baseline exactly"),
+    Rule("timings", ("wall.*",), NOTE, 0.0,
+         "host wall-clock time is noise, not a gate"),
+    Rule("timings", ("*",), UP, 0.10,
+         "virtual time is deterministic"),
+    Rule("gauges", ("*",), NOTE, 0.0,
+         "occupancy and utilization are reported, never gated"),
+    Rule("trace_summary",
+         ("*lock_wait_fraction", "*idle_fraction", "*overhead_fraction"),
+         UP_ABS, 0.02,
+         "more lock-wait, idle or overhead is the regression"),
+    Rule("trace_summary", ("*",), NOTE, 0.0,
+         "makespans and critical-path composition shift with workload"),
+    Rule("faults", ("faults.virtual.*",), UP, 0.10,
+         "slower virtual recovery is the regression"),
+    Rule("faults", ("*",), EXACT, 0.0,
+         "injected-fault event counts must match exactly"),
+    Rule("serve", ("*max_abs_error",), EXACT, 0.0,
+         "error bounds are part of the answer contract"),
+    Rule("serve", ("*store_bytes", "*bytes_loaded", "*_ms"), UP, 0.10,
+         "byte totals and virtual latencies gate upward"),
+    Rule("serve", ("*hit_rate", "*speedup"), DOWN_ABS, 0.02,
+         "a falling hit rate or speedup is the regression"),
+    Rule("serve", ("*",), EXACT, 0.0,
+         "seeded replay event counts must match exactly"),
+    Rule("serve_latency_hist", ("*",), CLOSED, 0.0,
+         "the virtual replay's latency distribution changed"),
+    Rule("serve_slo", ("*burn_rate",), UP, 0.0,
+         "the same traffic now burns its error budget faster"),
+    Rule("serve_slo", ("*",), EXACT, 0.0,
+         "SLO parameters and violation counts gate exactly"),
+    Rule("update", ("*",), EXACT, 0.0,
+         "the update bench is deterministic and gates exactly"),
+    Rule("dist", ("*fingerprint",), EXACT, 0.0,
+         "routed answers must match the single-node store bitwise"),
+    Rule("dist", ("*_ms", "*network_bytes", "*makespan", "*_us"), UP, 0.10,
+         "network volume, makespans and routed latencies gate upward"),
+    Rule("dist", ("*",), EXACT, 0.0,
+         "failover/loss/rebalance event counts gate exactly"),
+)
 
 
 def check_kernel_consistency(
@@ -218,16 +180,13 @@ def compare_artifacts(
     baseline: Mapping[str, Any],
     current: Mapping[str, Any],
     *,
-    rtol: float = 0.10,
-    include_wall: bool = False,
     ignore: Sequence[str] = (),
-    trace_atol: float = 0.02,
-    serve_atol: float = 0.02,
 ) -> Tuple[List[str], List[str]]:
     """Compare two artifacts; returns ``(regressions, notes)``.
 
-    ``ignore`` lists counter/timing/param keys excluded from gating
-    (still mentioned in the notes so nothing silently disappears).
+    ``ignore`` lists keys of any section (params included) excluded
+    from gating; they are still mentioned in the notes so nothing
+    silently disappears.
     """
     regressions: List[str] = []
     notes: List[str] = []
@@ -249,8 +208,7 @@ def compare_artifacts(
         baseline["params"], current["params"], ignored, notes
     )
     if mismatched:
-        # Different solver / workload identity: every downstream section
-        # (counters, virtual timings, fault and serve replays) is a
+        # Different solver / workload identity: every other section is a
         # function of those params, so key-by-key diffs would drown the
         # real problem in mismatches that can never agree.  Fail with
         # one actionable message instead.
@@ -261,86 +219,23 @@ def compare_artifacts(
             "with the same algorithm/backend/workload as the current run"
         )
         notes.append(
-            "counters/timings/trace/faults/serve comparison skipped: "
-            "artifacts are not comparable"
+            "section comparison skipped: artifacts are not comparable"
         )
         return regressions, notes
-    _compare_counters(
-        baseline["counters"], current["counters"], ignored, regressions, notes
-    )
+    for section in NUMERIC_SECTIONS:
+        _compare_section(
+            section,
+            baseline.get(section),
+            current.get(section),
+            ignored,
+            regressions,
+            notes,
+        )
     for art, label in ((baseline, "baseline"), (current, "current")):
         regressions.extend(
             f"{label}: {problem}"
             for problem in check_kernel_consistency(art["counters"])
         )
-    _compare_timings(
-        baseline["timings"],
-        current["timings"],
-        rtol,
-        include_wall,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_trace_summary(
-        baseline.get("trace_summary"),
-        current.get("trace_summary"),
-        trace_atol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_faults(
-        baseline.get("faults"),
-        current.get("faults"),
-        rtol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve(
-        baseline.get("serve"),
-        current.get("serve"),
-        rtol,
-        serve_atol,
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve_hist(
-        baseline.get("serve_latency_hist"),
-        current.get("serve_latency_hist"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_serve_slo(
-        baseline.get("serve_slo"),
-        current.get("serve_slo"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_update(
-        baseline.get("update"),
-        current.get("update"),
-        ignored,
-        regressions,
-        notes,
-    )
-    _compare_dist(
-        baseline.get("dist"),
-        current.get("dist"),
-        rtol,
-        ignored,
-        regressions,
-        notes,
-    )
-
-    for name, value in sorted(current.get("gauges", {}).items()):
-        base = baseline.get("gauges", {}).get(name)
-        if base is not None and base != value:
-            notes.append(f"gauge {name}: {base:g} -> {value:g}")
     return regressions, notes
 
 
@@ -375,534 +270,78 @@ def _compare_params(
     return mismatched
 
 
-def _compare_counters(
-    base: Mapping[str, float],
-    cur: Mapping[str, float],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"counter {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"counter {key} missing from current artifact")
-            continue
-        if base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"counter {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "op counts must match the baseline exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"counter {key} new in current: {cur[key]:g}")
+def _rule(section: str, key: str) -> Rule:
+    return next(
+        rule for rule in RULES
+        if rule.section == section
+        and any(fnmatchcase(key, pattern) for pattern in rule.patterns)
+    )
 
 
-def _compare_timings(
-    base: Mapping[str, float],
-    cur: Mapping[str, float],
-    rtol: float,
-    include_wall: bool,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    for key in sorted(base):
-        is_wall = key.startswith(WALL_PREFIX)
-        if key in ignored or (is_wall and not include_wall):
-            if key in cur:
-                notes.append(
-                    f"timing {key}: {base[key]:g} -> {cur[key]:g} (not gated)"
-                )
-            continue
-        if key not in cur:
-            regressions.append(f"timing {key} missing from current artifact")
-            continue
-        limit = base[key] * (1.0 + rtol)
-        if cur[key] > limit:
-            pct = (
-                (cur[key] - base[key]) / base[key] * 100.0
-                if base[key]
-                else float("inf")
-            )
-            regressions.append(
-                f"timing {key}: {base[key]:g} -> {cur[key]:g} "
-                f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-            )
-        else:
-            notes.append(f"timing {key}: {base[key]:g} -> {cur[key]:g} (ok)")
+def _failure(rule: Rule, base: float, cur: float) -> Optional[str]:
+    """How ``base -> cur`` breaks ``rule``; ``None`` when it passes."""
+    if rule.kind in (EXACT, CLOSED):
+        if cur != base:
+            return "up" if cur > base else "down"
+    elif rule.kind == UP:
+        if cur > base * (1.0 + rule.tol):
+            pct = (cur - base) / base * 100.0 if base else float("inf")
+            return f"+{pct:.1f}%, tolerance {rule.tol:.0%}"
+    elif rule.kind == UP_ABS:
+        if cur > base + rule.tol:
+            return f"+{cur - base:.4f}, tolerance {rule.tol:g} absolute"
+    elif rule.kind == DOWN_ABS:
+        if cur < base - rule.tol:
+            return (f"-{base - cur:.4f}, tolerance {rule.tol:g} absolute, "
+                    "downward")
+    return None
 
 
-def _compare_trace_summary(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    atol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the unified-trace attribution fractions.
-
-    Only the *fraction* families in :data:`TRACE_GATED_SUFFIXES` gate,
-    and only upward (contention/idle/overhead growing past the baseline
-    by more than ``atol``); a drop is an improvement and is noted.
-    Absolute makespans and critical-path lengths shift with workload
-    knobs and are note-only, like ``wall.*`` timings.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "trace_summary new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "trace_summary present in baseline but missing from current "
-            "artifact (tracing disabled?)"
-        )
-        return
-    for key in sorted(base):
-        gated = key.endswith(TRACE_GATED_SUFFIXES)
-        if key in ignored or not gated:
-            if key in ignored:
-                notes.append(f"trace {key}: ignored")
-            elif key in cur:
-                notes.append(
-                    f"trace {key}: {base[key]:g} -> {cur[key]:g} (not gated)"
-                )
-            continue
-        if key not in cur:
-            regressions.append(
-                f"trace {key} missing from current artifact"
-            )
-            continue
-        if cur[key] > base[key] + atol:
-            regressions.append(
-                f"trace {key}: {base[key]:.4f} -> {cur[key]:.4f} "
-                f"(+{cur[key] - base[key]:.4f}, tolerance {atol:g} absolute)"
-            )
-        else:
-            notes.append(
-                f"trace {key}: {base[key]:.4f} -> {cur[key]:.4f} (ok)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"trace {key} new in current: {cur[key]:g}")
-
-
-def _compare_faults(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the fault-injection section.
-
-    The fault plan behind this section is seeded and counted in
-    claims/iterations, so its event counts (deaths, stalls, requeued
-    iterations, recovered indices) are as deterministic as ``ops.*``
-    and gate exactly.  ``faults.virtual.*`` entries are virtual-time
-    recovery makespans and gate upward with the timing ``rtol`` — a
-    faulted run that got *slower* to recover is a regression, a faster
-    one is an improvement.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "faults section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "faults section present in baseline but missing from current "
-            "artifact (fault-injection run skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"fault {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"fault {key} missing from current artifact")
-            continue
-        if key.startswith(FAULT_TIMING_PREFIX):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"fault {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-                )
-            else:
-                notes.append(
-                    f"fault {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"fault {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "injected-fault event counts must match exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"fault {key} new in current: {cur[key]:g}")
-
-
-def _compare_serve(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    atol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the query-serving bench section.
-
-    The traffic trace is seeded and replayed through a deterministic
-    virtual-time model, so its event counts (shard loads, coalesced
-    requests, batches, degraded/shed totals) gate exactly, like
-    ``ops.*``.  Quality ratios in :data:`SERVE_DOWNWARD_SUFFIXES` gate
-    *downward* with ``atol`` — a falling cache hit rate or a shrinking
-    optimised-vs-naive speedup is the regression, a rise is an
-    improvement.  ``*_ms`` virtual latencies gate upward with ``rtol``,
-    as do the :data:`SERVE_BYTES_SUFFIXES` byte totals (store size,
-    bytes moved per replay); :data:`SERVE_ERROR_SUFFIX` bounds gate
-    exactly (the certified error is part of the answer contract).
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "serve section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "serve section present in baseline but missing from current "
-            "artifact (serve bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"serve {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"serve {key} missing from current artifact")
-            continue
-        if key.endswith(SERVE_ERROR_SUFFIX):
-            if base[key] != cur[key]:
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (error "
-                    "bounds are part of the answer contract and gate "
-                    "exactly; a silently raised bound is a correctness "
-                    "regression)"
-                )
-            else:
-                notes.append(f"serve {key}: {cur[key]:g} (exact, ok)")
-        elif key.endswith(SERVE_BYTES_SUFFIXES):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%}; byte totals "
-                    "gate upward)"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif key.endswith(SERVE_DOWNWARD_SUFFIXES):
-            if cur[key] < base[key] - atol:
-                regressions.append(
-                    f"serve {key}: {base[key]:.4f} -> {cur[key]:.4f} "
-                    f"(-{base[key] - cur[key]:.4f}, tolerance {atol:g} "
-                    "absolute, downward)"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:.4f} -> {cur[key]:.4f} (ok)"
-                )
-        elif key.endswith(SERVE_LATENCY_SUFFIX):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%})"
-                )
-            else:
-                notes.append(
-                    f"serve {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"serve {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "replay event counts must match exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"serve {key} new in current: {cur[key]:g}")
-
-
-def _compare_serve_hist(
+def _compare_section(
+    section: str,
     base: Optional[Mapping[str, float]],
     cur: Optional[Mapping[str, float]],
     ignored: set,
     regressions: List[str],
     notes: List[str],
 ) -> None:
-    """Gate the virtual-replay latency histogram — everything exact.
-
-    The histogram is recorded from a seeded trace through the
-    deterministic virtual-time replay, so every bucket count (and the
-    derived quantile keys, which are pure functions of the buckets) is
-    machine-independent.  A changed bucket is a changed latency
-    distribution; the histogram section has no "tolerance" notion at
-    all — that is the point of gating the *distribution* instead of a
-    few percentile scalars.
-    """
+    """Gate one numeric section key by key through :data:`RULES`."""
     if base is None:
         if cur:
             notes.append(
-                "serve_latency_hist new in current "
-                "(no baseline to gate against)"
+                f"{section} section new in current (no baseline to gate "
+                "against)"
             )
         return
     if cur is None:
         regressions.append(
-            "serve_latency_hist present in baseline but missing from "
-            "current artifact (telemetry disabled in the bench?)"
+            f"{section} section present in baseline but missing from "
+            "current artifact"
         )
         return
     for key in sorted(set(base) | set(cur)):
+        rule = _rule(section, key)
         if key in ignored:
-            notes.append(f"hist {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(
-                f"hist {key} missing from current artifact (bucket "
-                "emptied; the latency distribution changed)"
-            )
-            continue
-        if key not in base:
-            regressions.append(
-                f"hist {key} new in current: {cur[key]:g} (new bucket "
-                "filled; the latency distribution changed)"
-            )
-            continue
-        if base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"hist {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "virtual-replay bucket counts gate exactly)"
-            )
-
-
-def _compare_serve_slo(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the SLO report: burn rates upward-only, the rest exact.
-
-    ``*burn_rate`` keys come from the deterministic virtual replay, so
-    there is no noise to tolerate — any upward movement means the same
-    traffic now misses more of its latency objective.  Downward
-    movement is an improvement (noted, so an overly stale baseline is
-    visible).  The remaining keys pin the objective itself (threshold,
-    window, target fraction) and the violation counts, all exact.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "serve_slo new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "serve_slo present in baseline but missing from current "
-            "artifact (SLO evaluation skipped in the bench?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"slo {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"slo {key} missing from current artifact")
-            continue
-        if key.endswith(SLO_BURN_SUFFIX):
-            if cur[key] > base[key]:
+            notes.append(f"{section} {key}: ignored")
+        elif key not in cur:
+            if rule.kind != NOTE:
                 regressions.append(
-                    f"slo {key}: {base[key]:g} -> {cur[key]:g} (burn "
-                    "rates gate upward-only: the same traffic now burns "
-                    "its error budget faster)"
+                    f"{section} {key} missing from current artifact"
                 )
-            elif cur[key] < base[key]:
-                notes.append(
-                    f"slo {key}: {base[key]:g} -> {cur[key]:g} "
-                    "(improved; consider regenerating the baseline)"
-                )
+        elif key not in base:
+            new = f"{section} {key} new in current: {cur[key]:g}"
+            if rule.kind == CLOSED:
+                regressions.append(f"{new} ({rule.reason})")
             else:
-                notes.append(f"slo {key}: {cur[key]:g} (ok)")
+                notes.append(new)
         elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"slo {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "SLO parameters and violation counts gate exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"slo {key} new in current: {cur[key]:g}")
-
-
-def _compare_update(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the incremental-update section — everything exact.
-
-    The update bench is a pure function of the pinned graph, update
-    batch and codec: dirty-shard counts, re-solved row totals and the
-    store fingerprints are as deterministic as op counters, so every
-    key gates exactly.  A fingerprint mismatch means the stored
-    *bytes* changed — either an intentional codec/solver change
-    (regenerate the baseline) or broken byte-identity.  The
-    :data:`UPDATE_COST_KEY` failure message additionally names the
-    direction, because a rising cost ratio is the specific regression
-    this section exists to catch: updates doing rebuild-shaped work.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "update section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "update section present in baseline but missing from current "
-            "artifact (update bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"update {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"update {key} missing from current artifact")
-            continue
-        if base[key] != cur[key]:
-            if key == UPDATE_COST_KEY and cur[key] > base[key]:
-                regressions.append(
-                    f"update {key}: {base[key]:g} -> {cur[key]:g} (the "
-                    "update now does more rebuild-shaped work per batch "
-                    "— less incremental is the regression)"
-                )
+            change = f"{section} {key}: {base[key]:g} -> {cur[key]:g}"
+            why = _failure(rule, base[key], cur[key])
+            if why is None:
+                gated = "not gated" if rule.kind == NOTE else "ok"
+                notes.append(f"{change} ({gated})")
             else:
-                direction = "up" if cur[key] > base[key] else "down"
-                regressions.append(
-                    f"update {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"({direction}; the update bench is deterministic and "
-                    "gates exactly)"
-                )
-        elif key.endswith("fingerprint"):
-            notes.append(f"update {key}: {cur[key]:g} (byte-exact, ok)")
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"update {key} new in current: {cur[key]:g}")
-
-
-def _compare_dist(
-    base: Optional[Mapping[str, float]],
-    cur: Optional[Mapping[str, float]],
-    rtol: float,
-    ignored: set,
-    regressions: List[str],
-    notes: List[str],
-) -> None:
-    """Gate the multi-node bench section.
-
-    The dist bench replays a seeded skewed trace through the
-    consistent-hash router on a virtual cluster, so its event counts
-    (failovers, node losses, saturated rejections, rebalance moves,
-    recovered shards) and the routed *answer fingerprint* gate exactly
-    — a changed fingerprint means routed answers diverged from the
-    single-store ground truth, which is a correctness bug, not a perf
-    tradeoff.  The :data:`DIST_UPWARD_SUFFIXES` magnitudes (routed
-    percentile latencies, simulated ``network_bytes``, cluster-build
-    makespans) gate upward with ``rtol`` like ``virtual.*`` timings.
-    """
-    if base is None:
-        if cur:
-            notes.append(
-                "dist section new in current (no baseline to gate against)"
-            )
-        return
-    if cur is None:
-        regressions.append(
-            "dist section present in baseline but missing from current "
-            "artifact (dist bench skipped?)"
-        )
-        return
-    for key in sorted(base):
-        if key in ignored:
-            notes.append(f"dist {key}: ignored")
-            continue
-        if key not in cur:
-            regressions.append(f"dist {key} missing from current artifact")
-            continue
-        if key.endswith("fingerprint"):
-            if base[key] != cur[key]:
-                regressions.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} (the "
-                    "routed answer fingerprint gates exactly; routed "
-                    "serving must stay bitwise-identical to the "
-                    "single-node store)"
-                )
-            else:
-                notes.append(f"dist {key}: {cur[key]:g} (byte-exact, ok)")
-        elif key.endswith(DIST_UPWARD_SUFFIXES):
-            limit = base[key] * (1.0 + rtol)
-            if cur[key] > limit:
-                pct = (
-                    (cur[key] - base[key]) / base[key] * 100.0
-                    if base[key]
-                    else float("inf")
-                )
-                regressions.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} "
-                    f"(+{pct:.1f}%, tolerance {rtol:.0%}; network volume "
-                    "and routed latencies gate upward)"
-                )
-            else:
-                notes.append(
-                    f"dist {key}: {base[key]:g} -> {cur[key]:g} (ok)"
-                )
-        elif base[key] != cur[key]:
-            direction = "up" if cur[key] > base[key] else "down"
-            regressions.append(
-                f"dist {key}: {base[key]:g} -> {cur[key]:g} ({direction}; "
-                "failover/loss/rebalance event counts gate exactly)"
-            )
-    for key in sorted(set(cur) - set(base)):
-        notes.append(f"dist {key} new in current: {cur[key]:g}")
+                regressions.append(f"{change} ({why}; {rule.reason})")
 
 
 def _report(regressions: List[str], notes: List[str], verbose: bool) -> None:
@@ -921,41 +360,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.obs.regress",
         description="diff two BENCH_*.json artifacts; non-zero on "
-        "regression (op counts exact, timings with tolerance)",
+        "regression (see repro.obs.regress.RULES)",
     )
     parser.add_argument("baseline", help="baseline artifact (committed)")
     parser.add_argument("current", help="freshly produced artifact")
-    parser.add_argument(
-        "--rtol",
-        type=float,
-        default=0.10,
-        help="relative slowdown tolerance for timings (default 0.10)",
-    )
-    parser.add_argument(
-        "--include-wall",
-        action="store_true",
-        help="also gate host wall-clock (wall.*) timings",
-    )
     parser.add_argument(
         "--ignore",
         action="append",
         default=[],
         metavar="KEY",
-        help="exclude a counter/timing/param key from gating (repeatable)",
-    )
-    parser.add_argument(
-        "--trace-atol",
-        type=float,
-        default=0.02,
-        help="absolute tolerance for trace_summary contention/idle/"
-        "overhead fractions (default 0.02)",
-    )
-    parser.add_argument(
-        "--serve-atol",
-        type=float,
-        default=0.02,
-        help="absolute downward tolerance for serve hit-rate/speedup "
-        "keys (default 0.02)",
+        help="exclude a key of any section from gating (repeatable)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-key notes"
@@ -966,13 +380,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         baseline = load_artifact(args.baseline)
         current = load_artifact(args.current)
         regressions, notes = compare_artifacts(
-            baseline,
-            current,
-            rtol=args.rtol,
-            include_wall=args.include_wall,
-            ignore=args.ignore,
-            trace_atol=args.trace_atol,
-            serve_atol=args.serve_atol,
+            baseline, current, ignore=args.ignore
         )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

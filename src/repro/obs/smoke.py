@@ -110,7 +110,7 @@ def run_smoke(
 
     # the simulator is deterministic, so the unified-trace attribution
     # (idle / lock-wait / overhead fractions) is as gateable as the op
-    # counts; regress checks it against the baseline with --trace-atol
+    # counts; regress gates the fractions against the baseline
     trace = trace_from_apsp_result(result)
     artifact = artifact_from_apsp_result(
         "smoke",
