@@ -41,6 +41,7 @@ from .graphs.datasets import dataset_info, dataset_names, load_dataset
 from .graphs.degree import degree_array
 from .graphs.io import read_edgelist
 from .order import ORDERINGS, compute_order
+from .serve import bench as serve_bench
 
 __all__ = ["main", "build_parser"]
 
@@ -403,46 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the ClusterBuildResult summary as JSON",
     )
 
-    serve_bench = sub.add_parser(
+    # the bench module owns its flags; the subcommand adopts them
+    sub.add_parser(
         "serve-bench",
+        parents=[serve_bench.build_parser(add_help=False)],
         help="deterministic query-serving bench → BENCH_serve.json",
-    )
-    serve_bench.add_argument(
-        "--out", default="BENCH_serve.json", help="artifact path to write"
-    )
-    serve_bench.add_argument("--scale", type=int, default=None)
-    serve_bench.add_argument("--shard-rows", type=int, default=None)
-    serve_bench.add_argument("--cache-shards", type=int, default=None)
-    serve_bench.add_argument(
-        "--codec", default=None,
-        choices=("raw", "f4", "u16q", "u16qd"),
-        help="shard codec for the bench store",
-    )
-    serve_bench.add_argument(
-        "--curve", metavar="PATH", default=None,
-        help="sweep every codec; write the accuracy-vs-latency curve",
-    )
-    serve_bench.add_argument(
-        "--events", metavar="PATH", default=None,
-        help="write the optimised replay's telemetry event log "
-        "(deterministic JSONL)",
-    )
-    serve_bench.add_argument(
-        "--events-sample", type=float, default=None, metavar="FRAC",
-        help="per-trace sampling fraction for --events",
-    )
-    serve_bench.add_argument(
-        "--request-trace", metavar="PATH", default=None,
-        help="export the slowest request as a Chrome/Perfetto trace",
-    )
-    serve_bench.add_argument(
-        "--config", metavar="PATH", default=None,
-        help="serialized repro.config.ServeConfig; its store/engine "
-        "fields become the bench defaults (explicit flags still win)",
-    )
-    serve_bench.add_argument(
-        "--save-config", metavar="PATH", default=None,
-        help="write the effective ServeConfig of this bench as JSON",
+        description="run the deterministic query-serving bench (or its "
+        "--update / --dist / --curve scenario) and write its output",
     )
 
     monitor = sub.add_parser(
@@ -931,31 +899,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from .exceptions import ReproError
-    from .serve import bench as serve_bench
 
-    argv = ["--out", args.out]
-    if args.scale is not None:
-        argv += ["--scale", str(args.scale)]
-    if args.shard_rows is not None:
-        argv += ["--shard-rows", str(args.shard_rows)]
-    if args.cache_shards is not None:
-        argv += ["--cache-shards", str(args.cache_shards)]
-    if args.codec is not None:
-        argv += ["--codec", args.codec]
-    if args.curve is not None:
-        argv += ["--curve", args.curve]
-    if args.events is not None:
-        argv += ["--events", args.events]
-    if args.events_sample is not None:
-        argv += ["--events-sample", str(args.events_sample)]
-    if args.request_trace is not None:
-        argv += ["--request-trace", args.request_trace]
-    if args.config is not None:
-        argv += ["--config", args.config]
-    if args.save_config is not None:
-        argv += ["--save-config", args.save_config]
     try:
-        return serve_bench.main(argv)
+        return serve_bench.run(args, prog="repro-apsp serve-bench")
     except ReproError as exc:
         raise SystemExit(f"repro-apsp serve-bench: error: {exc}")
 

@@ -41,20 +41,19 @@ The optimised replay runs with request-scoped telemetry attached
 :class:`~repro.obs.hist.LatencyHistogram` whose quantiles the bench
 *asserts* are within the certified relative error of the exact
 percentiles) and the ``serve_slo`` section (error-budget burn rates for
-:data:`SMOKE_SLO`, gated upward-only).  ``--events`` writes the sampled
-JSONL event log — byte-identical across runs of the seeded trace, which
-CI checks with a second run and ``cmp`` — and ``--request-trace``
-exports the slowest recorded request (the histogram's top exemplar) as
-a Perfetto-loadable trace.  The threaded replay is scored against the
-same SLO through the identical code path; its numbers land under
-``wall.*`` and are never gated.
+:data:`SMOKE_SLO`, gated upward-only).  The sampled JSONL event log is
+byte-identical across runs of the seeded trace, which CI checks with a
+second run and ``cmp``, and the slowest recorded request (the
+histogram's top exemplar) exports as a Perfetto-loadable trace.  The
+threaded replay is scored against the same SLO through the identical
+code path; its numbers land under ``wall.*`` and are never gated.
 
-``--update`` runs the **update-smoke** instead
-(:func:`run_update_smoke`): it builds the store from the *weighted*
-variant of the same graph, applies the pinned edge-update batch
-(:data:`SMOKE_UPDATE_BATCH`: one insert, one reweight, one delete)
-through :func:`~repro.serve.update.apply_edge_updates`, and asserts
-the headline invariants of incremental serving — the updated store is
+The **update-smoke** (:func:`run_update_smoke`) builds the store from
+the *weighted* variant of the same graph, applies the pinned
+edge-update batch (:data:`SMOKE_UPDATE_BATCH`: one insert, one
+reweight, one delete) through
+:func:`~repro.serve.update.apply_edge_updates`, and asserts the
+headline invariants of incremental serving — the updated store is
 **byte-identical** to a from-scratch build of the mutated graph, the
 deterministic row-unit cost is below :data:`UPDATE_COST_GATE` of a
 full rebuild, the landmark prescreen certifies shards clean, a
@@ -65,16 +64,9 @@ generation intact.  The ``update`` artifact section is gated in CI
 against ``benchmarks/baselines/BENCH_update.json`` (every field exact;
 ``update.cost_ratio`` additionally gates upward-only).
 
-Regenerate a baseline after an intentional serving change::
-
-    PYTHONPATH=src python -m repro.serve.bench \
-        --codec u16q --out benchmarks/baselines/BENCH_serve_u16q.json
-    PYTHONPATH=src python -m repro.serve.bench \
-        --update --out benchmarks/baselines/BENCH_update.json
-
-``--dist`` runs the **dist-smoke** instead (:func:`run_dist_smoke`):
-the multi-node leg of the bench on a 4-node virtual cluster.  Build
-side, :func:`~repro.dist.solve_apsp_cluster` must produce distances
+The **dist-smoke** (:func:`run_dist_smoke`) is the multi-node leg of
+the bench on a 4-node virtual cluster.  Build side,
+:func:`~repro.dist.solve_apsp_cluster` must produce distances
 bitwise-identical to the single-machine solve both fault-free and
 under the pinned node-granularity :class:`~repro.faults.FaultPlan`
 (one rank killed mid-build, one straggling); serve side, a
@@ -90,20 +82,30 @@ section is gated in CI against
 failover/loss event counts exact; ``network_bytes``, makespans and
 ``*_ms`` percentiles upward-only).
 
-``--curve accuracy_latency.json`` instead sweeps every codec and
-writes the accuracy-vs-latency curve artifact
-(``repro.serve.curve/1``) that CI uploads.
+:func:`run_codec_curve` sweeps every codec into the accuracy-vs-latency
+curve (``repro.serve.curve/1``) that CI uploads.  The flags picking a
+scenario and its outputs are in ``python -m repro.serve.bench --help``
+(``repro-apsp serve-bench`` takes the same).  Regenerate a baseline
+after an intentional serving change::
+
+    PYTHONPATH=src python -m repro.serve.bench \
+        --codec u16q --out benchmarks/baselines/BENCH_serve_u16q.json
+    PYTHONPATH=src python -m repro.serve.bench \
+        --update --out benchmarks/baselines/BENCH_update.json
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 import tempfile
 import time
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,6 +137,8 @@ __all__ = [
     "run_update_smoke",
     "run_dist_smoke",
     "run_codec_curve",
+    "build_parser",
+    "run",
     "main",
 ]
 
@@ -254,30 +258,159 @@ def _store_fingerprint(store) -> int:
     return zlib.crc32(joined.encode()) & 0xFFFFFFFF
 
 
-def _observed_error(store, ref: np.ndarray) -> float:
-    """Max abs decode error over every shard vs the exact solve.
+def _check(ok: bool, scenario: str, message: str) -> None:
+    """Raise :class:`~repro.exceptions.BenchmarkError` unless ``ok``.
 
-    Also requires the reachability structure to survive any codec
-    exactly: an ``inf`` that decodes finite (or vice versa) is a
-    correctness bug no ε excuses.
+    Every bench invariant goes through here, so a broken one fails the
+    smoke (and CI) before regress even runs.
     """
-    observed = 0.0
-    for index in range(store.num_shards):
-        start, rows = store.shard_span(index)
-        block = store.load_shard(index)
-        truth = ref[start:start + rows]
-        finite = np.isfinite(truth)
-        if (np.isfinite(block) != finite).any():
-            raise BenchmarkError(
-                f"serve smoke: codec {store.codec_name!r} does not "
-                f"preserve reachability in shard {index}"
+    if not ok:
+        raise BenchmarkError(f"{scenario} smoke: {message}")
+
+
+def _check_answers(scenario: str, what: str, got, truth, bound) -> float:
+    """Hold answers ``got`` to ``truth`` within ``bound``; returns their
+    max abs error.
+
+    Also requires the reachability structure to survive exactly: an
+    ``inf`` that comes back finite (or vice versa) is a correctness bug
+    no ε excuses.
+    """
+    got = np.asarray(got, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    finite = np.isfinite(truth)
+    _check(np.array_equal(np.isfinite(got), finite), scenario,
+           f"{what} disagree with ground truth on reachability")
+    error = float(np.max(np.abs(got[finite] - truth[finite]), initial=0.0))
+    _check(error <= bound, scenario,
+           f"{what} are {error:g} off ground truth, above the certified "
+           f"bound {bound:g}")
+    return error
+
+
+def _check_below(scenario: str, what: str, value, limit) -> None:
+    """The bench's "X beats Y" gates: require ``value < limit``."""
+    _check(value < limit, scenario,
+           f"{what}: {value:g} is not below {limit:g}")
+
+
+def _observed_error(scenario: str, store, ref: np.ndarray) -> float:
+    """Max abs decode error of every shard vs the exact solve, held to
+    the store's certified bound."""
+    decoded = [store.load_shard(i) for i in range(store.num_shards)]
+    return _check_answers(
+        scenario, f"codec {store.codec_name!r} decoded distances",
+        np.vstack(decoded), ref, store.max_abs_error,
+    )
+
+
+#: a replay's outcome counters: every request ends in exactly one
+_OUTCOMES = ("admitted", "degraded", "shed")
+
+
+def _replay_flat(prefix: str, replay, counters: Sequence[str],
+                 latency: bool = True) -> Dict[str, float]:
+    """One replay's artifact keys under ``prefix``: the named counters
+    and, with ``latency``, the exact mean and p99 in ms."""
+    flat = {f"{prefix}.{key}": float(replay.counters[key])
+            for key in counters}
+    if latency:
+        flat[f"{prefix}.mean_ms"] = replay.mean_latency() * 1e3
+        flat[f"{prefix}.p99_ms"] = replay.percentile_latency(99) * 1e3
+    return flat
+
+
+class _Scenario:
+    """One smoke's shared set-up, used as a context manager.
+
+    Builds the seeded R-MAT bench graph (with seeded random weights
+    when ``weight_seed`` is given) and owns the store directory (a
+    temporary one, removed on exit, unless ``store_dir`` is given), the
+    registry the artifact's ``counters`` and ``spans`` come from, the
+    ``wall.*`` timings and the params every smoke's artifact shares.
+    Only what runs under the registry lands in the gated counters, so
+    each call site picks its scope explicitly.
+    """
+
+    def __init__(
+        self, name: str, *, scale: int, edge_factor: int, seed: int,
+        shard_rows: int, cache_shards: int, codec: str,
+        store_dir: Optional[str], weight_seed: Optional[int] = None,
+    ) -> None:
+        graph = rmat(scale, edge_factor=edge_factor, seed=seed,
+                     name=f"rmat-s{scale}-ef{edge_factor}")
+        if weight_seed is not None:
+            graph = attach_random_weights(graph, seed=weight_seed)
+        self.name = name
+        self.graph = graph
+        self.n = graph.num_vertices
+        self.registry = MetricsRegistry()
+        self.timings: Dict[str, float] = {}
+        self.params: Dict[str, object] = {
+            "workload_rev": WORKLOAD_REV,
+            "graph": graph.name,
+            "n": int(self.n),
+            "m": int(graph.num_edges),
+            "rmat_scale": scale,
+            "rmat_edge_factor": edge_factor,
+            "rmat_seed": seed,
+            "shard_rows": shard_rows,
+            "cache_shards": cache_shards,
+            "codec": codec,
+            "num_landmarks": DEFAULT_LANDMARKS,
+        }
+        if weight_seed is not None:
+            self.params["weight_seed"] = weight_seed
+        self._tmp = None
+        if store_dir is None:
+            self._tmp = tempfile.TemporaryDirectory(
+                prefix=f"repro-{name}-smoke-"
             )
-        if finite.any():
-            observed = max(
-                observed,
-                float(np.max(np.abs(block[finite] - truth[finite]))),
+            store_dir = self._tmp.name + "/store"
+        self.store_dir = store_dir
+
+    def __enter__(self) -> "_Scenario":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self._tmp is not None:
+            self._tmp.cleanup()
+
+    @contextmanager
+    def timed(self, key: str) -> Iterator[None]:
+        """Run the block under the registry, its wall time as ``key``."""
+        t0 = time.perf_counter()
+        with use_registry(self.registry):
+            yield
+        self.timings[key] = time.perf_counter() - t0
+
+    def build(self, graph=None, *, key: str = "wall.store_build",
+              suffix: str = "", **store_kwargs) -> DistStore:
+        """:func:`solve_to_store` of the bench graph (or ``graph``) into
+        the store directory plus ``suffix``, timed under the registry."""
+        with self.timed(key):
+            return solve_to_store(
+                self.graph if graph is None else graph,
+                self.store_dir + suffix, num_landmarks=DEFAULT_LANDMARKS,
+                shard_rows=self.params["shard_rows"],
+                codec=self.params["codec"], **store_kwargs,
             )
-    return observed
+
+    def truth(self, graph=None) -> np.ndarray:
+        """Ground truth: an exact flags-off solve of the bench graph (or
+        ``graph``), outside the registry."""
+        from ..core import solve_apsp
+
+        graph = self.graph if graph is None else graph
+        return solve_apsp(graph, use_flags=False).dist
+
+    def artifact(self, params: Dict[str, object], **sections) -> Dict:
+        """The ``<name>-smoke`` artifact: shared plus ``params``, the
+        timings, the registry and the scenario's own ``sections``."""
+        return build_artifact(f"{self.name}-smoke",
+                              params={**self.params, **params},
+                              timings=self.timings, registry=self.registry,
+                              **sections)
 
 
 def run_serve_smoke(
@@ -310,226 +443,129 @@ def run_serve_smoke(
     ``request_trace_out`` writes the Chrome/Perfetto trace of the
     slowest recorded request, named by the histogram's top exemplar.
     """
-    graph = rmat(
-        scale,
-        edge_factor=edge_factor,
-        seed=seed,
-        name=f"rmat-s{scale}-ef{edge_factor}",
-    )
-    n = graph.num_vertices
-    tmp = None
-    if store_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-serve-smoke-")
-        store_dir = tmp.name + "/store"
-    sink: Optional[JsonlSink] = None
-    try:
-        registry = MetricsRegistry()
-        t0 = time.perf_counter()
-        with use_registry(registry):
-            store = solve_to_store(
-                graph,
-                store_dir,
-                shard_rows=shard_rows,
-                num_landmarks=DEFAULT_LANDMARKS,
-                codec=codec,
-                epsilon=epsilon,
-            )
-        build_wall = time.perf_counter() - t0
+    with _Scenario(
+        "serve", scale=scale, edge_factor=edge_factor, seed=seed,
+        shard_rows=shard_rows, cache_shards=cache_shards, codec=codec,
+        store_dir=store_dir,
+    ) as sc:
+        n = sc.n
+        store = sc.build(epsilon=epsilon)
 
         # ground truth for the error audit and the threaded cross-check
-        from ..core import solve_apsp
-
-        ref = solve_apsp(graph, use_flags=False).dist
+        ref = sc.truth()
         certified = store.max_abs_error
-        observed = _observed_error(store, ref)
-        if observed > certified:
-            raise BenchmarkError(
-                f"serve smoke: codec {codec!r} observed decode error "
-                f"{observed:g} exceeds its certified bound {certified:g}"
-            )
-        if codec in ("raw", "f4") and scale <= 10 and observed != 0.0:
-            # unit-weight R-MAT distances are small integers — exact in
-            # f4 too, so any error here means the codec is broken
-            raise BenchmarkError(
-                f"serve smoke: codec {codec!r} should be exact on the "
-                f"hop-count smoke graph, observed error {observed:g}"
-            )
+        observed = _observed_error("serve", store, ref)
+        # unit-weight R-MAT distances are small integers — exact in f4
+        # too, so any error here means the codec is broken
+        _check(codec not in ("raw", "f4") or scale > 10 or observed == 0,
+               "serve", f"codec {codec!r} should be exact on the hop-count "
+               f"smoke graph, observed error {observed:g}")
         store_bytes = store.store_bytes()
         raw_store_bytes = n * n * 8
-        if codec in ("u16q", "u16qd") and store_bytes * 2 > raw_store_bytes:
-            raise BenchmarkError(
-                f"serve smoke: codec {codec!r} store is {store_bytes} "
-                f"bytes, not ≥2× below raw f8 {raw_store_bytes}"
-            )
+        _check(codec not in ("u16q", "u16qd")
+               or store_bytes * 2 <= raw_store_bytes, "serve",
+               f"codec {codec!r} store is {store_bytes} bytes, not ≥2× "
+               f"below raw f8 {raw_store_bytes}")
 
         sizes = [store.shard_nbytes(i) for i in range(store.num_shards)]
         trace = generate_trace(SMOKE_TRAFFIC, n)
         policy = AdmissionPolicy()
         cost = ServeCostModel()
+
+        replay = functools.partial(
+            replay_virtual, n=n, shard_rows=shard_rows, policy=policy,
+            cost=cost, cache_shards=cache_shards,
+            num_servers=DEFAULT_SERVERS, optimized=True, shard_nbytes=sizes,
+        )
+
+        sink: Optional[JsonlSink] = None
         if events_out is not None:
-            sink = JsonlSink(
-                events_out,
-                params={
-                    "workload_rev": WORKLOAD_REV,
-                    "codec": codec,
-                    "epsilon": float(epsilon),
-                    "rmat_scale": scale,
-                    "rmat_seed": seed,
-                    "shard_rows": shard_rows,
-                    "cache_shards": cache_shards,
-                    "traffic_requests": SMOKE_TRAFFIC.num_requests,
-                    "traffic_seed": SMOKE_TRAFFIC.seed,
-                    "sample": float(events_sample),
-                },
-            )
-        collector = TelemetryCollector(
-            capacity=TELEMETRY_CAPACITY, sink=sink, sample=events_sample,
-        )
-        opt = replay_virtual(
-            trace, n=n, shard_rows=shard_rows, policy=policy, cost=cost,
-            cache_shards=cache_shards, num_servers=DEFAULT_SERVERS,
-            optimized=True, shard_nbytes=sizes,
-            telemetry=collector, codec=codec,
-        )
-        naive = replay_virtual(
-            trace, n=n, shard_rows=shard_rows, policy=policy, cost=cost,
-            cache_shards=cache_shards, num_servers=DEFAULT_SERVERS,
-            optimized=False, shard_nbytes=sizes,
-        )
+            sink = JsonlSink(events_out, params={
+                **{key: sc.params[key] for key in (
+                    "workload_rev", "codec", "rmat_scale", "rmat_seed",
+                    "shard_rows", "cache_shards",
+                )},
+                "epsilon": float(epsilon),
+                "traffic_requests": SMOKE_TRAFFIC.num_requests,
+                "traffic_seed": SMOKE_TRAFFIC.seed,
+                "sample": float(events_sample),
+            })
+        collector = TelemetryCollector(capacity=TELEMETRY_CAPACITY,
+                                       sink=sink, sample=events_sample)
+        try:
+            opt = replay(trace, telemetry=collector, codec=codec)
+        finally:
+            if sink is not None:
+                sink.close()
+        naive = replay(trace, optimized=False)
         # same optimised replay at raw-f8 shard sizes: the latency the
         # codec is claiming credit against
-        raw_ref = replay_virtual(
-            trace, n=n, shard_rows=shard_rows, policy=policy, cost=cost,
-            cache_shards=cache_shards, num_servers=DEFAULT_SERVERS,
-            optimized=True,
-        )
-        if opt.counters["shard_loads"] >= naive.counters["shard_loads"]:
-            raise BenchmarkError(
-                "serve smoke: coalescing+batching did not reduce shard "
-                f"loads ({opt.counters['shard_loads']} vs naive "
-                f"{naive.counters['shard_loads']})"
-            )
-        if opt.counters["bytes_loaded"] >= naive.counters["bytes_loaded"]:
-            raise BenchmarkError(
-                "serve smoke: optimised replay moved "
-                f"{opt.counters['bytes_loaded']} bytes, not below naive "
-                f"{naive.counters['bytes_loaded']}"
-            )
+        raw_ref = replay(trace, shard_nbytes=None)
+        for key in ("shard_loads", "bytes_loaded"):
+            _check_below("serve", f"optimised {key} vs naive",
+                         opt.counters[key], naive.counters[key])
         # the latency leg of opt-vs-naive only binds for raw: once a
         # codec makes loads cheap, the window-free naive path is
         # latency-competitive by construction and the optimised stack's
-        # win is resource cost (the load/byte gates above) — while the
-        # codec's own latency win is gated against raw_ref below
-        if codec == "raw" and opt.mean_latency() >= naive.mean_latency():
-            raise BenchmarkError(
-                "serve smoke: optimised mean virtual latency "
-                f"{opt.mean_latency():g}s is not below naive "
-                f"{naive.mean_latency():g}s"
-            )
-        if codec != "raw" and opt.mean_latency() >= raw_ref.mean_latency():
-            raise BenchmarkError(
-                f"serve smoke: codec {codec!r} mean virtual latency "
-                f"{opt.mean_latency():g}s does not beat the raw-f8 cost "
-                f"reference {raw_ref.mean_latency():g}s"
-            )
+        # win is resource cost (the load/byte gates above) — so a
+        # codec's latency is gated against raw_ref instead: its own win
+        label, reference = (
+            ("naive", naive) if codec == "raw" else ("raw-f8 cost", raw_ref))
+        _check_below("serve", f"codec {codec!r} mean latency vs {label}",
+                     opt.mean_latency(), reference.mean_latency())
 
         # ALT replay: which point requests would short-circuit on the
         # certified landmark gap alone?  The probe touches no shards.
         probe = QueryEngine(store, cache_shards=1, epsilon=epsilon)
         sc_indices: List[int] = []
         for i, req in enumerate(trace):
-            if req.kind != "point":
-                continue
-            lo, hi = probe.dist_bounds(req.u, req.v)
-            if lo == hi or hi - lo <= epsilon:
-                sc_indices.append(i)
-        if probe.stats["shard_loads"] != 0:
-            raise BenchmarkError(
-                "serve smoke: ALT bound probe loaded shards"
-            )
-        if not sc_indices:
-            raise BenchmarkError(
-                "serve smoke: no point query short-circuits on the ALT "
-                "gap — landmark bounds are not engaging"
-            )
-        alt = replay_virtual(
-            trace, n=n, shard_rows=shard_rows, policy=policy, cost=cost,
-            cache_shards=cache_shards, num_servers=DEFAULT_SERVERS,
-            optimized=True, shard_nbytes=sizes, short_circuits=sc_indices,
-        )
-        if alt.counters["short_circuits"] == 0:
-            raise BenchmarkError(
-                "serve smoke: ALT replay recorded no short-circuits"
-            )
-        if alt.counters["shard_loads"] >= opt.counters["shard_loads"]:
-            raise BenchmarkError(
-                "serve smoke: ALT short-circuiting did not reduce shard "
-                f"loads ({alt.counters['shard_loads']} vs "
-                f"{opt.counters['shard_loads']})"
-            )
+            if req.kind == "point":
+                lo, hi = probe.dist_bounds(req.u, req.v)
+                if lo == hi or hi - lo <= epsilon:
+                    sc_indices.append(i)
+        _check(probe.stats["shard_loads"] == 0, "serve",
+               "ALT bound probe loaded shards")
+        _check(bool(sc_indices), "serve", "no point query short-circuits "
+               "on the ALT gap — landmark bounds are not engaging")
+        alt = replay(trace, short_circuits=sc_indices)
+        _check(alt.counters["short_circuits"] > 0, "serve",
+               "ALT replay recorded no short-circuits")
+        _check_below("serve", "ALT replay shard loads vs optimised",
+                     alt.counters["shard_loads"], opt.counters["shard_loads"])
 
-        burst = generate_trace(
-            TrafficSpec(
-                num_requests=SMOKE_TRAFFIC.num_requests,
-                rate=SATURATION_RATE,
-                zipf_s=SMOKE_TRAFFIC.zipf_s,
-                seed=SMOKE_TRAFFIC.seed,
-                row_frac=SMOKE_TRAFFIC.row_frac,
-                topk_frac=SMOKE_TRAFFIC.topk_frac,
-                topk_k=SMOKE_TRAFFIC.topk_k,
-            ),
-            n,
-        )
-        sat = replay_virtual(
-            burst, n=n, shard_rows=shard_rows, policy=SATURATION_POLICY,
-            cost=cost, cache_shards=cache_shards,
-            num_servers=DEFAULT_SERVERS, optimized=True, shard_nbytes=sizes,
-        )
-        if sat.counters["degraded"] == 0:
-            raise BenchmarkError(
-                "serve smoke: saturating burst produced no degraded "
-                "(approximate) answers — admission control is not "
-                "engaging"
-            )
-        answered = (
-            sat.counters["admitted"] + sat.counters["degraded"]
-            + sat.counters["shed"]
-        )
-        if answered != len(burst):
-            raise BenchmarkError(
-                f"serve smoke: {len(burst)} requests in, {answered} "
-                "outcomes out — requests are queueing unboundedly"
-            )
+        burst = generate_trace(dataclasses.replace(
+            SMOKE_TRAFFIC, rate=SATURATION_RATE), n)
+        sat = replay(burst, policy=SATURATION_POLICY)
+        _check(sat.counters["degraded"] > 0, "serve",
+               "saturating burst produced no degraded (approximate) "
+               "answers — admission control is not engaging")
+        answered = sum(sat.counters[key] for key in _OUTCOMES)
+        _check(answered == len(burst), "serve",
+               f"{len(burst)} requests in, {answered} outcomes out — "
+               "requests are queueing unboundedly")
 
         # corruption drill: detection must fire, repair must be exact
         # over the *encoded* bytes, whatever the codec
         shard_file = SMOKE_CORRUPTION.resolve(store)
         before = shard_file.read_bytes()
         SMOKE_CORRUPTION.apply_to_store(store)
+        detected = None
         try:
             store.verify()
         except StoreCorruptionError as exc:
-            if SMOKE_CORRUPTION.shard not in exc.shards:
-                raise BenchmarkError(
-                    f"serve smoke: corruption reported {exc.shards}, "
-                    f"expected shard {SMOKE_CORRUPTION.shard}"
-                )
-        else:
-            raise BenchmarkError(
-                "serve smoke: store corruption went undetected"
-            )
-        with use_registry(registry):
-            repaired = store.repair(graph)
-        if repaired != [SMOKE_CORRUPTION.shard]:
-            raise BenchmarkError(
-                f"serve smoke: repair touched {repaired}, expected "
-                f"[{SMOKE_CORRUPTION.shard}]"
-            )
-        if shard_file.read_bytes() != before:
-            raise BenchmarkError(
-                "serve smoke: repaired shard is not byte-identical to "
-                "the original"
-            )
+            detected = exc.shards
+        _check(detected is not None, "serve",
+               "store corruption went undetected")
+        _check(SMOKE_CORRUPTION.shard in detected, "serve",
+               f"corruption reported {detected}, expected shard "
+               f"{SMOKE_CORRUPTION.shard}")
+        with use_registry(sc.registry):
+            repaired = store.repair(sc.graph)
+        _check(repaired == [SMOKE_CORRUPTION.shard], "serve",
+               f"repair touched {repaired}, expected "
+               f"[{SMOKE_CORRUPTION.shard}]")
+        _check(shard_file.read_bytes() == before, "serve",
+               "repaired shard is not byte-identical to the original")
 
         # real-thread smoke of the locking paths; wall-only, not gated
         # (its telemetry collector exercises the real scope threading —
@@ -541,72 +577,52 @@ def run_serve_smoke(
         t0 = time.perf_counter()
         threaded, responses = replay_threaded(trace, frontend,
                                               num_threads=4)
-        threaded_wall = time.perf_counter() - t0
+        sc.timings["wall.threaded_replay"] = time.perf_counter() - t0
         # answers must be deterministic (repeatable through the engine)
         # and within the certified error contract vs ground truth
-        err_budget = certified + (epsilon or 0.0) / 2.0
-        for req, resp in zip(trace, responses):
-            if req.kind != "point" or resp.status != "ok":
-                continue
-            if resp.value != float(engine.dist(req.u, req.v)):
-                raise BenchmarkError(
-                    "serve smoke: threaded front end is not "
-                    "deterministic vs a repeated engine query"
-                )
-            true = float(ref[req.u, req.v])
-            if np.isinf(true) != np.isinf(resp.value):
-                raise BenchmarkError(
-                    "serve smoke: threaded answer disagrees with ground "
-                    f"truth on reachability of ({req.u}, {req.v})"
-                )
-            if np.isfinite(true) and abs(resp.value - true) > err_budget:
-                raise BenchmarkError(
-                    f"serve smoke: threaded answer for ({req.u}, "
-                    f"{req.v}) is {resp.value:g}, ground truth {true:g} "
-                    f"— outside the certified budget {err_budget:g}"
-                )
-        if engine.stats["short_circuits"] == 0:
-            raise BenchmarkError(
-                "serve smoke: the real engine never short-circuited on "
-                "the ALT gap despite epsilon being set"
-            )
+        points = [(req, resp) for req, resp in zip(trace, responses)
+                  if req.kind == "point" and resp.status == "ok"]
+        _check(all(resp.value == float(engine.dist(req.u, req.v))
+                   for req, resp in points), "serve", "threaded front end "
+               "is not deterministic vs a repeated engine query")
+        _check_answers("serve", "threaded answers",
+                       [resp.value for _, resp in points],
+                       [ref[req.u, req.v] for req, _ in points],
+                       certified + (epsilon or 0.0) / 2.0)
+        _check(engine.stats["short_circuits"] > 0, "serve",
+               "the real engine never short-circuited on the ALT gap "
+               "despite epsilon being set")
         answers = [e for e in thr_telemetry.events() if e.kind == "answer"]
-        if len(answers) != len(trace):
-            raise BenchmarkError(
-                "serve smoke: threaded telemetry recorded "
-                f"{len(answers)} answer events for {len(trace)} requests"
-            )
+        _check(len(answers) == len(trace), "serve",
+               f"threaded telemetry recorded {len(answers)} answer "
+               f"events for {len(trace)} requests")
 
         # the certified latency histogram over the optimised replay:
         # every quantile the artifact reports must sit within the
         # histogram's own rel_error certificate of the exact percentile
         hist = opt.latency_histogram()
-        if hist.count != sum(len(v) for v in opt.latencies.values()):
-            raise BenchmarkError(
-                "serve smoke: latency histogram lost samples "
-                f"({hist.count} vs recorded latencies)"
-            )
-        for q in (50.0, 90.0, 99.0):
-            exact = opt.percentile_latency(q)
-            approx = hist.quantile(q)
-            if abs(approx - exact) > hist.rel_error * exact + 1e-12:
-                raise BenchmarkError(
-                    f"serve smoke: histogram p{q:g} = {approx:g}s is "
-                    f"outside the certified relative error "
-                    f"{hist.rel_error:g} of the exact percentile "
-                    f"{exact:g}s"
-                )
+        _check(hist.count == sum(len(v) for v in opt.latencies.values()),
+               "serve", f"latency histogram lost samples ({hist.count} "
+               "vs recorded latencies)")
         serve_hist = hist.flat("serve.opt.hist")
         serve_hist["serve.opt.hist.rel_error"] = hist.rel_error
-        serve_hist["serve.opt.hist.p50_ms"] = hist.quantile(50) * 1e3
-        serve_hist["serve.opt.hist.p90_ms"] = hist.quantile(90) * 1e3
-        serve_hist["serve.opt.hist.p99_ms"] = hist.quantile(99) * 1e3
+        for q in (50, 90, 99):
+            exact = opt.percentile_latency(q)
+            approx = hist.quantile(q)
+            _check(abs(approx - exact) <= hist.rel_error * exact + 1e-12,
+                   "serve", f"histogram p{q} = {approx:g}s is outside the "
+                   f"certified relative error {hist.rel_error:g} of the "
+                   f"exact percentile {exact:g}s")
+            serve_hist[f"serve.opt.hist.p{q}_ms"] = approx * 1e3
 
         # SLO burn over the virtual replay (deterministic, gated
         # upward-only) and over the threaded replay through the same
-        # code path (wall-clock latencies, reported but never gated)
+        # code path (wall-clock latencies, so wall.*: reported but
+        # never gated)
         slo_report = evaluate_slo(SMOKE_SLO, opt.slo_samples("point"))
         thr_slo = evaluate_slo(SMOKE_SLO, threaded.slo_samples("point"))
+        sc.timings["wall.slo_burn_rate"] = thr_slo.burn_rate
+        sc.timings["wall.slo_compliance"] = thr_slo.compliance
 
         if request_trace_out is not None:
             # the slowest recorded request, named by the histogram's
@@ -617,13 +633,11 @@ def run_serve_smoke(
                 collector.events(), exemplar_tid
             )
             problems = validate_chrome(to_chrome(req_trace))
-            if problems:
-                raise BenchmarkError(
-                    "serve smoke: exported request trace is not valid "
-                    "Chrome JSON: " + "; ".join(problems)
-                )
+            _check(not problems, "serve", "exported request trace is not "
+                   "valid Chrome JSON: " + "; ".join(problems))
             write_chrome(request_trace_out, req_trace)
 
+        loaded = ("shard_loads", "bytes_loaded")
         serve: Dict[str, float] = {
             "serve.store.fingerprint": float(_store_fingerprint(store)),
             "serve.store.num_shards": float(store.num_shards),
@@ -632,18 +646,11 @@ def run_serve_smoke(
             "serve.store.compression_ratio": raw_store_bytes / store_bytes,
             "serve.error.certified_max_abs_error": certified,
             "serve.error.observed_max_abs_error": observed,
-            "serve.naive.shard_loads": float(naive.counters["shard_loads"]),
-            "serve.naive.bytes_loaded": float(naive.counters["bytes_loaded"]),
-            "serve.naive.mean_ms": naive.mean_latency() * 1e3,
-            "serve.naive.p99_ms": naive.percentile_latency(99) * 1e3,
-            "serve.opt.shard_loads": float(opt.counters["shard_loads"]),
-            "serve.opt.bytes_loaded": float(opt.counters["bytes_loaded"]),
-            "serve.opt.cache_hits": float(opt.counters["cache_hits"]),
-            "serve.opt.coalesced": float(opt.counters["coalesced"]),
-            "serve.opt.batches": float(opt.counters["batches"]),
-            "serve.opt.gathers": float(opt.counters["gathers"]),
-            "serve.opt.degraded": float(opt.counters["degraded"]),
-            "serve.opt.shed": float(opt.counters["shed"]),
+            **_replay_flat("serve.naive", naive, loaded),
+            **_replay_flat("serve.opt", opt, loaded + (
+                "cache_hits", "coalesced", "batches", "gathers",
+                "degraded", "shed",
+            ), latency=False),
             "serve.opt.hit_rate": opt.hit_rate(),
             "serve.opt.mean_ms": opt.mean_latency() * 1e3,
             # opt percentiles come from the certified histogram (the
@@ -655,33 +662,13 @@ def run_serve_smoke(
                 naive.mean_latency() / opt.mean_latency(),
             "serve.opt.raw_speedup":
                 raw_ref.mean_latency() / opt.mean_latency(),
-            "serve.raw_ref.mean_ms": raw_ref.mean_latency() * 1e3,
-            "serve.raw_ref.p99_ms": raw_ref.percentile_latency(99) * 1e3,
-            "serve.alt.short_circuits":
-                float(alt.counters["short_circuits"]),
-            "serve.alt.shard_loads": float(alt.counters["shard_loads"]),
-            "serve.alt.bytes_loaded": float(alt.counters["bytes_loaded"]),
-            "serve.alt.mean_ms": alt.mean_latency() * 1e3,
-            "serve.alt.p99_ms": alt.percentile_latency(99) * 1e3,
-            "serve.sat.degraded": float(sat.counters["degraded"]),
-            "serve.sat.shed": float(sat.counters["shed"]),
-            "serve.sat.admitted": float(sat.counters["admitted"]),
+            **_replay_flat("serve.raw_ref", raw_ref, ()),
+            **_replay_flat("serve.alt", alt, ("short_circuits",) + loaded),
+            **_replay_flat("serve.sat", sat, _OUTCOMES, latency=False),
         }
-        artifact = build_artifact(
-            "serve-smoke",
-            params={
-                "workload_rev": WORKLOAD_REV,
-                "graph": graph.name,
-                "n": int(n),
-                "m": int(graph.num_edges),
-                "rmat_scale": scale,
-                "rmat_edge_factor": edge_factor,
-                "rmat_seed": seed,
-                "shard_rows": shard_rows,
-                "cache_shards": cache_shards,
-                "codec": codec,
+        artifact = sc.artifact(
+            {
                 "epsilon": float(epsilon),
-                "num_landmarks": DEFAULT_LANDMARKS,
                 "num_servers": DEFAULT_SERVERS,
                 "traffic_requests": SMOKE_TRAFFIC.num_requests,
                 "traffic_rate": SMOKE_TRAFFIC.rate,
@@ -689,25 +676,11 @@ def run_serve_smoke(
                 "traffic_seed": SMOKE_TRAFFIC.seed,
                 "saturation_rate": SATURATION_RATE,
             },
-            timings={
-                "wall.store_build": build_wall,
-                "wall.threaded_replay": threaded_wall,
-                # threaded SLO through the identical scoring path —
-                # wall-clock latencies, so wall.* (reported, not gated)
-                "wall.slo_burn_rate": thr_slo.burn_rate,
-                "wall.slo_compliance": thr_slo.compliance,
-            },
-            registry=registry,
             serve=serve,
             serve_latency_hist=serve_hist,
             serve_slo=slo_report.to_flat("serve.slo.point"),
         )
-        return artifact, registry
-    finally:
-        if sink is not None:
-            sink.close()
-        if tmp is not None:
-            tmp.cleanup()
+        return artifact, sc.registry
 
 
 def run_update_smoke(
@@ -746,165 +719,92 @@ def run_update_smoke(
     The pinned batch's vertex ids are tuned to the default graph knobs;
     non-default ``scale``/``seed`` are for exploration only.
     """
-    base = rmat(
-        scale,
-        edge_factor=edge_factor,
-        seed=seed,
-        name=f"rmat-s{scale}-ef{edge_factor}",
-    )
-    graph = attach_random_weights(base, seed=UPDATE_WEIGHT_SEED)
-    n = graph.num_vertices
-    tmp = None
-    if store_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-update-smoke-")
-        store_dir = tmp.name + "/store"
-    try:
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            t0 = time.perf_counter()
-            store = solve_to_store(
-                graph,
-                store_dir,
-                shard_rows=shard_rows,
-                num_landmarks=DEFAULT_LANDMARKS,
-                codec=codec,
-            )
-            build_wall = time.perf_counter() - t0
-            if store.generation != 0:
-                raise BenchmarkError(
-                    "update smoke: fresh build did not start at "
-                    f"generation 0 (got {store.generation})"
-                )
-            old_fingerprint = _store_fingerprint(store)
+    with _Scenario(
+        "update", scale=scale, edge_factor=edge_factor, seed=seed,
+        shard_rows=shard_rows, cache_shards=cache_shards, codec=codec,
+        store_dir=store_dir, weight_seed=UPDATE_WEIGHT_SEED,
+    ) as sc:
+        graph, n = sc.graph, sc.n
+        store = sc.build()
+        _check(store.generation == 0, "update", "fresh build did not "
+               f"start at generation 0 (got {store.generation})")
+        old_fingerprint = _store_fingerprint(store)
 
-            # an engine holding the pre-update generation: it must keep
-            # serving it, unmixed, until it explicitly refreshes
+        # an engine holding the pre-update generation: it must keep
+        # serving it, unmixed, until it explicitly refreshes
+        updates = parse_edge_updates(SMOKE_UPDATE_BATCH)
+        probe_pairs = sorted(
+            {upd.key for upd in updates}
+            | {(u, u + 1) for u in range(0, n - 1, max(1, n // 8))}
+        )
+        with use_registry(sc.registry):
             engine = QueryEngine(store, cache_shards=cache_shards)
-            updates = parse_edge_updates(SMOKE_UPDATE_BATCH)
-            probe_pairs = sorted(
-                {upd.key for upd in updates}
-                | {(u, u + 1) for u in range(0, n - 1, max(1, n // 8))}
-            )
             old_answers = {
                 (u, v): float(engine.dist(u, v)) for u, v in probe_pairs
             }
-
-            t0 = time.perf_counter()
+        with sc.timed("wall.update"):
             result = apply_edge_updates(store, graph, updates)
-            update_wall = time.perf_counter() - t0
-            updated = result.store
+        updated = result.store
 
-        if result.generation != 1 or updated.generation != 1:
-            raise BenchmarkError(
-                "update smoke: expected generation 1 after one update, "
-                f"got result {result.generation} / store "
-                f"{updated.generation}"
-            )
-        if not result.dirty_shards:
-            raise BenchmarkError(
-                "update smoke: the pinned batch dirtied no shards — "
-                "the copy-on-write path was never exercised"
-            )
-        if result.certified_clean_shards <= 0:
-            raise BenchmarkError(
-                "update smoke: the landmark prescreen certified no "
-                "shard clean — the ALT certificates are not engaging"
-            )
-        if result.cost_ratio >= UPDATE_COST_GATE:
-            raise BenchmarkError(
-                f"update smoke: update cost {result.cost_rows} rows is "
-                f"{result.cost_ratio:.3f}x a full rebuild "
-                f"({result.rebuild_rows} rows), not below "
-                f"{UPDATE_COST_GATE}"
-            )
+        _check(result.generation == 1 == updated.generation, "update",
+               "expected generation 1 after one update, got result "
+               f"{result.generation} / store {updated.generation}")
+        _check(bool(result.dirty_shards), "update", "the pinned batch "
+               "dirtied no shards — the copy-on-write path was never "
+               "exercised")
+        _check(result.certified_clean_shards > 0, "update", "the landmark "
+               "prescreen certified no shard clean — the ALT "
+               "certificates are not engaging")
+        _check_below("update", f"cost ratio of {result.cost_rows} rows vs "
+                     f"a {result.rebuild_rows}-row rebuild",
+                     result.cost_ratio, UPDATE_COST_GATE)
 
         # byte-identity: the updated store vs a from-scratch build of
         # the mutated graph — same fingerprint, same size
         new_graph = apply_updates_to_graph(graph, updates)
-        with use_registry(registry):
-            t0 = time.perf_counter()
-            fresh = solve_to_store(
-                new_graph,
-                store_dir + "-rebuild",
-                shard_rows=shard_rows,
-                num_landmarks=DEFAULT_LANDMARKS,
-                codec=codec,
-            )
-            rebuild_wall = time.perf_counter() - t0
+        fresh = sc.build(new_graph, key="wall.rebuild", suffix="-rebuild")
         updated_fp = _store_fingerprint(updated)
         rebuild_fp = _store_fingerprint(fresh)
-        if updated_fp != rebuild_fp:
-            raise BenchmarkError(
-                "update smoke: updated store fingerprint "
-                f"{updated_fp:#010x} differs from a from-scratch build "
-                f"of the mutated graph ({rebuild_fp:#010x}) — "
-                "incremental updates must be byte-identical"
-            )
-        if updated.store_bytes() != fresh.store_bytes():
-            raise BenchmarkError(
-                "update smoke: updated store is "
-                f"{updated.store_bytes()} bytes vs rebuild "
-                f"{fresh.store_bytes()}"
-            )
+        _check(updated_fp == rebuild_fp, "update", "updated store "
+               f"fingerprint {updated_fp:#010x} differs from the rebuild's "
+               f"{rebuild_fp:#010x} — updates must be byte-identical")
+        _check(updated.store_bytes() == fresh.store_bytes(), "update",
+               f"updated store is {updated.store_bytes()} bytes vs rebuild "
+               f"{fresh.store_bytes()}")
 
         # correctness of the published bytes vs an exact solve
-        from ..core import solve_apsp
-
-        new_ref = solve_apsp(new_graph, use_flags=False).dist
-        observed = _observed_error(updated, new_ref)
-        if observed > updated.max_abs_error:
-            raise BenchmarkError(
-                f"update smoke: updated store decodes with error "
-                f"{observed:g}, above its certified bound "
-                f"{updated.max_abs_error:g}"
-            )
+        new_ref = sc.truth(new_graph)
+        observed = _observed_error("update", updated, new_ref)
 
         # generation safety: the old engine still serves generation 0
         # answers, then refresh() adopts generation 1 atomically
         for (u, v), before in old_answers.items():
-            if float(engine.dist(u, v)) != before:
-                raise BenchmarkError(
-                    f"update smoke: engine answer for ({u}, {v}) "
-                    "changed without a refresh — generations are mixing"
-                )
-        with use_registry(registry):
+            _check(float(engine.dist(u, v)) == before, "update",
+                   f"engine answer for ({u}, {v}) changed without a "
+                   "refresh — generations are mixing")
+        with use_registry(sc.registry):
             adopted = engine.refresh()
-        if adopted != 1:
-            raise BenchmarkError(
-                f"update smoke: refresh adopted generation {adopted}, "
-                "expected 1"
-            )
-        err_budget = updated.max_abs_error
-        swapped = 0
-        for u, v in probe_pairs:
-            got = float(engine.dist(u, v))
-            true = float(new_ref[u, v])
-            if np.isinf(true) != np.isinf(got) or (
-                np.isfinite(true) and abs(got - true) > err_budget
-            ):
-                raise BenchmarkError(
-                    f"update smoke: refreshed engine answers {got:g} "
-                    f"for ({u}, {v}), exact {true:g} — outside the "
-                    f"certified bound {err_budget:g}"
-                )
-            if got != old_answers[(u, v)]:
-                swapped += 1
-        if swapped == 0:
-            raise BenchmarkError(
-                "update smoke: no probed answer changed across the "
-                "update — the batch was a no-op for the probe set"
-            )
+        _check(adopted == 1, "update",
+               f"refresh adopted generation {adopted}, expected 1")
+        got = [float(engine.dist(u, v)) for u, v in probe_pairs]
+        _check_answers(
+            "update", "refreshed engine answers", got,
+            [new_ref[u, v] for u, v in probe_pairs], updated.max_abs_error,
+        )
+        swapped = sum(answer != old_answers[pair]
+                      for answer, pair in zip(got, probe_pairs))
+        _check(swapped > 0, "update", "no probed answer changed across the "
+               "update — the batch was a no-op for the probe set")
 
         # in-flight corruption drill: damage a pending file after it is
         # written but before the manifest swap; the update must abort
         # with the live generation intact and no orphans left behind
         drill = parse_edge_updates(DRILL_UPDATE_BATCH)
-        drill_gen = updated.generation + 1
+        drill_suffix = f".g{updated.generation + 1:04d}.bin"
 
         def damage_pending(old_store, new_manifest):
-            suffix = f".g{drill_gen:04d}.bin"
             for entry in new_manifest["shards"]:
-                if entry["file"].endswith(suffix):
+                if entry["file"].endswith(drill_suffix):
                     path = old_store.path / entry["file"]
                     raw = bytearray(path.read_bytes())
                     raw[0] ^= 0xFF
@@ -916,9 +816,8 @@ def run_update_smoke(
             )
 
         try:
-            apply_edge_updates(
-                updated, new_graph, drill, pre_swap_hook=damage_pending
-            )
+            apply_edge_updates(updated, new_graph, drill,
+                               pre_swap_hook=damage_pending)
         except StoreCorruptionError:
             pass
         else:
@@ -927,45 +826,25 @@ def run_update_smoke(
                 "the damaged pending file was published"
             )
         survivor = DistStore.open(updated.path)
-        if survivor.generation != 1:
-            raise BenchmarkError(
-                "update smoke: aborted update left generation "
-                f"{survivor.generation} on disk, expected 1"
-            )
+        _check(survivor.generation == 1, "update", "aborted update left "
+               f"generation {survivor.generation} on disk, expected 1")
         survivor.verify()
-        if _store_fingerprint(survivor) != updated_fp:
-            raise BenchmarkError(
-                "update smoke: aborted update changed the live "
-                "store's bytes"
-            )
-        drill_suffix = f".g{drill_gen:04d}.bin"
-        orphans = [
-            p.name
-            for p in survivor.path.iterdir()
-            if p.name.endswith(drill_suffix)
-        ]
-        if orphans:
-            raise BenchmarkError(
-                f"update smoke: aborted update left orphans {orphans}"
-            )
+        _check(_store_fingerprint(survivor) == updated_fp, "update",
+               "aborted update changed the live store's bytes")
+        orphans = [p.name for p in survivor.path.iterdir()
+                   if p.name.endswith(drill_suffix)]
+        _check(not orphans, "update", f"aborted update left orphans {orphans}")
 
         update: Dict[str, float] = {
-            "update.generation": float(result.generation),
-            "update.num_updates": float(result.num_updates),
-            "update.endpoints": float(len(result.endpoints)),
-            "update.candidate_shards": float(len(result.candidate_shards)),
-            "update.dirty_shards": float(len(result.dirty_shards)),
-            "update.certified_clean_shards": float(
-                result.certified_clean_shards
-            ),
-            "update.landmarks_rebuilt": float(result.landmarks_rebuilt),
-            "update.rows_resolved": float(result.rows_resolved),
-            "update.landmark_rows_resolved": float(
-                result.landmark_rows_resolved
-            ),
-            "update.cost_rows": float(result.cost_rows),
-            "update.rebuild_rows": float(result.rebuild_rows),
-            "update.cost_ratio": result.cost_ratio,
+            **{f"update.{key}": float(getattr(result, key)) for key in (
+                "generation", "num_updates", "certified_clean_shards",
+                "landmarks_rebuilt", "rows_resolved",
+                "landmark_rows_resolved", "cost_rows", "rebuild_rows",
+                "cost_ratio",
+            )},
+            **{f"update.{key}": float(len(getattr(result, key))) for key in (
+                "endpoints", "candidate_shards", "dirty_shards",
+            )},
             "update.fingerprint": float(updated_fp),
             "update.rebuild_fingerprint": float(rebuild_fp),
             "update.pre_update_fingerprint": float(old_fingerprint),
@@ -974,44 +853,16 @@ def run_update_smoke(
             "update.probe_answers_changed": float(swapped),
             "update.drill_aborted": 1.0,
         }
-        artifact = build_artifact(
-            "update-smoke",
-            params={
-                "workload_rev": WORKLOAD_REV,
-                "graph": graph.name,
-                "n": int(n),
-                "m": int(graph.num_edges),
-                "rmat_scale": scale,
-                "rmat_edge_factor": edge_factor,
-                "rmat_seed": seed,
-                "weight_seed": UPDATE_WEIGHT_SEED,
-                "shard_rows": shard_rows,
-                "cache_shards": cache_shards,
-                "codec": codec,
-                "num_landmarks": DEFAULT_LANDMARKS,
-                "update_batch": SMOKE_UPDATE_BATCH,
-                "drill_batch": DRILL_UPDATE_BATCH,
-                "cost_gate": UPDATE_COST_GATE,
-            },
-            timings={
-                "wall.store_build": build_wall,
-                "wall.update": update_wall,
-                "wall.rebuild": rebuild_wall,
-            },
-            registry=registry,
-            update=update,
-        )
-        return artifact, registry
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        artifact = sc.artifact({"update_batch": SMOKE_UPDATE_BATCH,
+                                "drill_batch": DRILL_UPDATE_BATCH,
+                                "cost_gate": UPDATE_COST_GATE}, update=update)
+        return artifact, sc.registry
 
 
-def _answer_fingerprint(values: Sequence[float]) -> int:
-    """crc32 over the answers' f8 bytes — one number that changes if
-    any routed answer diverges from the single-node store."""
-    arr = np.asarray(list(values), dtype=np.float64)
-    return zlib.crc32(arr.tobytes()) & 0xFFFFFFFF
+def _dist_ring() -> ShardRouter:
+    """A fresh hash ring with the dist-smoke's serving geometry."""
+    return ShardRouter(DIST_NODES, replication=DIST_REPLICATION,
+                       vnodes=DIST_VNODES, hash_seed=DIST_HASH_SEED)
 
 
 def run_dist_smoke(
@@ -1048,107 +899,64 @@ def run_dist_smoke(
       mid-replay records exactly one node loss, a nonzero failover
       count, and still answers every request.
     """
-    graph = rmat(
-        scale,
-        edge_factor=edge_factor,
-        seed=seed,
-        name=f"rmat-s{scale}-ef{edge_factor}",
-    )
-    n = graph.num_vertices
-    tmp = None
-    if store_dir is None:
-        tmp = tempfile.TemporaryDirectory(prefix="repro-dist-smoke-")
-        store_dir = tmp.name + "/store"
-    try:
-        registry = MetricsRegistry()
-        from ..core import solve_apsp
-
-        ref = solve_apsp(graph, use_flags=False).dist
+    with _Scenario(
+        "dist", scale=scale, edge_factor=edge_factor, seed=seed,
+        shard_rows=shard_rows, cache_shards=cache_shards, codec=codec,
+        store_dir=store_dir,
+    ) as sc:
+        graph, n = sc.graph, sc.n
+        ref = sc.truth()
 
         # 1. simulated cluster build: exact fault-free and faulted
-        t0 = time.perf_counter()
-        with use_registry(registry):
-            build = solve_apsp_cluster(
-                graph, CLUSTER_FAST, shard_rows=shard_rows
-            )
-        cluster_wall = time.perf_counter() - t0
-        if not np.array_equal(build.dist, ref):
-            raise BenchmarkError(
-                "dist smoke: cluster build is not bitwise-identical to "
-                "the single-machine solve"
-            )
-        with use_registry(registry):
-            faulted = solve_apsp_cluster(
-                graph,
-                CLUSTER_FAST,
-                shard_rows=shard_rows,
-                fault_plan=DIST_FAULT_PLAN,
-            )
-        if not np.array_equal(faulted.dist, ref):
-            raise BenchmarkError(
-                "dist smoke: faulted cluster build diverged from the "
-                "fault-free distances — recovery is not exact"
-            )
-        if not faulted.lost_ranks or not faulted.recovered_by:
-            raise BenchmarkError(
-                "dist smoke: the pinned fault plan killed no rank "
-                f"(lost={faulted.lost_ranks}, "
-                f"recovered={len(faulted.recovered_by)})"
-            )
-        if faulted.makespan <= build.makespan:
-            raise BenchmarkError(
-                "dist smoke: the faulted build was not slower than the "
-                f"fault-free one ({faulted.makespan:g} vs "
-                f"{build.makespan:g}) — recovery cost vanished"
-            )
+        with sc.timed("wall.cluster_build"):
+            build = solve_apsp_cluster(graph, CLUSTER_FAST,
+                                       shard_rows=shard_rows)
+        _check(np.array_equal(build.dist, ref), "dist", "cluster build is "
+               "not bitwise-identical to the single-machine solve")
+        with use_registry(sc.registry):
+            faulted = solve_apsp_cluster(graph, CLUSTER_FAST,
+                                         shard_rows=shard_rows,
+                                         fault_plan=DIST_FAULT_PLAN)
+        _check(np.array_equal(faulted.dist, ref), "dist", "faulted cluster "
+               "build diverged from the fault-free distances — recovery "
+               "is not exact")
+        _check(bool(faulted.lost_ranks and faulted.recovered_by), "dist",
+               f"the pinned fault plan killed no rank (lost="
+               f"{faulted.lost_ranks}, recovered={len(faulted.recovered_by)})")
+        # recovery must cost something: a free one means nothing died
+        _check_below("dist", "fault-free makespan vs faulted",
+                     build.makespan, faulted.makespan)
 
         # 2. the serving store + routed-vs-single exactness
-        t0 = time.perf_counter()
-        with use_registry(registry):
-            store = solve_to_store(
-                graph,
-                store_dir,
-                shard_rows=shard_rows,
-                num_landmarks=DEFAULT_LANDMARKS,
-                codec=codec,
-            )
-        store_wall = time.perf_counter() - t0
-        router = ShardRouter(
-            DIST_NODES,
-            replication=DIST_REPLICATION,
-            vnodes=DIST_VNODES,
-            hash_seed=DIST_HASH_SEED,
-        )
-        routed = RoutedEngine(
-            store,
-            router,
-            cache_shards=cache_shards,
-            node_budget=DIST_NODE_BUDGET,
-        )
+        store = sc.build()
+        router = _dist_ring()
+        routed = RoutedEngine(store, router, cache_shards=cache_shards,
+                              node_budget=DIST_NODE_BUDGET)
         single = QueryEngine(store, cache_shards=cache_shards)
         rng = np.random.default_rng(DIST_PROBE_SEED)
         pairs = [
             (int(u), int(v))
             for u, v in rng.integers(0, n, size=(DIST_PROBE_PAIRS, 2))
         ]
-        answers = []
-        for u, v in pairs:
-            got = float(routed.dist(u, v))
-            want = float(single.dist(u, v))
-            if got != want:
-                raise BenchmarkError(
-                    f"dist smoke: routed answer for ({u}, {v}) is "
-                    f"{got!r}, single-node store says {want!r}"
-                )
-            answers.append(got)
-        if not np.array_equal(
-            routed.dist_batch(pairs), single.dist_batch(pairs)
-        ):
-            raise BenchmarkError(
-                "dist smoke: routed dist_batch diverged from the "
-                "single-node engine"
-            )
-        fingerprint = _answer_fingerprint(answers)
+
+        def probe(when: str = "") -> int:
+            """Routed vs single-node answers over the probe pairs; a
+            crc32 over the routed answers' f8 bytes — one number that
+            changes if any routed answer diverges from the store."""
+            answers = []
+            for u, v in pairs:
+                got = float(routed.dist(u, v))
+                want = float(single.dist(u, v))
+                _check(got == want, "dist", f"routed answer for ({u}, {v}) "
+                       f"is {got!r}, single-node store says {want!r}{when}")
+                answers.append(got)
+            arr = np.asarray(answers, dtype=np.float64)
+            return zlib.crc32(arr.tobytes()) & 0xFFFFFFFF
+
+        fingerprint = probe()
+        _check(np.array_equal(routed.dist_batch(pairs),
+                              single.dist_batch(pairs)), "dist",
+               "routed dist_batch diverged from the single-node engine")
 
         # per-shard request loads of the pinned trace (what a serving
         # tier's per-shard counters would show) drive both the loss
@@ -1163,27 +971,12 @@ def run_dist_smoke(
         # kill the hot shard's primary; replication must keep every
         # answer byte-identical, via failovers
         routed.fail_node(hot_node)
-        failover_answers = []
-        for u, v in pairs:
-            got = float(routed.dist(u, v))
-            want = float(single.dist(u, v))
-            if got != want:
-                raise BenchmarkError(
-                    f"dist smoke: answer for ({u}, {v}) changed after "
-                    f"node {hot_node} failed ({got!r} vs {want!r})"
-                )
-            failover_answers.append(got)
+        failover_fingerprint = probe(f" with node {hot_node} failed")
         drill_failovers = int(routed.stats["failovers"])
-        if drill_failovers == 0:
-            raise BenchmarkError(
-                "dist smoke: failing the hot node produced no "
-                "failovers — the probe never touched it?"
-            )
-        if _answer_fingerprint(failover_answers) != fingerprint:
-            raise BenchmarkError(
-                "dist smoke: the answer fingerprint changed across a "
-                "node failure"
-            )
+        _check(drill_failovers > 0, "dist", "failing the hot node produced "
+               "no failovers — the probe never touched it?")
+        _check(failover_fingerprint == fingerprint, "dist", "the answer "
+               "fingerprint changed across a node failure")
         routed.restore_node(hot_node)
 
         # 3. skewed replay vs rebalanced replay: the p99 gate
@@ -1191,73 +984,40 @@ def run_dist_smoke(
         policy = AdmissionPolicy()
         cost = ServeCostModel()
 
-        def routed_replay(rtr, node_down=()):
-            return replay_virtual(
-                trace, n=n, shard_rows=shard_rows, policy=policy,
-                cost=cost, cache_shards=DIST_CACHE_SHARDS, optimized=True,
-                shard_nbytes=sizes, router=rtr,
-                node_budget=DIST_NODE_BUDGET,
-                servers_per_node=DIST_SERVERS_PER_NODE,
-                node_down=node_down,
-            )
-
-        skew_router = ShardRouter(
-            DIST_NODES,
-            replication=DIST_REPLICATION,
-            vnodes=DIST_VNODES,
-            hash_seed=DIST_HASH_SEED,
+        routed_replay = functools.partial(
+            replay_virtual, trace, n=n, shard_rows=shard_rows,
+            policy=policy, cost=cost, cache_shards=DIST_CACHE_SHARDS,
+            optimized=True, shard_nbytes=sizes, node_budget=DIST_NODE_BUDGET,
+            servers_per_node=DIST_SERVERS_PER_NODE,
         )
-        skewed = routed_replay(skew_router)
-        if skewed.counters["failovers"] != 0:
-            raise BenchmarkError(
-                "dist smoke: the healthy skewed replay recorded "
-                f"{skewed.counters['failovers']} failovers"
-            )
+
+        skew_router = _dist_ring()
+        skewed = routed_replay(router=skew_router)
+        _check(skewed.counters["failovers"] == 0, "dist", "the healthy "
+               f"skewed replay recorded {skewed.counters['failovers']} "
+               "failovers")
         re_router = ShardRouter.from_dict(skew_router.to_dict())
         moves = re_router.rebalance(loads, max_moves=DIST_MAX_MOVES)
-        if not moves:
-            raise BenchmarkError(
-                "dist smoke: rebalance made no moves on the skewed "
-                "load profile"
-            )
-        rebalanced = routed_replay(re_router)
-        p99_skew = skewed.percentile_latency(99)
-        p99_re = rebalanced.percentile_latency(99)
-        if p99_re >= p99_skew:
-            raise BenchmarkError(
-                f"dist smoke: rebalancing did not improve the hot-shard "
-                f"p99 ({p99_re:g}s vs skewed {p99_skew:g}s)"
-            )
+        _check(bool(moves), "dist",
+               "rebalance made no moves on the skewed load profile")
+        rebalanced = routed_replay(router=re_router)
+        _check_below("dist", "rebalanced hot-shard p99 vs skewed",
+                     rebalanced.percentile_latency(99),
+                     skewed.percentile_latency(99))
 
         # 4. node-loss drill: hot node dies mid-trace, traffic fails
         # over to replicas, every request still gets an outcome
-        loss_router = ShardRouter(
-            DIST_NODES,
-            replication=DIST_REPLICATION,
-            vnodes=DIST_VNODES,
-            hash_seed=DIST_HASH_SEED,
-        )
         mid = trace[len(trace) // 2].arrival
-        loss = routed_replay(loss_router, node_down=((mid, hot_node),))
-        if loss.counters["node_losses"] != 1:
-            raise BenchmarkError(
-                "dist smoke: the loss drill recorded "
-                f"{loss.counters['node_losses']} node losses, expected 1"
-            )
-        if loss.counters["failovers"] == 0:
-            raise BenchmarkError(
-                "dist smoke: no request failed over after the hot node "
-                "died mid-replay"
-            )
-        outcomes = (
-            loss.counters["admitted"] + loss.counters["degraded"]
-            + loss.counters["shed"]
-        )
-        if outcomes != len(trace):
-            raise BenchmarkError(
-                f"dist smoke: {len(trace)} requests in, {outcomes} "
-                "outcomes out of the loss drill"
-            )
+        loss = routed_replay(router=_dist_ring(),
+                             node_down=((mid, hot_node),))
+        _check(loss.counters["node_losses"] == 1, "dist", "the loss drill "
+               f"recorded {loss.counters['node_losses']} node losses, "
+               "expected 1")
+        _check(loss.counters["failovers"] > 0, "dist", "no request failed "
+               "over after the hot node died mid-replay")
+        outcomes = sum(loss.counters[key] for key in _OUTCOMES)
+        _check(outcomes == len(trace), "dist", f"{len(trace)} requests in, "
+               f"{outcomes} outcomes out of the loss drill")
 
         dist: Dict[str, float] = {
             "dist.build.makespan": build.makespan,
@@ -1271,37 +1031,17 @@ def run_dist_smoke(
             "dist.route.answer_fingerprint": float(fingerprint),
             "dist.route.drill_failovers": float(drill_failovers),
             "dist.store.fingerprint": float(_store_fingerprint(store)),
-            "dist.skew.p99_ms": p99_skew * 1e3,
-            "dist.skew.mean_ms": skewed.mean_latency() * 1e3,
-            "dist.skew.shard_loads": float(skewed.counters["shard_loads"]),
-            "dist.skew.node_saturated": float(
-                skewed.counters["node_saturated"]
-            ),
+            **_replay_flat("dist.skew", skewed,
+                           ("shard_loads", "node_saturated")),
             "dist.rebalanced.moves": float(len(moves)),
-            "dist.rebalanced.p99_ms": p99_re * 1e3,
-            "dist.rebalanced.mean_ms": rebalanced.mean_latency() * 1e3,
-            "dist.rebalanced.shard_loads": float(
-                rebalanced.counters["shard_loads"]
-            ),
+            **_replay_flat("dist.rebalanced", rebalanced, ("shard_loads",)),
+            **_replay_flat("dist.loss", loss, (
+                "failovers", "node_losses", "shard_loads",
+            ), latency=False),
             "dist.loss.p99_ms": loss.percentile_latency(99) * 1e3,
-            "dist.loss.failovers": float(loss.counters["failovers"]),
-            "dist.loss.node_losses": float(loss.counters["node_losses"]),
-            "dist.loss.shard_loads": float(loss.counters["shard_loads"]),
         }
-        artifact = build_artifact(
-            "dist-smoke",
-            params={
-                "workload_rev": WORKLOAD_REV,
-                "graph": graph.name,
-                "n": int(n),
-                "m": int(graph.num_edges),
-                "rmat_scale": scale,
-                "rmat_edge_factor": edge_factor,
-                "rmat_seed": seed,
-                "shard_rows": shard_rows,
-                "cache_shards": cache_shards,
-                "codec": codec,
-                "num_landmarks": DEFAULT_LANDMARKS,
+        artifact = sc.artifact(
+            {
                 "cluster": CLUSTER_FAST.name,
                 "cluster_nodes": CLUSTER_FAST.num_nodes,
                 "threads_per_node": CLUSTER_FAST.threads_per_node,
@@ -1320,17 +1060,9 @@ def run_dist_smoke(
                 "traffic_hot_frac": DIST_TRAFFIC.hot_frac,
                 "traffic_hot_width": DIST_TRAFFIC.hot_width,
             },
-            timings={
-                "wall.cluster_build": cluster_wall,
-                "wall.store_build": store_wall,
-            },
-            registry=registry,
             dist=dist,
         )
-        return artifact, registry
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+        return artifact, sc.registry
 
 
 #: curve artifact schema (uploaded by CI, never gated)
@@ -1374,11 +1106,46 @@ def run_codec_curve(**kwargs) -> Dict[str, object]:
     }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+#: what :func:`main` prints of each scenario's output: keys of the
+#: artifact section named after the smoke, per-codec curve point keys
+_HEADLINES: Dict[str, Tuple[str, ...]] = {
+    "serve": (
+        "serve.opt.shard_loads", "serve.naive.shard_loads",
+        "serve.opt.mean_speedup", "serve.opt.raw_speedup",
+        "serve.store.compression_ratio", "serve.alt.short_circuits",
+        "serve.sat.degraded", "serve.sat.shed",
+    ),
+    "update": (
+        "update.dirty_shards", "update.certified_clean_shards",
+        "update.cost_ratio", "update.fingerprint",
+    ),
+    "dist": (
+        "dist.fault.makespan", "dist.route.drill_failovers",
+        "dist.skew.p99_ms", "dist.rebalanced.p99_ms", "dist.loss.failovers",
+    ),
+    "curve": (
+        "store_bytes", "compression_ratio", "certified_max_abs_error",
+        "mean_ms", "p99_ms",
+    ),
+}
+
+#: flags that only some scenarios read, and those scenarios — anywhere
+#: else they would be silently ignored, so they are refused
+_SCENARIO_FLAGS: Dict[str, Tuple[str, ...]] = {
+    "--epsilon": ("serve", "curve"),
+    "--events": ("serve",),
+    "--request-trace": ("serve",),
+}
+
+
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
+    """The bench's flags; ``repro-apsp serve-bench`` adopts them as an
+    argparse parent (``add_help=False``)."""
     parser = argparse.ArgumentParser(
         prog="repro.serve.bench",
         description="run the deterministic query-serving bench and "
         "write its BENCH artifact",
+        add_help=add_help,
     )
     parser.add_argument(
         "--out", default="BENCH_serve.json", help="artifact path to write"
@@ -1403,7 +1170,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--epsilon", type=float, default=None,
         help="ALT short-circuit gap (0 = exact-gap only; "
-        f"default {DEFAULT_EPSILON})",
+        f"default {DEFAULT_EPSILON}); serving replay and --curve only",
     )
     parser.add_argument(
         "--config", metavar="PATH", default=None,
@@ -1414,23 +1181,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--save-config", metavar="PATH", default=None,
         help="write the effective ServeConfig of this bench as JSON",
     )
-    parser.add_argument(
+    scenario = parser.add_mutually_exclusive_group()
+    scenario.add_argument(
         "--curve", metavar="PATH", default=None,
         help="sweep every codec and write the accuracy-vs-latency "
         "curve JSON here instead of a single artifact",
     )
-    parser.add_argument(
+    scenario.add_argument(
         "--update", action="store_true",
-        help="run the incremental-update smoke (pinned edge-update "
-        "batch, byte-identity and cost gates) instead of the serving "
-        "replay; write its artifact to --out",
+        help="run the incremental-update smoke (byte-identity and cost "
+        "gates) instead of the serving replay; artifact to --out",
     )
-    parser.add_argument(
+    scenario.add_argument(
         "--dist", action="store_true",
-        help="run the multi-node smoke (cluster build exactness, "
-        "routed serving vs single store, hot-shard rebalance and "
-        "node-loss drills) instead of the serving replay; write its "
-        "artifact to --out",
+        help="run the multi-node smoke (cluster build, routing, "
+        "rebalance and node-loss drills) instead; artifact to --out",
     )
     parser.add_argument(
         "--events", metavar="PATH", default=None,
@@ -1447,7 +1212,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="export the slowest request (the latency histogram's top "
         "exemplar) as a Chrome/Perfetto trace JSON here",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _fmt(value: float) -> str:
+    return str(int(value)) if float(value).is_integer() else f"{value:.4g}"
+
+
+def run(args: argparse.Namespace, prog: str = "repro.serve.bench") -> int:
+    """Run the scenario ``args`` (from :func:`build_parser`) selects;
+    returns the exit code (2 for a flag the scenario does not read)."""
+    scenario = ("update" if args.update else "dist" if args.dist
+                else "curve" if args.curve is not None else "serve")
+    for flag, readers in _SCENARIO_FLAGS.items():
+        if getattr(args, flag[2:].replace("-", "_")) is not None \
+                and scenario not in readers:
+            print(f"{prog}: error: argument {flag}: not allowed with "
+                  f"argument --{scenario}", file=sys.stderr)
+            return 2
     cfg = None
     if args.config is not None:
         from ..config import load_serve_config
@@ -1458,10 +1240,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     shard_rows = args.shard_rows if args.shard_rows is not None else (
         cfg.store.shard_rows if cfg is not None else DEFAULT_SHARD_ROWS
     )
-    cache_shards = (
-        args.cache_shards if args.cache_shards is not None
-        else cfg.engine.cache_shards if cfg is not None
-        else DEFAULT_CACHE_SHARDS
+    cache_shards = args.cache_shards if args.cache_shards is not None else (
+        cfg.engine.cache_shards if cfg is not None else DEFAULT_CACHE_SHARDS
     )
     codec = args.codec if args.codec is not None else (
         cfg.store.codec if cfg is not None else "raw"
@@ -1482,181 +1262,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         with open(args.save_config, "w", encoding="utf-8") as fh:
             fh.write(effective.to_json(indent=2) + "\n")
         print(f"config saved: {args.save_config}")
-    common = dict(
-        scale=args.scale,
-        edge_factor=args.edge_factor,
-        seed=args.seed,
-        shard_rows=shard_rows,
-        cache_shards=cache_shards,
-        epsilon=epsilon,
-    )
-    if args.update:
-        artifact, _ = run_update_smoke(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            seed=args.seed,
-            shard_rows=shard_rows,
-            cache_shards=cache_shards,
-            codec=codec,
-        )
-        path = write_artifact(args.out, artifact)
-        upd = artifact["update"]
-        print(f"wrote {path}")
-        print(
-            "  batch={!r}: dirty={:d}/{:d} shards (certified clean "
-            "{:d}), rows={:d}+{:d}lm, gen={:d}".format(
-                artifact["params"]["update_batch"],
-                int(upd["update.dirty_shards"]),
-                int(upd["update.candidate_shards"])
-                + int(upd["update.certified_clean_shards"]),
-                int(upd["update.certified_clean_shards"]),
-                int(upd["update.rows_resolved"]),
-                int(upd["update.landmark_rows_resolved"]),
-                int(upd["update.generation"]),
-            )
-        )
-        print(
-            "  cost: {:d} row-units vs rebuild {:d} "
-            "(ratio {:.3f} < gate {:g})  bytes identical to rebuild "
-            "(fingerprint {:#010x})".format(
-                int(upd["update.cost_rows"]),
-                int(upd["update.rebuild_rows"]),
-                upd["update.cost_ratio"],
-                artifact["params"]["cost_gate"],
-                int(upd["update.fingerprint"]),
-            )
-        )
-        print("  in-flight corruption drill: aborted cleanly, old "
-              "generation intact")
-        return 0
-    if args.dist:
-        artifact, _ = run_dist_smoke(
-            scale=args.scale,
-            edge_factor=args.edge_factor,
-            seed=args.seed,
-            shard_rows=shard_rows,
-            cache_shards=cache_shards,
-            codec=codec,
-        )
-        path = write_artifact(args.out, artifact)
-        dist = artifact["dist"]
-        print(f"wrote {path}")
-        print(
-            "  build[{}]: makespan={:.0f} (faulted {:.0f}, "
-            "{:d} rank(s) lost, {:d} shard(s) recovered)  "
-            "network={:d}B".format(
-                artifact["params"]["cluster"],
-                dist["dist.build.makespan"],
-                dist["dist.fault.makespan"],
-                int(dist["dist.fault.lost_ranks"]),
-                int(dist["dist.fault.recovered_shards"]),
-                int(dist["dist.build.network_bytes"]),
-            )
-        )
-        print(
-            "  routing[{:d} nodes, rf={:d}]: answers exact "
-            "(fingerprint {:#010x}), {:d} failovers with the hot "
-            "node down".format(
-                artifact["params"]["num_nodes"],
-                artifact["params"]["replication"],
-                int(dist["dist.route.answer_fingerprint"]),
-                int(dist["dist.route.drill_failovers"]),
-            )
-        )
-        print(
-            "  hot-shard p99: skewed={:.3f}ms -> rebalanced={:.3f}ms "
-            "({:d} move(s))  loss drill: {:d} failovers, "
-            "p99={:.3f}ms".format(
-                dist["dist.skew.p99_ms"],
-                dist["dist.rebalanced.p99_ms"],
-                int(dist["dist.rebalanced.moves"]),
-                int(dist["dist.loss.failovers"]),
-                dist["dist.loss.p99_ms"],
-            )
-        )
-        return 0
-    if args.curve is not None:
-        curve = run_codec_curve(**common)
+    common = dict(scale=args.scale, edge_factor=args.edge_factor,
+                  seed=args.seed, shard_rows=shard_rows,
+                  cache_shards=cache_shards)
+    if scenario == "curve":
+        curve = run_codec_curve(epsilon=epsilon, **common)
         with open(args.curve, "w", encoding="utf-8") as fh:
             json.dump(curve, fh, indent=2, sort_keys=True)
             fh.write("\n")
         print(f"wrote {args.curve}")
-        print(
-            "  {:<6} {:>12} {:>8} {:>14} {:>10} {:>10}".format(
-                "codec", "store_bytes", "ratio", "certified_err",
-                "mean_ms", "p99_ms",
-            )
-        )
-        for pt in curve["points"]:
-            print(
-                "  {:<6} {:>12.0f} {:>7.1f}x {:>14.3g} {:>10.4f} "
-                "{:>10.4f}".format(
-                    pt["codec"], pt["store_bytes"],
-                    pt["compression_ratio"],
-                    pt["certified_max_abs_error"], pt["mean_ms"],
-                    pt["p99_ms"],
-                )
-            )
+        for point in curve["points"]:
+            print(f"  {point['codec']:<6} " + "  ".join(
+                f"{key}={_fmt(point[key])}" for key in _HEADLINES["curve"]
+            ))
         return 0
-    artifact, _ = run_serve_smoke(
-        codec=codec,
-        events_out=args.events,
-        events_sample=args.events_sample,
-        request_trace_out=args.request_trace,
-        **common,
-    )
-    path = write_artifact(args.out, artifact)
-    serve = artifact["serve"]
-    print(f"wrote {path}")
-    print(
-        "  loads: naive={:d} opt={:d} alt={:d}  hit_rate={:.2f}  "
-        "mean: naive={:.3f}ms opt={:.3f}ms ({:.1f}x)".format(
-            int(serve["serve.naive.shard_loads"]),
-            int(serve["serve.opt.shard_loads"]),
-            int(serve["serve.alt.shard_loads"]),
-            serve["serve.opt.hit_rate"],
-            serve["serve.naive.mean_ms"],
-            serve["serve.opt.mean_ms"],
-            serve["serve.opt.mean_speedup"],
+    if scenario == "serve":
+        artifact, _ = run_serve_smoke(
+            codec=codec, epsilon=epsilon, events_out=args.events,
+            events_sample=args.events_sample,
+            request_trace_out=args.request_trace, **common,
         )
-    )
-    print(
-        "  codec={}: store={:d}B ({:.1f}x vs raw)  err<={:g}  "
-        "raw_speedup={:.2f}x  short_circuits={:d}".format(
-            artifact["params"]["codec"],
-            int(serve["serve.store.store_bytes"]),
-            serve["serve.store.compression_ratio"],
-            serve["serve.error.certified_max_abs_error"],
-            serve["serve.opt.raw_speedup"],
-            int(serve["serve.alt.short_circuits"]),
-        )
-    )
-    print(
-        "  saturation: degraded={:d} shed={:d} admitted={:d}  "
-        "p99={:.3f}ms".format(
-            int(serve["serve.sat.degraded"]),
-            int(serve["serve.sat.shed"]),
-            int(serve["serve.sat.admitted"]),
-            serve["serve.opt.p99_ms"],
-        )
-    )
-    slo = artifact["serve_slo"]
-    print(
-        "  slo[point<= {:g}ms @ {:.0%}]: burn={:.2f} worst-window={:.2f} "
-        "({:d}/{:d} violations)".format(
-            slo["serve.slo.point.threshold_ms"],
-            slo["serve.slo.point.objective"],
-            slo["serve.slo.point.burn_rate"],
-            slo["serve.slo.point.worst_window_burn_rate"],
-            int(slo["serve.slo.point.violations"]),
-            int(slo["serve.slo.point.total"]),
-        )
-    )
-    if args.events:
-        print(f"  events: {args.events}")
-    if args.request_trace:
-        print(f"  request trace: {args.request_trace}")
+    else:
+        runner = run_update_smoke if scenario == "update" else run_dist_smoke
+        artifact, _ = runner(codec=codec, **common)
+    print(f"wrote {write_artifact(args.out, artifact)}")
+    for key in _HEADLINES[scenario]:
+        print(f"  {key:<36} {_fmt(artifact[scenario][key])}")
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

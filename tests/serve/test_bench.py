@@ -299,3 +299,37 @@ class TestTelemetrySections:
         del smoke
         obj = json.loads((smoke_dir / "request_trace.json").read_text())
         assert validate_chrome(obj) == []
+
+
+class TestBenchFlags:
+    def test_scenario_flags_are_mutually_exclusive(self, tmp_path, capsys):
+        from repro.serve.bench import main
+
+        events = tmp_path / "e.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["--update", "--dist", "--events", str(events),
+                  "--epsilon", "5", "--out", str(tmp_path / "B.json")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not events.exists()
+        assert not (tmp_path / "B.json").exists()
+
+    @pytest.mark.parametrize("scenario, flag", [
+        (["--update"], "--epsilon"),
+        (["--dist"], "--epsilon"),
+        (["--update"], "--events"),
+        (["--dist"], "--request-trace"),
+        (["--curve", "curve.json"], "--events"),
+        (["--curve", "curve.json"], "--request-trace"),
+    ])
+    def test_flag_the_scenario_ignores_is_refused(
+        self, tmp_path, capsys, monkeypatch, scenario, flag
+    ):
+        from repro.serve.bench import main
+
+        monkeypatch.chdir(tmp_path)
+        value = "5" if flag == "--epsilon" else "out.json"
+        assert main(scenario + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not allowed" in err
+        assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -298,6 +300,39 @@ class TestCommands:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"schema":"other/9"}\n{"not an event"}\n')
         assert main(["monitor", str(bad), "--check"]) == 1
+
+    def test_serve_bench_takes_the_bench_module_flags(self):
+        import argparse
+
+        from repro.serve import bench
+
+        def options(parser):
+            return {opt for action in parser._actions
+                    for opt in action.option_strings}
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        cli_options = options(sub.choices["serve-bench"])
+        assert cli_options == options(bench.build_parser())
+        assert {"--update", "--dist", "--epsilon", "--seed",
+                "--edge-factor"} <= cli_options
+        assert len(cli_options - {"-h", "--help"}) == 16
+
+    def test_serve_bench_update_writes_update_artifact(self, tmp_path):
+        out = tmp_path / "BENCH_update.json"
+        assert main(["serve-bench", "--update", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["name"] == "update-smoke"
+
+    def test_serve_bench_refuses_flags_the_scenario_ignores(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "BENCH_dist.json"
+        code = main(["serve-bench", "--dist", "--epsilon", "5",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "repro-apsp serve-bench: error: argument --epsilon" in err
+        assert not out.exists()
 
     def test_serve_bench_flags_reach_bench(self, tmp_path, capsys):
         code = main(
