@@ -100,14 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="blocked-kernel implementation (only used with --block-size)",
     )
-    solve.add_argument(
-        "--delta",
-        type=_delta_arg,
-        default=None,
-        metavar="WIDTH",
-        help="Δ-stepping bucket width: a positive number or 'auto' to "
-        "autotune (only valid with --algorithm delta-stepping)",
-    )
     solve.add_argument("--directed", action="store_true")
     solve.add_argument("--out", help="write the distance matrix (.npy)")
     solve.add_argument(
@@ -445,23 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _delta_arg(value: str) -> "float | str":
-    """``--delta`` accepts a positive number or the literal 'auto'."""
-    if value == "auto":
-        return value
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive number or 'auto', got {value!r}"
-        ) from None
-    if not parsed > 0:
-        raise argparse.ArgumentTypeError(
-            f"delta must be > 0, got {parsed}"
-        )
-    return parsed
-
-
 def _block_size_arg(value: str) -> "int | str":
     """``--block-size`` accepts a positive int or the literal 'auto'."""
     if value == "auto":
@@ -535,7 +510,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         schedule=args.schedule,
         block_size=args.block_size,
         kernel=args.kernel,
-        delta=args.delta,
         fault_plan=fault_plan,
         on_worker_death=args.on_worker_death,
         timeout=args.timeout,
@@ -547,7 +521,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         # not clobbered by CLI defaults (an explicit flag still wins)
         cli_defaults = dict(
             algorithm="parapsp", num_threads=1, backend="serial",
-            schedule=None, block_size=None, kernel="auto", delta=None,
+            schedule=None, block_size=None, kernel="auto",
             fault_plan=None, on_worker_death="retry", timeout=None,
         )
         solve_kwargs = {
@@ -1073,22 +1047,9 @@ def _cmd_info(args: argparse.Namespace) -> int:
         return _cmd_store_info(args.store)
     from .core.runner import ALGORITHMS
 
-    def _caps(spec) -> str:
-        """Compact capability-flag summary (see docs/solvers.md)."""
-        short = {
-            "negative_weights": "neg",
-            "batchable": "batch",
-            "simulatable": "sim",
-            "store_buildable": "store",
-            "uses_flags": "flags",
-            "uses_delta": "delta",
-        }
-        on = [short[k] for k, v in spec.capabilities().items() if v]
-        return ",".join(on) or "-"
-
     rows = [
-        (spec.name, spec.ordering, spec.schedule.value, _caps(spec),
-         spec.description)
+        (spec.name, spec.ordering, spec.schedule.value,
+         "neg" if spec.negative_weights else "-", spec.description)
         for spec in ALGORITHMS.values()
     ]
     print(format_table(

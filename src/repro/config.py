@@ -20,7 +20,7 @@ Groups mirror the subsystems that own the knobs:
 group           knobs
 =============== ====================================================
 ``algorithm``   name, ordering, schedule, queue, ratio, degree_kind,
-                use_flags, delta
+                use_flags
 ``parallel``    backend, num_threads, chunk, machine
 ``batch``       block_size, kernel
 ``faults``      plan, on_worker_death, timeout, max_retries
@@ -95,10 +95,6 @@ class AlgorithmConfig:
     ratio: float = 1.0
     degree_kind: str = "out"
     use_flags: bool = True
-    #: Δ-stepping bucket width: positive number, ``"auto"``, or ``None``
-    #: (= auto for solvers that consume it; rejected for the rest by the
-    #: cross-group check in :class:`SolverConfig`)
-    delta: "float | str | None" = None
 
     def __post_init__(self) -> None:
         from .core import runner as _runner  # noqa: F401  (registration)
@@ -143,23 +139,6 @@ class AlgorithmConfig:
                 "algorithm.use_flags",
                 f"use_flags must be a bool, got {self.use_flags!r}",
             )
-        d = self.delta
-        if isinstance(d, str):
-            if d != "auto":
-                _fail(
-                    "algorithm.delta",
-                    f"delta must be a positive number, 'auto' or None; "
-                    f"got {d!r}",
-                )
-        elif d is not None:
-            if not isinstance(d, (int, float)) or isinstance(d, bool) \
-                    or not float(d) > 0 or float(d) == float("inf"):
-                _fail(
-                    "algorithm.delta",
-                    f"delta must be a positive finite number, 'auto' or "
-                    f"None; got {d!r}",
-                )
-            object.__setattr__(self, "delta", float(d))
 
 
 @dataclass(frozen=True)
@@ -482,7 +461,6 @@ KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "ratio": ("algorithm", "ratio"),
     "degree_kind": ("algorithm", "degree_kind"),
     "use_flags": ("algorithm", "use_flags"),
-    "delta": ("algorithm", "delta"),
     "backend": ("parallel", "backend"),
     "num_threads": ("parallel", "num_threads"),
     "chunk": ("parallel", "chunk"),
@@ -543,25 +521,6 @@ class SolverConfig:
                 f"{self.algorithm.name} is a sequential algorithm; use "
                 "backend='serial' (or 'sim' for a virtual-time estimate "
                 "at 1 thread)",
-            )
-        if backend is Backend.SIM and not spec.simulatable:
-            _fail(
-                "parallel.backend",
-                f"{self.algorithm.name} has no virtual-time model; it "
-                "cannot run on the 'sim' backend",
-            )
-        if self.algorithm.delta is not None and not spec.uses_delta:
-            _fail(
-                "algorithm.delta",
-                f"{self.algorithm.name} does not consume the Δ bucket "
-                "width; delta is only valid for solvers with the "
-                "uses_delta capability (e.g. delta-stepping)",
-            )
-        if self.batch.block_size is not None and not spec.batchable:
-            _fail(
-                "batch.block_size",
-                f"{self.algorithm.name} cannot ride the batched lockstep "
-                "kernels; leave block_size unset",
             )
 
     # -- construction ----------------------------------------------------

@@ -43,12 +43,6 @@ from .runner import (
     solve_apsp,
     solve_apsp_shards,
 )
-from .delta_stepping import (
-    DeltaGraph,
-    autotune_delta,
-    delta_stepping_sssp,
-    run_delta_sweep,
-)
 from .johnson import (
     bellman_ford_apsp,
     bellman_ford_potentials,
@@ -99,10 +93,6 @@ __all__ = [
     "register_solver",
     "get_solver",
     "solver_names",
-    "DeltaGraph",
-    "autotune_delta",
-    "delta_stepping_sssp",
-    "run_delta_sweep",
     "bellman_ford_potentials",
     "bellman_ford_sssp",
     "bellman_ford_apsp",

@@ -238,11 +238,6 @@ register_solver(
         description="Johnson: Bellman–Ford reweight to non-negative, "
         "then the ParAPSP sweep pipeline per source",
         negative_weights=True,
-        batchable=True,
-        simulatable=True,
-        store_buildable=True,
-        uses_flags=True,
-        uses_delta=False,
         solve=_solve_johnson,
         shard_hooks=_johnson_shard_hooks,
     )

@@ -2,10 +2,9 @@
 
 Every APSP algorithm the library can run is described by one
 :class:`SolverSpec`: its pipeline defaults (ordering, schedule), its
-*capability flags* (can it take negative weights? ride the batched
-kernels? run on the SIM backend? build a distance store?) and the
-callables that actually solve.  :class:`repro.config.SolverConfig`
-validates against the spec's flags, :func:`repro.core.solve_apsp`
+capability flag (can it take negative weights?) and the callables
+that actually solve.  :class:`repro.config.SolverConfig` validates
+against the spec, :func:`repro.core.solve_apsp`
 dispatches through ``spec.solve``, and
 :func:`repro.core.solve_apsp_shards` streams shards through
 ``spec.shard_hooks`` — so registering a solver here is the *only* step
@@ -15,9 +14,9 @@ the distance-store builder.
 
 The five paper algorithms (``seq-basic`` … ``parapsp``) are registered
 by :mod:`repro.core.runner` as one *sweep family* sharing a solve
-callable; ``delta-stepping`` and ``johnson`` register themselves from
-their own modules.  Names are canonicalised so ``delta_stepping`` and
-``delta-stepping`` address the same spec.
+callable; ``johnson`` registers itself from its own module.  Names are
+canonicalised so ``seq_basic`` and ``seq-basic`` address the same
+spec.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ class SolverSpec:
 
     The first five fields mirror the legacy ``AlgorithmSpec`` so code
     that only reads pipeline defaults (the CLI info table, the config
-    cross-checks) is unchanged.  The capability flags are what
-    :class:`repro.config.SolverConfig` validates requests against; the
-    callables are what the runner dispatches to.
+    cross-checks) is unchanged.  ``parallel`` and ``negative_weights``
+    are what requests are validated against; the callables are what
+    the runner dispatches to.
     """
 
     name: str
@@ -75,35 +74,17 @@ class SolverSpec:
     description: str
     #: accepts graphs with strictly negative arc weights
     negative_weights: bool = False
-    #: can route its sweep through the batched lockstep kernels
-    #: (``block_size`` / ``kernel`` knobs)
-    batchable: bool = False
-    #: has a virtual-time model on the SIM backend
-    simulatable: bool = True
-    #: can stream shards for :func:`repro.serve.solve_to_store`
-    store_buildable: bool = True
-    #: honours Algorithm 1's flag-reuse shortcut (``use_flags``)
-    uses_flags: bool = False
-    #: consumes the Δ bucket-width knob (``algorithm.delta``)
-    uses_delta: bool = False
     #: ``solve(graph, cfg, spec) -> APSPResult``
     solve: Optional[Callable] = field(default=None, compare=False, repr=False)
-    #: ``shard_hooks(graph, cfg) -> ShardHooks`` (required when
-    #: ``store_buildable``)
+    #: ``shard_hooks(graph, cfg) -> ShardHooks``, how the solver streams
+    #: shards for :func:`repro.serve.solve_to_store`
     shard_hooks: Optional[Callable] = field(
         default=None, compare=False, repr=False
     )
 
     def capabilities(self) -> Dict[str, bool]:
         """The capability flags as a plain dict (docs / CLI tables)."""
-        return {
-            "negative_weights": self.negative_weights,
-            "batchable": self.batchable,
-            "simulatable": self.simulatable,
-            "store_buildable": self.store_buildable,
-            "uses_flags": self.uses_flags,
-            "uses_delta": self.uses_delta,
-        }
+        return {"negative_weights": self.negative_weights}
 
 
 #: the registry itself; :data:`repro.core.runner.ALGORITHMS` is this
@@ -112,8 +93,8 @@ _REGISTRY: Dict[str, SolverSpec] = {}
 
 
 def canonical_solver_name(name: object) -> str:
-    """Normalise a user-supplied solver name (``delta_stepping`` →
-    ``delta-stepping``)."""
+    """Normalise a user-supplied solver name (``seq_basic`` →
+    ``seq-basic``)."""
     return str(name).strip().lower().replace("_", "-")
 
 
@@ -135,17 +116,12 @@ def register_solver(spec: SolverSpec, *, replace: bool = False) -> SolverSpec:
             f"as {key!r}",
             field="algorithm.name",
         )
-    if spec.solve is None:
-        raise ConfigError(
-            f"solver {key!r} has no solve callable",
-            field="algorithm.name",
-        )
-    if spec.store_buildable and spec.shard_hooks is None:
-        raise ConfigError(
-            f"solver {key!r} declares store_buildable but provides no "
-            "shard_hooks",
-            field="algorithm.name",
-        )
+    for hook in ("solve", "shard_hooks"):
+        if getattr(spec, hook) is None:
+            raise ConfigError(
+                f"solver {key!r} has no {hook} callable",
+                field="algorithm.name",
+            )
     if key in _REGISTRY and not replace:
         raise ConfigError(
             f"solver {key!r} is already registered "

@@ -93,17 +93,11 @@ def _sweep_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
 def _register_sweep_family() -> None:
     """Register the five paper algorithms as one sweep family.
 
-    They share every capability (batched kernels, SIM model, shard
-    streaming, flag reuse) and one solve callable; only their pipeline
-    defaults differ.
+    They share one solve callable and one set of shard hooks; only
+    their pipeline defaults differ.
     """
     common = dict(
         negative_weights=False,
-        batchable=True,
-        simulatable=True,
-        store_buildable=True,
-        uses_flags=True,
-        uses_delta=False,
         solve=_solve_sweep_family,
         shard_hooks=_sweep_shard_hooks,
     )
@@ -169,7 +163,6 @@ _KWARG_DEFAULTS: Dict[str, object] = {
     "degree_kind": DegreeKind.OUT,
     "chunk": 1,
     "use_flags": True,
-    "delta": None,
     "block_size": None,
     "kernel": "auto",
     "cost_model": DEFAULT_COST_MODEL,
@@ -222,7 +215,6 @@ def solve_apsp(
     degree_kind: "DegreeKind | str" = DegreeKind.OUT,
     chunk: int = 1,
     use_flags: bool = True,
-    delta: "float | str | None" = None,
     block_size: "int | str | None" = None,
     kernel: str = "auto",
     cost_model: DijkstraCostModel = DEFAULT_COST_MODEL,
@@ -257,11 +249,6 @@ def solve_apsp(
     the exact APSP matrix regardless of algorithm, backend, schedule or
     thread count.
 
-    ``delta`` (a positive float, ``"auto"``, or ``None`` = auto) sets
-    the Δ-stepping bucket width; only the ``delta-stepping`` solver
-    consumes it (:class:`~repro.config.SolverConfig` rejects it
-    elsewhere).
-
     ``block_size`` (an int, ``"auto"``, or ``None`` = unbatched) routes
     the sweep phase through the batched lockstep engine of
     :mod:`repro.core.batch`; ``kernel`` selects the blocked-kernel
@@ -292,7 +279,6 @@ def solve_apsp(
                 "degree_kind": degree_kind,
                 "chunk": chunk,
                 "use_flags": use_flags,
-                "delta": delta,
                 "block_size": block_size,
                 "kernel": kernel,
                 "cost_model": cost_model,
@@ -610,12 +596,6 @@ def solve_apsp_shards(
         )
 
     spec = get_solver(cfg.algorithm.name)
-    if not spec.store_buildable or spec.shard_hooks is None:
-        raise ConfigError(
-            f"solver {spec.name!r} does not support the shard-streaming "
-            "solve (store_buildable is off)",
-            field="algorithm.name",
-        )
     if graph.has_negative_weights and not spec.negative_weights:
         raise NegativeWeightError(
             f"graph {graph.name or 'anonymous'!r} has negative arc "
@@ -666,7 +646,6 @@ def solve_apsp_shards(
 
 _register_sweep_family()
 
-# importing these modules registers the non-sweep-family solvers; the
-# imports sit below the registration machinery they depend on
-from . import delta_stepping as _delta_stepping  # noqa: E402,F401
+# importing this module registers the non-sweep-family solver; the
+# import sits below the registration machinery it depends on
 from . import johnson as _johnson  # noqa: E402,F401

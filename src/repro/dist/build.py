@@ -191,8 +191,8 @@ def solve_apsp_cluster(
     geometry or injected faults; the cluster only decides the *virtual
     cost* side of the result.  Solver selection, validation and row
     production all go through the registry (``config=``/kwargs exactly
-    as :func:`repro.core.runner.solve_apsp_shards`), so delta-stepping
-    and Johnson rank-partition the same way the sweep family does.
+    as :func:`repro.core.runner.solve_apsp_shards`), so Johnson
+    rank-partitions the same way the sweep family does.
     """
     from ..config import SolverConfig
 
@@ -220,11 +220,6 @@ def solve_apsp_cluster(
     cfg = cfg.with_overrides(use_flags=False, backend="serial")
 
     spec = get_solver(cfg.algorithm.name)
-    if not spec.store_buildable or spec.shard_hooks is None:
-        raise SimulationError(
-            f"solver {spec.name!r} does not support the shard-streaming "
-            "solve the cluster build is made of"
-        )
     if graph.has_negative_weights and not spec.negative_weights:
         raise NegativeWeightError(
             f"graph {graph.name or 'anonymous'!r} has negative arc "

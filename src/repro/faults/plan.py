@@ -31,8 +31,9 @@ its round-1 replacement unless it says so explicitly.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..exceptions import FaultPlanError
@@ -113,9 +114,12 @@ class FaultSpec:
                     "raise faults need iteration >= 0 "
                     f"(got {self.iteration!r})"
                 )
-        if self.kind == STALL and not self.seconds >= 0:
+        if self.kind == STALL and not (
+            self.seconds >= 0 and math.isfinite(self.seconds)
+        ):
             raise FaultPlanError(
-                f"stall seconds must be >= 0, got {self.seconds!r}"
+                f"stall seconds must be finite and >= 0, "
+                f"got {self.seconds!r}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -132,6 +136,10 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
+        if not isinstance(data, Mapping):
+            raise FaultPlanError(
+                f"a fault spec must be a mapping, got {data!r}"
+            )
         unknown = set(data) - {
             "kind", "worker", "after_claims", "iteration", "seconds",
             "round",
@@ -144,15 +152,15 @@ class FaultSpec:
             raise FaultPlanError("fault spec needs a 'kind'")
         spec = cls(
             kind=str(data["kind"]),
-            worker=int(data.get("worker", 0)),
-            after_claims=int(data.get("after_claims", 1)),
+            worker=_number(data, "worker", 0),
+            after_claims=_number(data, "after_claims", 1),
             iteration=(
-                int(data["iteration"])
+                _number(data, "iteration", None)
                 if data.get("iteration") is not None
                 else None
             ),
-            seconds=float(data.get("seconds", 0.05)),
-            round=int(data.get("round", 0)),
+            seconds=_number(data, "seconds", 0.05, integral=False),
+            round=_number(data, "round", 0),
         )
         spec.validate()
         return spec
@@ -225,6 +233,10 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
+        if not isinstance(data, Mapping):
+            raise FaultPlanError(
+                f"a fault plan must be a mapping, got {data!r}"
+            )
         unknown = set(data) - {"seed", "faults"}
         if unknown:
             raise FaultPlanError(
@@ -235,13 +247,35 @@ class FaultPlan:
             raise FaultPlanError("'faults' must be a list of fault specs")
         return cls(
             faults=tuple(FaultSpec.from_dict(item) for item in raw),
-            seed=int(data.get("seed", 0)),
+            seed=_number(data, "seed", 0),
         )
 
     @classmethod
     def single(cls, kind: str, **kwargs: Any) -> "FaultPlan":
         """Convenience constructor for one-fault plans."""
         return cls(faults=(FaultSpec(kind=kind, **kwargs),))
+
+
+def _number(
+    data: Mapping[str, Any], key: str, default: Any, *, integral: bool = True
+) -> "int | float":
+    """``data[key]`` (or ``default``) as an int, or a float when not
+    ``integral``.  DSL values arrive as text and are parsed; anything
+    else that is not already a number of that kind (``None``, a bool,
+    ``1.7`` for an int field) is a :class:`FaultPlanError`."""
+    value = data.get(key, default)
+    if isinstance(value, str):
+        try:
+            value = int(value) if integral else float(value)
+        except ValueError:
+            pass
+    kinds = (int,) if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise FaultPlanError(
+            f"fault field {key!r} must be "
+            f"{'an integer' if integral else 'a number'}, got {value!r}"
+        )
+    return value if integral else float(value)
 
 
 def _parse_dsl_spec(text: str) -> FaultSpec:
@@ -257,10 +291,7 @@ def _parse_dsl_spec(text: str) -> FaultSpec:
                     f"bad fault field {item!r}; expected "
                     f"{sorted(set(_DSL_FIELDS))} as key=value"
                 )
-            attr = _DSL_FIELDS[key]
-            data[attr] = (
-                float(value) if attr == "seconds" else int(value)
-            )
+            data[_DSL_FIELDS[key]] = value
     return FaultSpec.from_dict(data)
 
 

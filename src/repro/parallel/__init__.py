@@ -6,14 +6,12 @@ Public surface:
 * :class:`~repro.types.Schedule` / :class:`~repro.types.Backend` — policy
   enums (re-exported here for convenience).
 * :class:`LockArray` — per-bucket locks for the ordering procedures.
-* :class:`AtomicCounter`, :class:`AtomicFlagArray` — thread-safe helpers.
 * Scheduling math: :func:`block_assignment`,
   :func:`static_cyclic_assignment`, :class:`DynamicCounter`.
 """
 
 from ..types import Backend, Schedule
 from .api import parallel_for, parallel_map
-from .atomic import AtomicCounter, AtomicFlagArray
 from .locks import CountingLock, LockArray
 from .schedule import (
     DynamicCounter,
@@ -28,8 +26,6 @@ __all__ = [
     "Schedule",
     "parallel_for",
     "parallel_map",
-    "AtomicCounter",
-    "AtomicFlagArray",
     "CountingLock",
     "LockArray",
     "DynamicCounter",

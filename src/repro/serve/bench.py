@@ -1134,6 +1134,7 @@ _HEADLINES: Dict[str, Tuple[str, ...]] = {
 _SCENARIO_FLAGS: Dict[str, Tuple[str, ...]] = {
     "--epsilon": ("serve", "curve"),
     "--events": ("serve",),
+    "--events-sample": ("serve",),
     "--request-trace": ("serve",),
 }
 
@@ -1203,7 +1204,7 @@ def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
         "(deterministic JSONL, repro.serve.telemetry/1) here",
     )
     parser.add_argument(
-        "--events-sample", type=float, default=1.0, metavar="FRAC",
+        "--events-sample", type=float, default=None, metavar="FRAC",
         help="per-trace sampling fraction for --events (default 1.0; "
         "deterministic — the same traces are kept on every run)",
     )
@@ -1230,6 +1231,10 @@ def run(args: argparse.Namespace, prog: str = "repro.serve.bench") -> int:
             print(f"{prog}: error: argument {flag}: not allowed with "
                   f"argument --{scenario}", file=sys.stderr)
             return 2
+    if args.events_sample is not None and args.events is None:
+        print(f"{prog}: error: argument --events-sample: not allowed "
+              "without argument --events", file=sys.stderr)
+        return 2
     cfg = None
     if args.config is not None:
         from ..config import load_serve_config
@@ -1279,7 +1284,8 @@ def run(args: argparse.Namespace, prog: str = "repro.serve.bench") -> int:
     if scenario == "serve":
         artifact, _ = run_serve_smoke(
             codec=codec, epsilon=epsilon, events_out=args.events,
-            events_sample=args.events_sample,
+            events_sample=(1.0 if args.events_sample is None
+                           else args.events_sample),
             request_trace_out=args.request_trace, **common,
         )
     else:

@@ -45,7 +45,6 @@ def solver_configs(draw):
         )
     else:
         backend = draw(st.sampled_from(["serial", "sim"]))
-    spec = ALGORITHMS[name]
     algorithm = AlgorithmConfig(
         name=name,
         ordering=draw(st.none() | st.sampled_from(ORDERINGS)),
@@ -59,11 +58,6 @@ def solver_configs(draw):
         ),
         degree_kind=draw(st.sampled_from(DEGREE_KINDS)),
         use_flags=draw(st.booleans()),
-        delta=draw(
-            st.none()
-            | st.just("auto")
-            | st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
-        ) if spec.uses_delta else None,
     )
     parallel = ParallelConfig(
         backend=backend,
@@ -75,7 +69,7 @@ def solver_configs(draw):
             st.none()
             | st.just("auto")
             | st.integers(min_value=1, max_value=64)
-        ) if spec.batchable else None,
+        ),
         kernel=draw(st.sampled_from(("auto",) + kernel_names())),
     )
     faults = FaultConfig(

@@ -107,7 +107,7 @@ class TestSolve:
             solve_apsp(negative_cycle_graph(), algorithm="johnson")
 
     def test_other_solvers_reject_negative_weights(self, negative_graph):
-        for alg in ("parapsp", "seq-basic", "delta-stepping"):
+        for alg in ("parapsp", "seq-basic"):
             with pytest.raises(NegativeWeightError, match="johnson"):
                 solve_apsp(negative_graph, algorithm=alg)
 

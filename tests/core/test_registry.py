@@ -23,7 +23,7 @@ def _spec(name, **overrides):
         parallel=True,
         description="test solver",
         solve=lambda graph, cfg, spec: None,
-        store_buildable=False,
+        shard_hooks=lambda graph, cfg: ShardHooks(graph, None),
     )
     base.update(overrides)
     return SolverSpec(**base)
@@ -31,13 +31,13 @@ def _spec(name, **overrides):
 
 class TestCanonicalNames:
     def test_underscores_become_hyphens(self):
-        assert canonical_solver_name("delta_stepping") == "delta-stepping"
+        assert canonical_solver_name("seq_basic") == "seq-basic"
 
     def test_case_and_whitespace_folded(self):
         assert canonical_solver_name("  Johnson ") == "johnson"
 
     def test_lookup_accepts_aliases(self):
-        assert get_solver("delta_stepping") is get_solver("delta-stepping")
+        assert get_solver("seq_basic") is get_solver("seq-basic")
         assert get_solver("JOHNSON") is ALGORITHMS["johnson"]
 
 
@@ -66,17 +66,15 @@ class TestRegistration:
 
     def test_non_canonical_name_rejected(self):
         with pytest.raises(ConfigError, match="not canonical"):
-            register_solver(_spec("Delta_Stepping"))
+            register_solver(_spec("Par_APSP"))
 
     def test_missing_solve_rejected(self):
         with pytest.raises(ConfigError, match="no solve callable"):
             register_solver(_spec("no-solve", solve=None))
 
-    def test_store_buildable_requires_shard_hooks(self):
-        with pytest.raises(ConfigError, match="shard_hooks"):
-            register_solver(
-                _spec("no-hooks", store_buildable=True, shard_hooks=None)
-            )
+    def test_missing_shard_hooks_rejected(self):
+        with pytest.raises(ConfigError, match="no shard_hooks callable"):
+            register_solver(_spec("no-hooks", shard_hooks=None))
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):
@@ -90,40 +88,26 @@ class TestRegistration:
 class TestCapabilities:
     def test_capabilities_dict_mirrors_flags(self):
         spec = ALGORITHMS["johnson"]
-        caps = spec.capabilities()
-        assert caps["negative_weights"] is True
-        assert caps["batchable"] is True
-        assert set(caps) == {
-            "negative_weights", "batchable", "simulatable",
-            "store_buildable", "uses_flags", "uses_delta",
-        }
+        assert spec.capabilities() == {"negative_weights": True}
+        assert spec.parallel
 
     def test_sweep_family_flags(self):
         for name in ("seq-basic", "seq-opt", "paralg1", "paralg2",
                      "parapsp"):
             spec = ALGORITHMS[name]
-            assert not spec.negative_weights
-            assert spec.batchable
-            assert spec.store_buildable
-            assert not spec.uses_delta
-
-    def test_delta_stepping_flags(self):
-        spec = ALGORITHMS["delta-stepping"]
-        assert spec.uses_delta
-        assert not spec.negative_weights
-        assert not spec.batchable
+            assert spec.capabilities() == {"negative_weights": False}
+            assert spec.parallel == name.startswith("par")
 
     def test_every_registered_solver_has_callables(self):
         for name, spec in ALGORITHMS.items():
             assert spec.solve is not None, name
-            if spec.store_buildable:
-                assert spec.shard_hooks is not None, name
+            assert spec.shard_hooks is not None, name
 
 
 class TestDispatch:
     def test_solve_apsp_accepts_alias_spelling(self, toy_graph):
-        r = solve_apsp(toy_graph, algorithm="delta_stepping")
-        assert r.algorithm == "delta-stepping"
+        r = solve_apsp(toy_graph, algorithm="seq_basic")
+        assert r.algorithm == "seq-basic"
 
     def test_registered_stub_is_dispatchable(self, toy_graph):
         calls = []

@@ -17,7 +17,6 @@ class TestAlgorithmRegistry:
             "paralg1",
             "paralg2",
             "parapsp",
-            "delta-stepping",
             "johnson",
         }
 

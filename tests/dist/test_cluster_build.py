@@ -70,10 +70,10 @@ class TestExactness:
     def test_registry_solvers_agree(self, small_weighted,
                                     reference_dist):
         result = solve_apsp_cluster(
-            small_weighted, CLUSTER_FAST, algorithm="delta-stepping"
+            small_weighted, CLUSTER_FAST, algorithm="johnson"
         )
-        # delta-stepping is exact; through the cluster pipeline it must
-        # match the sweep family to the last ulp as well
+        # johnson is exact on a non-negative graph; through the cluster
+        # pipeline it must match the sweep family to the last ulp as well
         assert np.array_equal(result.dist, reference_dist)
 
 
@@ -127,7 +127,10 @@ class TestFaults:
             small_weighted, CLUSTER_FAST, fault_plan=plan
         )
         assert result.dist.tobytes() == reference_dist.tobytes()
-        assert result.lost_ranks == (victim,)
+        # shards are dealt round-robin; a kill armed after more claims
+        # than the victim owns never fires
+        owned = len(range(victim, result.num_shards, CLUSTER_FAST.num_nodes))
+        assert result.lost_ranks == ((victim,) if after <= owned else ())
 
     def test_killing_every_rank_is_rejected(self, small_weighted):
         plan = FaultPlan(tuple(

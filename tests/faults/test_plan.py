@@ -165,3 +165,28 @@ class TestParse:
     def test_empty_rejected(self):
         with pytest.raises(FaultPlanError, match="empty"):
             parse_fault_plan("   ")
+
+    @pytest.mark.parametrize("text", [
+        "kill:worker=x",
+        "kill:worker=1.7",
+        "stall:worker=0,for=inf",
+        "stall:worker=0,for=nan",
+        "stall:worker=0,for=soon",
+        '[{"kind": "kill", "worker": null}]',
+        '[{"kind": "kill", "worker": true}]',
+        '[{"kind": "kill", "worker": 1.7}]',
+        '[{"kind": "stall", "seconds": "x"}]',
+        "[5]",
+        '{"faults": {"kind": "kill"}}',
+        '{"seed": "x", "faults": []}',
+        '{"seed": null, "faults": []}',
+    ])
+    def test_malformed_plan_raises_typed_error(self, text):
+        with pytest.raises(FaultPlanError):
+            parse_fault_plan(text)
+
+    def test_from_dict_rejects_non_mappings(self):
+        with pytest.raises(FaultPlanError, match="mapping"):
+            FaultSpec.from_dict(["kill"])
+        with pytest.raises(FaultPlanError, match="mapping"):
+            FaultPlan.from_dict([{"kind": "kill"}])

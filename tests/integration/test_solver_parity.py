@@ -5,7 +5,7 @@ graphs whose weights are dyadic rationals (denominator 8, bounded
 magnitude) every intermediate path sum is exactly representable in
 float64, so summation order cannot perturb the result — which turns the
 parity claim into a *bitwise* assertion across solvers as different as
-flag-reuse sweeps, bucketed Δ-stepping and Johnson's reweighting.
+flag-reuse sweeps and Johnson's reweighting.
 
 On negative-weight graphs the only capable solver, ``johnson``, is
 checked against the O(n·m)-per-source Bellman–Ford oracle; negative
@@ -82,17 +82,6 @@ class TestBitwiseParity:
             assert np.array_equal(dist, reference), (
                 f"{name} disagrees with parapsp"
             )
-
-    @given(graph=dyadic_graphs(), delta=st.floats(0.125, 60.0))
-    @settings(**SETTINGS)
-    def test_delta_stepping_bitwise_for_any_bucket_width(
-        self, graph, delta
-    ):
-        reference = solve_apsp(graph, algorithm="parapsp").dist
-        dist = solve_apsp(
-            graph, algorithm="delta-stepping", delta=delta
-        ).dist
-        assert np.array_equal(dist, reference)
 
 
 class TestNegativeWeightParity:

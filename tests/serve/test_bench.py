@@ -321,6 +321,10 @@ class TestBenchFlags:
         (["--dist"], "--request-trace"),
         (["--curve", "curve.json"], "--events"),
         (["--curve", "curve.json"], "--request-trace"),
+        (["--update"], "--events-sample"),
+        (["--dist"], "--events-sample"),
+        (["--curve", "curve.json"], "--events-sample"),
+        ([], "--events-sample"),
     ])
     def test_flag_the_scenario_ignores_is_refused(
         self, tmp_path, capsys, monkeypatch, scenario, flag
@@ -328,7 +332,9 @@ class TestBenchFlags:
         from repro.serve.bench import main
 
         monkeypatch.chdir(tmp_path)
-        value = "5" if flag == "--epsilon" else "out.json"
+        value = {"--epsilon": "5", "--events-sample": "0.5"}.get(
+            flag, "out.json"
+        )
         assert main(scenario + [flag, value]) == 2
         err = capsys.readouterr().err
         assert f"argument {flag}: not allowed" in err

@@ -62,6 +62,11 @@ class TestCommands:
         assert "parapsp" in out
         assert "fig10" in out
 
+    def test_solve_malformed_fault_plan_names_the_flag(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--rmat", "5", "--fault-plan", "kill:worker=x"])
+        assert "--fault-plan:" in str(exc.value.code)
+
     def test_solve_dataset_sim(self, capsys):
         code = main(
             [
