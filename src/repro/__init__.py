@@ -11,13 +11,18 @@ evaluation (see DESIGN.md).
 
 Quickstart::
 
-    from repro import SolverConfig, load_dataset, solve_apsp
+    from repro import load_dataset, solve_apsp
     graph = load_dataset("WordNet")
-    config = SolverConfig.from_kwargs(algorithm="parapsp",
-                                      num_threads=16, backend="sim")
-    result = solve_apsp(graph, config=config)   # or the same kwargs
+    result = solve_apsp(graph, algorithm="parapsp",
+                        num_threads=16, backend="sim")
     result.dist            # exact APSP matrix
     result.phase_times     # ordering vs Dijkstra-phase breakdown
+
+A run saved as JSON (:class:`SolverConfig`, ``repro-apsp solve
+--save-config``) runs again through its flat keywords::
+
+    from repro import load_config
+    result = solve_apsp(graph, **load_config("run.json").to_kwargs())
 
 Serving queries out-of-core (see ``docs/serving.md``)::
 

@@ -35,6 +35,7 @@ import numpy as np
 
 from .analysis.tables import format_table
 from .bench import experiment_ids, get_profile, run_many, save_report
+from .config import ServeConfig, SolverConfig
 from .core.kernels import kernel_names
 from .core.runner import algorithm_names, solve_apsp
 from .graphs.datasets import dataset_info, dataset_names, load_dataset
@@ -72,14 +73,20 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--edge-factor", type=int, default=8, help="edges per vertex for --rmat"
     )
+    # solver flags default to None ("not given"): only given flags
+    # override a --config file, whose absence means SolverConfig defaults
     solve.add_argument(
-        "--algorithm", choices=algorithm_names(), default="parapsp"
+        "--algorithm", choices=algorithm_names(), default=None,
+        help="solver (default parapsp)",
     )
-    solve.add_argument("--threads", type=int, default=1)
+    solve.add_argument(
+        "--threads", type=int, default=None, help="thread count (default 1)"
+    )
     solve.add_argument(
         "--backend",
         choices=("serial", "threads", "process", "sim"),
-        default="serial",
+        default=None,
+        help="execution backend (default serial)",
     )
     solve.add_argument(
         "--schedule",
@@ -97,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--kernel",
         choices=("auto",) + kernel_names(),
-        default="auto",
-        help="blocked-kernel implementation (only used with --block-size)",
+        default=None,
+        help="blocked-kernel implementation (only used with --block-size; "
+        "default auto)",
     )
     solve.add_argument("--directed", action="store_true")
     solve.add_argument("--out", help="write the distance matrix (.npy)")
@@ -119,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--on-worker-death",
         choices=("retry", "raise"),
-        default="retry",
+        default=None,
         help="recovery policy when a worker dies: re-execute only the "
-        "lost sources (retry, default with --fault-plan) or surface a "
+        "lost sources (retry, the CLI default) or surface a "
         "BackendError (raise)",
     )
     solve.add_argument(
@@ -248,16 +256,18 @@ def build_parser() -> argparse.ArgumentParser:
     store.add_argument("--directed", action="store_true")
     store.add_argument("--out", required=True, metavar="DIR",
                        help="store directory to create")
+    # store flags default to None ("not given"), as for solve
     store.add_argument(
-        "--shard-rows", type=int, default=256,
-        help="rows per shard — the build's peak-memory knob",
+        "--shard-rows", type=int, default=None,
+        help="rows per shard — the build's peak-memory knob (default 256)",
     )
     store.add_argument(
-        "--landmarks", type=int, default=8,
-        help="pinned landmark rows for ALT bounds / degraded answers",
+        "--landmarks", type=int, default=None,
+        help="pinned landmark rows for ALT bounds / degraded answers "
+        "(default 8)",
     )
     store.add_argument(
-        "--codec", default="raw",
+        "--codec", default=None,
         choices=("raw", "f4", "u16q", "u16qd"),
         help="shard codec: raw f8, f4, u16 quantized (certified error "
         "bound), or u16 quantized + degree-order delta + zlib",
@@ -454,6 +464,40 @@ def _block_size_arg(value: str) -> "int | str":
     return parsed
 
 
+#: ``solve`` without ``--config``: SolverConfig defaults, except that
+#: the CLI recovers from worker deaths instead of raising
+_SOLVE_BASE = SolverConfig.from_kwargs(on_worker_death="retry")
+
+
+def _merge_config(command: str, path: Optional[str], base, **flags):
+    """The file + flags rule of ``solve``, ``store`` and ``query``.
+
+    The ``--config`` file (``base`` without one; either way a config of
+    ``base``'s type) with every flag the user gave — every one that is
+    not ``None`` — on top.
+    """
+    from .exceptions import ConfigError
+
+    prefix = f"repro-apsp {command}: error:"
+    if path:
+        try:
+            base = type(base).load(path)
+        except ConfigError as exc:
+            raise SystemExit(f"{prefix} --config: {exc}")
+    try:
+        return base.with_overrides(
+            **{k: v for k, v in flags.items() if v is not None}
+        )
+    except ConfigError as exc:
+        raise SystemExit(f"{prefix} {exc}")
+
+
+def _save_config(path: str, cfg) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(cfg.to_json(indent=2) + "\n")
+    print(f"config saved : {path}")
+
+
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--dataset", choices=dataset_names())
@@ -502,8 +546,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             fault_plan = parse_fault_plan(args.fault_plan)
         except FaultPlanError as exc:
             raise SystemExit(f"repro-apsp solve: error: --fault-plan: {exc}")
-    t0 = time.perf_counter()
-    solve_kwargs = dict(
+    cfg = _merge_config(
+        "solve",
+        args.config,
+        _SOLVE_BASE,
         algorithm=args.algorithm,
         num_threads=args.threads,
         backend=args.backend,
@@ -514,54 +560,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         on_worker_death=args.on_worker_death,
         timeout=args.timeout,
     )
-    if args.config:
-        from .config import load_config
-
-        # keep only the flags the user actually set, so file fields are
-        # not clobbered by CLI defaults (an explicit flag still wins)
-        cli_defaults = dict(
-            algorithm="parapsp", num_threads=1, backend="serial",
-            schedule=None, block_size=None, kernel="auto",
-            fault_plan=None, on_worker_death="retry", timeout=None,
-        )
-        solve_kwargs = {
-            key: value
-            for key, value in solve_kwargs.items()
-            if value != cli_defaults[key]
-        }
-        from .exceptions import ConfigError
-
-        try:
-            solve_kwargs["config"] = load_config(args.config)
-        except ConfigError as exc:
-            raise SystemExit(f"repro-apsp solve: error: --config: {exc}")
+    t0 = time.perf_counter()
     if registry is not None:
         with use_registry(registry):
-            result = solve_apsp(graph, **solve_kwargs)
+            result = solve_apsp(graph, **cfg.to_kwargs())
     else:
-        result = solve_apsp(graph, **solve_kwargs)
+        result = solve_apsp(graph, **cfg.to_kwargs())
     wall = time.perf_counter() - t0
     if args.save_config:
-        from .config import SolverConfig
-
-        cfg = solve_kwargs.get("config")
-        resolved = (
-            cfg.with_overrides(
-                **{
-                    k: v
-                    for k, v in solve_kwargs.items()
-                    if k != "config"
-                }
-            )
-            if cfg is not None
-            else SolverConfig.from_kwargs(**solve_kwargs)
-        )
-        with open(args.save_config, "w", encoding="utf-8") as fh:
-            fh.write(resolved.to_json(indent=2) + "\n")
-        print(f"config saved : {args.save_config}")
+        _save_config(args.save_config, cfg)
     finite = np.isfinite(result.dist)
     off_diag = finite.sum() - graph.num_vertices
-    unit = "work units" if args.backend == "sim" else "s"
+    unit = "work units" if result.backend == "sim" else "s"
     print(f"graph        : {graph!r}")
     print(f"algorithm    : {result.algorithm} ({result.backend}, "
           f"{result.num_threads} threads, schedule={result.schedule})")
@@ -569,12 +579,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"[{result.phase_times.ordering:.6g} {unit}]")
     if "block_size" in result.extra:
         print(f"block size   : {int(result.extra['block_size'])} "
-              f"(kernel={args.kernel})")
+              f"(kernel={cfg.batch.kernel})")
     print(f"dijkstra     : {result.phase_times.dijkstra:.6g} {unit}")
     print(f"total        : {result.total_time:.6g} {unit}")
-    if fault_plan is not None:
-        print(f"fault plan   : {len(fault_plan)} fault(s), "
-              f"policy={args.on_worker_death} — distances are exact "
+    if cfg.faults.plan is not None:
+        print(f"fault plan   : {len(cfg.faults.plan)} fault(s), "
+              f"policy={cfg.faults.on_worker_death} — distances are exact "
               f"(recovered work re-executed)")
     print(f"reachable    : {off_diag} of "
           f"{graph.num_vertices * (graph.num_vertices - 1)} ordered pairs")
@@ -719,49 +729,23 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from .serve import solve_to_store
 
     graph = _solve_graph(args)
-    store_kwargs = dict(
+    cfg = _merge_config(
+        "store",
+        args.config,
+        ServeConfig(),
         shard_rows=args.shard_rows,
         num_landmarks=args.landmarks,
         codec=args.codec,
         epsilon=args.epsilon,
     )
-    serve_cfg = None
-    if args.config:
-        from .config import load_serve_config
-        from .exceptions import ConfigError
-
-        try:
-            serve_cfg = load_serve_config(args.config)
-        except ConfigError as exc:
-            raise SystemExit(f"repro-apsp store: error: --config: {exc}")
-        # keep only the flags the user actually set, so file fields are
-        # not clobbered by CLI defaults (an explicit flag still wins)
-        cli_defaults = dict(
-            shard_rows=256, num_landmarks=8, codec="raw", epsilon=None,
-        )
-        store_kwargs = {
-            key: value
-            for key, value in store_kwargs.items()
-            if value != cli_defaults[key]
-        }
     t0 = time.perf_counter()
     try:
-        store = solve_to_store(
-            graph, args.out, serve_config=serve_cfg, **store_kwargs
-        )
+        store = solve_to_store(graph, args.out, **cfg.store.to_dict())
     except ReproError as exc:
         raise SystemExit(f"repro-apsp store: error: {exc}")
     wall = time.perf_counter() - t0
     if args.save_config:
-        from .config import ServeConfig
-
-        base = serve_cfg if serve_cfg is not None else ServeConfig()
-        resolved = base.with_overrides(
-            **{k: v for k, v in store_kwargs.items() if v is not None}
-        )
-        with open(args.save_config, "w", encoding="utf-8") as fh:
-            fh.write(resolved.to_json(indent=2) + "\n")
-        print(f"config saved : {args.save_config}")
+        _save_config(args.save_config, cfg)
     sizes = [store.shard_nbytes(i) for i in range(store.num_shards)]
     total = sum(sizes)
     raw_equiv = store.n * store.n * 8
@@ -825,19 +809,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
     from .exceptions import ReproError
     from .serve import DistStore, QueryEngine
 
-    serve_cfg = None
-    if args.config:
-        from .config import load_serve_config
-        from .exceptions import ConfigError
-
-        try:
-            serve_cfg = load_serve_config(args.config)
-        except ConfigError as exc:
-            raise SystemExit(f"repro-apsp query: error: --config: {exc}")
+    cfg = _merge_config(
+        "query", args.config, ServeConfig(), epsilon=args.max_error,
+    )
     try:
         store = DistStore.open(args.store)
         engine = QueryEngine(
-            store, epsilon=args.max_error, serve_config=serve_cfg
+            store,
+            cache_shards=cfg.engine.cache_shards,
+            verify_loads=cfg.engine.verify_loads,
+            epsilon=cfg.store.epsilon,
         )
         if args.top_k is not None:
             nearest = engine.top_k(args.u, args.top_k)

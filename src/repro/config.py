@@ -1,20 +1,22 @@
-"""First-class solver configuration: :class:`SolverConfig`.
+"""Validated, serializable configuration records.
 
-:func:`repro.solve_apsp` accreted ~20 keyword arguments across the
-observability, batching, tracing and fault-injection PRs.  Following the
-GraphIt/PriorityGraph separation of *algorithm* from *schedule* (Zhang
-et al., arXiv:1911.07260), this module groups those knobs into a frozen,
-serializable object so a whole run is reproducible from one artifact::
+Every entry point of the library (:func:`repro.solve_apsp`,
+:func:`repro.serve.solve_to_store`, :class:`repro.serve.QueryEngine`,
+...) takes flat keyword arguments.  The records here group those knobs
+— following the GraphIt/PriorityGraph separation of *algorithm* from
+*schedule* (Zhang et al., arXiv:1911.07260) — into frozen objects, so a
+whole run is reproducible from one JSON file, store manifest or BENCH
+artifact::
 
-    cfg = SolverConfig(
-        algorithm=AlgorithmConfig(name="parapsp", ratio=0.9),
-        parallel=ParallelConfig(backend="sim", num_threads=16),
-    )
-    result = solve_apsp(graph, config=cfg)
-    json.dump(cfg.to_dict(), fh)          # …and later:
-    solve_apsp(graph, config=SolverConfig.from_dict(json.load(fh)))
+    cfg = SolverConfig.from_kwargs(ratio=0.9, backend="sim", num_threads=16)
+    with open("run.json", "w") as fh:
+        fh.write(cfg.to_json())                   # …and later:
+    result = solve_apsp(graph, **load_config("run.json").to_kwargs())
 
-Groups mirror the subsystems that own the knobs:
+:meth:`~SolverConfig.from_kwargs` and :meth:`~SolverConfig.to_kwargs`
+are inverses over :data:`KWARG_MAP`; only the file boundary (the CLI's
+``--config`` and the store-manifest readers) converts between the two.
+:class:`SolverConfig` groups mirror the subsystems that own the knobs:
 
 =============== ====================================================
 group           knobs
@@ -27,21 +29,20 @@ group           knobs
 ``obs``         trace, cost_model
 =============== ====================================================
 
-Validation happens once, in each dataclass's ``__post_init__``, and
-raises :class:`~repro.exceptions.ConfigError` naming the offending
-field (``"algorithm.ratio"``); both the kwargs form and the config form
-of ``solve_apsp`` go through this single path.  ``to_dict`` /
-``from_dict`` round-trip exactly (asserted by a hypothesis property
-test), so configs can live in JSON files and BENCH artifacts.
+:class:`ServeConfig` does the same for the serving stack, over
+:data:`SERVE_KWARG_MAP`.  Validation happens once, in each group's
+``__post_init__``, and raises :class:`~repro.exceptions.ConfigError`
+naming the offending field (``"algorithm.ratio"``).  ``to_dict`` /
+``from_dict`` round-trip exactly (asserted by hypothesis property
+tests).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from .core.costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .exceptions import ConfigError, FaultPlanError, ReproError
@@ -67,7 +68,6 @@ __all__ = [
     "ServeConfig",
     "load_config",
     "load_serve_config",
-    "resolve_serve_config",
 ]
 
 #: queue disciplines of :func:`repro.core.modified_dijkstra_sssp`
@@ -81,9 +81,45 @@ def _fail(field_name: str, message: str) -> None:
     raise ConfigError(message, field=field_name)
 
 
+class _Group:
+    """Plain-dict round trip shared by every config group."""
+
+    #: the group's key in its bundle; names its ConfigError fields
+    _name = ""
+    #: fields holding a nested record: name -> (encode, decode)
+    _nested: Mapping[str, Tuple[Callable, Callable]] = {}
+
+    def to_dict(self) -> Dict[str, Any]:
+        data = dataclasses.asdict(self)
+        for fname, (encode, _) in self._nested.items():
+            value = getattr(self, fname)
+            data[fname] = None if value is None else encode(value)
+        return data
+
+    @classmethod
+    def from_dict(cls, data: Any):
+        if isinstance(data, cls):
+            return data
+        if not isinstance(data, Mapping):
+            _fail(cls._name, f"must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            _fail(cls._name, f"unknown field(s): {sorted(unknown)}")
+        data = dict(data)
+        for fname, (_, decode) in cls._nested.items():
+            if isinstance(data.get(fname), Mapping):
+                try:
+                    data[fname] = decode(data[fname])
+                except (TypeError, ReproError) as exc:
+                    _fail(f"{cls._name}.{fname}", str(exc))
+        return cls(**data)
+
+
 @dataclass(frozen=True)
-class AlgorithmConfig:
+class AlgorithmConfig(_Group):
     """What to solve and in which order (the *algorithm* of the run)."""
+
+    _name = "algorithm"
 
     name: str = "parapsp"
     #: ordering procedure override (``None`` = the algorithm's default)
@@ -142,8 +178,11 @@ class AlgorithmConfig:
 
 
 @dataclass(frozen=True)
-class ParallelConfig:
+class ParallelConfig(_Group):
     """Where and how wide the run executes."""
+
+    _name = "parallel"
+    _nested = {"machine": (dataclasses.asdict, lambda d: MachineSpec(**d))}
 
     backend: str = "serial"
     num_threads: int = 1
@@ -183,8 +222,10 @@ class ParallelConfig:
 
 
 @dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(_Group):
     """Batched-sweep engine knobs (:mod:`repro.core.batch`)."""
+
+    _name = "batch"
 
     #: ``None`` = unbatched, ``"auto"`` = tuned, int = block of sources
     block_size: "int | str | None" = None
@@ -217,8 +258,11 @@ class BatchConfig:
 
 
 @dataclass(frozen=True)
-class FaultConfig:
+class FaultConfig(_Group):
     """Fault injection and crash-recovery policy (:mod:`repro.faults`)."""
+
+    _name = "faults"
+    _nested = {"plan": (FaultPlan.to_dict, FaultPlan.from_dict)}
 
     plan: Optional[FaultPlan] = None
     on_worker_death: str = "raise"
@@ -264,8 +308,13 @@ class FaultConfig:
 
 
 @dataclass(frozen=True)
-class ObsConfig:
+class ObsConfig(_Group):
     """Measurement knobs: tracing and the virtual cost model."""
+
+    _name = "obs"
+    _nested = {
+        "cost_model": (dataclasses.asdict, lambda d: DijkstraCostModel(**d))
+    }
 
     trace: bool = False
     cost_model: DijkstraCostModel = DEFAULT_COST_MODEL
@@ -282,14 +331,18 @@ class ObsConfig:
 
 
 @dataclass(frozen=True)
-class StoreConfig:
+class StoreConfig(_Group):
     """Store-side knobs of :func:`repro.serve.solve_to_store`.
 
     Deliberately *not* a :class:`SolverConfig` group: it shapes the
     on-disk layout (shard geometry, codec, landmark count) and the
     serving contract (``epsilon``), not the solve itself, so the same
-    SolverConfig can feed stores of different codecs.
+    SolverConfig can feed stores of different codecs.  Field for field
+    the store keywords of ``solve_to_store``:
+    ``solve_to_store(graph, path, **cfg.to_dict())``.
     """
+
+    _name = "store"
 
     #: shard codec name; see :func:`repro.serve.codecs.codec_names`
     codec: str = "raw"
@@ -337,24 +390,9 @@ class StoreConfig:
                 )
             object.__setattr__(self, "epsilon", float(eps))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StoreConfig":
-        if not isinstance(data, Mapping):
-            _fail(
-                "store", f"must be a mapping, got {type(data).__name__}"
-            )
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - valid
-        if unknown:
-            _fail("store", f"unknown field(s): {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class TelemetryConfig:
+class TelemetryConfig(_Group):
     """Request-telemetry knobs of the serving stack.
 
     Standalone like :class:`StoreConfig` (it shapes the serving side,
@@ -365,6 +403,8 @@ class TelemetryConfig:
     hash-selected subset so two identical runs still produce identical
     logs.
     """
+
+    _name = "telemetry"
 
     #: ring-buffer capacity, in events (the ring answers "what just
     #: happened"; the JSONL sink is the durable log)
@@ -390,31 +430,17 @@ class TelemetryConfig:
             )
         object.__setattr__(self, "sample", float(sample))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TelemetryConfig":
-        if not isinstance(data, Mapping):
-            _fail(
-                "telemetry",
-                f"must be a mapping, got {type(data).__name__}",
-            )
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - valid
-        if unknown:
-            _fail("telemetry", f"unknown field(s): {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class UpdateConfig:
+class UpdateConfig(_Group):
     """Knobs of :func:`repro.serve.apply_edge_updates`.
 
     Standalone like :class:`StoreConfig`: it shapes the incremental
     update path (dirty-shard screening, pre-flight verification, old
     generation retention), not the solve itself.
     """
+
+    _name = "update"
 
     #: certify shards clean via the pinned landmark (ALT) bounds before
     #: running the exact endpoint-SSSP refinement; disabling skips the
@@ -436,23 +462,108 @@ class UpdateConfig:
                     f"{name} must be a bool, got {value!r}",
                 )
 
+
+class _Bundle:
+    """Plumbing shared by :class:`SolverConfig` and :class:`ServeConfig`:
+    a frozen record of groups, the flat-keyword map onto its fields, and
+    the JSON file format."""
+
+    #: group key -> group type, in serialization order
+    _groups: Mapping[str, type] = {}
+    #: flat keyword -> (group key, field name)
+    _kwargs: Mapping[str, Tuple[str, str]] = {}
+    #: ConfigError field of bundle-level problems
+    _name = ""
+    #: what the flat keywords are called in error messages
+    _keywords = ""
+
+    def __post_init__(self) -> None:
+        for name, kind in self._groups.items():
+            value = getattr(self, name)
+            if isinstance(value, Mapping):  # tolerate nested plain dicts
+                object.__setattr__(self, name, kind.from_dict(value))
+            elif not isinstance(value, kind):
+                _fail(
+                    name,
+                    f"must be a {kind.__name__} (or a mapping), "
+                    f"got {type(value).__name__}",
+                )
+
+    # -- flat keywords ---------------------------------------------------
+    @classmethod
+    def from_kwargs(cls, **kwargs: Any):
+        """Build a config from flat keywords; defaults fill the rest."""
+        return cls().with_overrides(**kwargs)
+
+    def with_overrides(self, **kwargs: Any):
+        """Copy with some flat keywords replaced (and re-validated)."""
+        patches: Dict[str, Dict[str, Any]] = {}
+        for key, value in kwargs.items():
+            target = self._kwargs.get(key)
+            if target is None:
+                _fail(
+                    key,
+                    f"unknown {self._keywords} keyword {key!r}; known: "
+                    f"{', '.join(sorted(self._kwargs))}",
+                )
+            group, fname = target
+            patches.setdefault(group, {})[fname] = value
+        replaced = {
+            group: dataclasses.replace(getattr(self, group), **fields)
+            for group, fields in patches.items()
+        }
+        return dataclasses.replace(self, **replaced)
+
+    def to_kwargs(self) -> Dict[str, Any]:
+        """Every flat keyword's value; inverse of :meth:`from_kwargs`."""
+        return {
+            key: getattr(getattr(self, group), fname)
+            for key, (group, fname) in self._kwargs.items()
+        }
+
+    # -- serialization ---------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
+        """Nested plain-JSON dict; inverse of :meth:`from_dict`."""
+        return {group: getattr(self, group).to_dict() for group in self._groups}
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "UpdateConfig":
+    def from_dict(cls, data: Mapping[str, Any]):
         if not isinstance(data, Mapping):
-            _fail(
-                "update", f"must be a mapping, got {type(data).__name__}"
-            )
-        valid = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - valid
+            _fail(cls._name, f"must be a mapping, got {type(data).__name__}")
+        unknown = set(data) - set(cls._groups)
         if unknown:
-            _fail("update", f"unknown field(s): {sorted(unknown)}")
-        return cls(**data)
+            _fail(cls._name, f"unknown group(s): {sorted(unknown)}")
+        return cls(
+            **{
+                name: kind() if data.get(name) is None
+                else kind.from_dict(data[name])
+                for name, kind in cls._groups.items()
+            }
+        )
+
+    def to_json(self, *, indent: int = 2) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+    @classmethod
+    def from_json(cls, text: str):
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            _fail(cls._name, f"bad config JSON: {exc}")
+        return cls.from_dict(data)
+
+    @classmethod
+    def load(cls, path: str):
+        """Read a config from a JSON file."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            _fail(cls._name, f"cannot read {path!r}: {exc}")
+        return cls.from_json(text)
 
 
-#: flat ``solve_apsp`` kwarg name → (group attribute, field name)
+#: flat ``solve_apsp`` keyword → (group attribute, field name)
 KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "algorithm": ("algorithm", "name"),
     "ordering": ("algorithm", "ordering"),
@@ -475,18 +586,21 @@ KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "cost_model": ("obs", "cost_model"),
 }
 
-_GROUP_TYPES = {
-    "algorithm": AlgorithmConfig,
-    "parallel": ParallelConfig,
-    "batch": BatchConfig,
-    "faults": FaultConfig,
-    "obs": ObsConfig,
-}
-
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Bundle):
     """One complete, validated, serializable ``solve_apsp`` setup."""
+
+    _groups = {
+        "algorithm": AlgorithmConfig,
+        "parallel": ParallelConfig,
+        "batch": BatchConfig,
+        "faults": FaultConfig,
+        "obs": ObsConfig,
+    }
+    _kwargs = KWARG_MAP
+    _name = "config"
+    _keywords = "solve_apsp"
 
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
@@ -495,17 +609,7 @@ class SolverConfig:
     obs: ObsConfig = field(default_factory=ObsConfig)
 
     def __post_init__(self) -> None:
-        for name, kind in _GROUP_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, Mapping):  # tolerate nested plain dicts
-                value = _group_from_dict(name, kind, value)
-                object.__setattr__(self, name, value)
-            elif not isinstance(value, kind):
-                _fail(
-                    name,
-                    f"must be a {kind.__name__} (or a mapping), "
-                    f"got {type(value).__name__}",
-                )
+        super().__post_init__()
         # cross-group checks: the request must fit the chosen solver's
         # capability flags (see repro.core.registry.SolverSpec)
         from .core.registry import get_solver
@@ -523,88 +627,6 @@ class SolverConfig:
                 "at 1 thread)",
             )
 
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "SolverConfig":
-        """Build a config from legacy flat ``solve_apsp`` kwargs."""
-        groups: Dict[str, Dict[str, Any]] = {g: {} for g in _GROUP_TYPES}
-        for key, value in kwargs.items():
-            target = KWARG_MAP.get(key)
-            if target is None:
-                _fail(
-                    key,
-                    f"unknown solve_apsp keyword {key!r}; known: "
-                    f"{', '.join(sorted(KWARG_MAP))}",
-                )
-            group, fname = target
-            groups[group][fname] = value
-        return cls(
-            **{
-                group: kind(**groups[group])
-                for group, kind in _GROUP_TYPES.items()
-            }
-        )
-
-    def with_overrides(self, **kwargs: Any) -> "SolverConfig":
-        """Copy with some flat kwargs replaced (the shim's merge step)."""
-        patches: Dict[str, Dict[str, Any]] = {}
-        for key, value in kwargs.items():
-            target = KWARG_MAP.get(key)
-            if target is None:
-                _fail(key, f"unknown solve_apsp keyword {key!r}")
-            group, fname = target
-            patches.setdefault(group, {})[fname] = value
-        replaced = {
-            group: dataclasses.replace(getattr(self, group), **fields)
-            for group, fields in patches.items()
-        }
-        return dataclasses.replace(self, **replaced)
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Nested plain-JSON dict; inverse of :meth:`from_dict`."""
-        out: Dict[str, Any] = {}
-        for group in _GROUP_TYPES:
-            value = getattr(self, group)
-            data = dataclasses.asdict(value)
-            if group == "parallel" and value.machine is not None:
-                data["machine"] = dataclasses.asdict(value.machine)
-            if group == "faults":
-                data["plan"] = (
-                    value.plan.to_dict() if value.plan is not None else None
-                )
-            if group == "obs":
-                data["cost_model"] = dataclasses.asdict(value.cost_model)
-            out[group] = data
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SolverConfig":
-        if not isinstance(data, Mapping):
-            _fail("config", f"must be a mapping, got {type(data).__name__}")
-        unknown = set(data) - set(_GROUP_TYPES)
-        if unknown:
-            _fail("config", f"unknown group(s): {sorted(unknown)}")
-        groups = {}
-        for name, kind in _GROUP_TYPES.items():
-            raw = data.get(name)
-            if raw is None:
-                groups[name] = kind()
-            else:
-                groups[name] = _group_from_dict(name, kind, raw)
-        return cls(**groups)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SolverConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            _fail("config", f"bad config JSON: {exc}")
-        return cls.from_dict(data)
-
     def describe(self) -> str:
         """One-line human summary (CLI banner)."""
         bits = [
@@ -621,43 +643,9 @@ class SolverConfig:
         return " ".join(bits)
 
 
-def _group_from_dict(name: str, kind: type, raw: Any):
-    """Instantiate one sub-config from a plain mapping."""
-    if isinstance(raw, kind):
-        return raw
-    if not isinstance(raw, Mapping):
-        _fail(name, f"must be a mapping, got {type(raw).__name__}")
-    valid = {f.name for f in dataclasses.fields(kind)}
-    unknown = set(raw) - valid
-    if unknown:
-        _fail(name, f"unknown field(s): {sorted(unknown)}")
-    data = dict(raw)
-    if name == "parallel" and isinstance(data.get("machine"), Mapping):
-        try:
-            data["machine"] = MachineSpec(**data["machine"])
-        except (TypeError, ReproError) as exc:
-            _fail("parallel.machine", str(exc))
-    if name == "faults" and isinstance(data.get("plan"), Mapping):
-        try:
-            data["plan"] = FaultPlan.from_dict(data["plan"])
-        except FaultPlanError as exc:
-            _fail("faults.plan", str(exc))
-    if name == "obs" and isinstance(data.get("cost_model"), Mapping):
-        try:
-            data["cost_model"] = DijkstraCostModel(**data["cost_model"])
-        except TypeError as exc:
-            _fail("obs.cost_model", str(exc))
-    return kind(**data)
-
-
 def load_config(path: str) -> SolverConfig:
     """Read a :class:`SolverConfig` from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _fail("config", f"cannot read {path!r}: {exc}")
-    return SolverConfig.from_json(text)
+    return SolverConfig.load(path)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +674,15 @@ def _check_nonneg(field_name: str, value: Any) -> float:
 
 
 @dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(_Group):
     """Query-engine and virtual-replay knobs of the serving stack.
 
     These are the levers that trade memory for latency on the read
     path: the LRU shard-cache size, the virtual server count, and the
     point micro-batching window of :func:`repro.serve.replay_virtual`.
     """
+
+    _name = "engine"
 
     cache_shards: int = 4
     verify_loads: bool = True
@@ -712,16 +702,9 @@ class EngineConfig:
         object.__setattr__(self, "batch_window", window)
         _check_int("engine.batch_max", self.batch_max, 1)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "EngineConfig":
-        return _serve_group_from_dict("engine", cls, data)
-
 
 @dataclass(frozen=True)
-class AdmissionConfig:
+class AdmissionConfig(_Group):
     """Per-class in-flight budgets (the admission controller's knobs).
 
     Mirrors :class:`repro.serve.admission.AdmissionPolicy`, but
@@ -729,6 +712,8 @@ class AdmissionConfig:
     field and serializes with the rest of :class:`ServeConfig`;
     :meth:`to_policy` hands the runtime object to the front end.
     """
+
+    _name = "admission"
 
     max_point: int = 64
     max_row: int = 4
@@ -741,22 +726,11 @@ class AdmissionConfig:
     def to_policy(self):
         from .serve.admission import AdmissionPolicy
 
-        return AdmissionPolicy(
-            max_point=self.max_point,
-            max_row=self.max_row,
-            max_topk=self.max_topk,
-        )
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AdmissionConfig":
-        return _serve_group_from_dict("admission", cls, data)
+        return AdmissionPolicy(**dataclasses.asdict(self))
 
 
 @dataclass(frozen=True)
-class ServeCostConfig:
+class ServeCostConfig(_Group):
     """Virtual service costs of the replay model, in virtual seconds.
 
     Field-for-field the knobs of
@@ -764,6 +738,8 @@ class ServeCostConfig:
     the runtime object.  Kept as a config group so a whole serving
     scenario (costs included) round-trips through one JSON file.
     """
+
+    _name = "cost"
 
     load_base: float = 2e-4
     load_per_mb: float = 0.064
@@ -784,24 +760,19 @@ class ServeCostConfig:
 
         return ServeCostModel(**dataclasses.asdict(self))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServeCostConfig":
-        return _serve_group_from_dict("cost", cls, data)
-
 
 @dataclass(frozen=True)
-class RoutingConfig:
+class RoutingConfig(_Group):
     """Multi-node shard-routing topology (:mod:`repro.serve.router`).
 
-    ``num_nodes=1`` is the single-node serving stack of PRs 5–9; more
-    nodes place shards on a consistent-hash ring with ``replication``
-    copies each, ``vnodes`` ring points per node, and a per-node
-    in-flight budget of ``node_budget`` requests served by
-    ``servers_per_node`` virtual servers.
+    ``num_nodes=1`` is the single-node serving stack; more nodes place
+    shards on a consistent-hash ring with ``replication`` copies each,
+    ``vnodes`` ring points per node, and a per-node in-flight budget of
+    ``node_budget`` requests served by ``servers_per_node`` virtual
+    servers.
     """
+
+    _name = "routing"
 
     num_nodes: int = 1
     replication: int = 1
@@ -830,16 +801,9 @@ class RoutingConfig:
                 "than there are nodes to hold them",
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RoutingConfig":
-        return _serve_group_from_dict("routing", cls, data)
-
-
-#: flat serving kwarg name → (ServeConfig group, field name); the serve
-#: counterpart of :data:`KWARG_MAP`, shared by every serving entry point
+#: flat serving keyword → (ServeConfig group, field name); the serve
+#: counterpart of :data:`KWARG_MAP`
 SERVE_KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "codec": ("store", "codec"),
     "shard_rows": ("store", "shard_rows"),
@@ -874,46 +838,35 @@ SERVE_KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "servers_per_node": ("routing", "servers_per_node"),
 }
 
-_SERVE_GROUP_TYPES = {
-    "store": StoreConfig,
-    "engine": EngineConfig,
-    "admission": AdmissionConfig,
-    "cost": ServeCostConfig,
-    "telemetry": TelemetryConfig,
-    "update": UpdateConfig,
-    "routing": RoutingConfig,
-}
-
-
-def _serve_group_from_dict(name: str, kind: type, raw: Any):
-    """Instantiate one ServeConfig sub-config from a plain mapping."""
-    if isinstance(raw, kind):
-        return raw
-    if not isinstance(raw, Mapping):
-        _fail(name, f"must be a mapping, got {type(raw).__name__}")
-    valid = {f.name for f in dataclasses.fields(kind)}
-    unknown = set(raw) - valid
-    if unknown:
-        _fail(name, f"unknown field(s): {sorted(unknown)}")
-    return kind(**raw)
-
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(_Bundle):
     """One complete, validated, serializable serving-stack setup.
 
     The serving counterpart of :class:`SolverConfig`: the store layout
     (``store``), the query engine and replay model (``engine``,
     ``cost``), admission budgets (``admission``), request telemetry
     (``telemetry``), incremental updates (``update``) and the
-    multi-node routing tier (``routing``) in one frozen object.
-    :func:`repro.serve.solve_to_store`, :class:`repro.serve.QueryEngine`,
-    :class:`repro.serve.ServeFrontend` and the replay entry points all
-    accept one through the shared :func:`resolve_serve_config` shim, so
-    legacy flat kwargs and the config form take a single validation and
-    dispatch path (conflicts warn, explicit kwargs win — the
-    ``SolverConfig`` contract).
+    multi-node routing tier (``routing``) in one frozen object.  It is
+    the file format of ``repro-apsp store``/``query``/``serve-bench
+    --config``; the serving entry points themselves take flat keywords,
+    so the CLI hands them one group each — ``solve_to_store(graph,
+    path, **cfg.store.to_dict())``, ``QueryEngine(store,
+    cache_shards=cfg.engine.cache_shards, ...)``.
     """
+
+    _groups = {
+        "store": StoreConfig,
+        "engine": EngineConfig,
+        "admission": AdmissionConfig,
+        "cost": ServeCostConfig,
+        "telemetry": TelemetryConfig,
+        "update": UpdateConfig,
+        "routing": RoutingConfig,
+    }
+    _kwargs = SERVE_KWARG_MAP
+    _name = "serve_config"
+    _keywords = "serving"
 
     store: StoreConfig = field(default_factory=StoreConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
@@ -922,96 +875,6 @@ class ServeConfig:
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     update: UpdateConfig = field(default_factory=UpdateConfig)
     routing: RoutingConfig = field(default_factory=RoutingConfig)
-
-    def __post_init__(self) -> None:
-        for name, kind in _SERVE_GROUP_TYPES.items():
-            value = getattr(self, name)
-            if isinstance(value, Mapping):  # tolerate nested plain dicts
-                value = _serve_group_from_dict(name, kind, value)
-                object.__setattr__(self, name, value)
-            elif not isinstance(value, kind):
-                _fail(
-                    name,
-                    f"must be a {kind.__name__} (or a mapping), "
-                    f"got {type(value).__name__}",
-                )
-
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def from_kwargs(cls, **kwargs: Any) -> "ServeConfig":
-        """Build a config from legacy flat serving kwargs."""
-        groups: Dict[str, Dict[str, Any]] = {
-            g: {} for g in _SERVE_GROUP_TYPES
-        }
-        for key, value in kwargs.items():
-            target = SERVE_KWARG_MAP.get(key)
-            if target is None:
-                _fail(
-                    key,
-                    f"unknown serving keyword {key!r}; known: "
-                    f"{', '.join(sorted(SERVE_KWARG_MAP))}",
-                )
-            group, fname = target
-            groups[group][fname] = value
-        return cls(
-            **{
-                group: kind(**groups[group])
-                for group, kind in _SERVE_GROUP_TYPES.items()
-            }
-        )
-
-    def with_overrides(self, **kwargs: Any) -> "ServeConfig":
-        """Copy with some flat kwargs replaced (the shim's merge step)."""
-        patches: Dict[str, Dict[str, Any]] = {}
-        for key, value in kwargs.items():
-            target = SERVE_KWARG_MAP.get(key)
-            if target is None:
-                _fail(key, f"unknown serving keyword {key!r}")
-            group, fname = target
-            patches.setdefault(group, {})[fname] = value
-        replaced = {
-            group: dataclasses.replace(getattr(self, group), **fields)
-            for group, fields in patches.items()
-        }
-        return dataclasses.replace(self, **replaced)
-
-    # -- serialization ---------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """Nested plain-JSON dict; inverse of :meth:`from_dict`."""
-        return {
-            group: dataclasses.asdict(getattr(self, group))
-            for group in _SERVE_GROUP_TYPES
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ServeConfig":
-        if not isinstance(data, Mapping):
-            _fail(
-                "serve_config",
-                f"must be a mapping, got {type(data).__name__}",
-            )
-        unknown = set(data) - set(_SERVE_GROUP_TYPES)
-        if unknown:
-            _fail("serve_config", f"unknown group(s): {sorted(unknown)}")
-        groups = {}
-        for name, kind in _SERVE_GROUP_TYPES.items():
-            raw = data.get(name)
-            if raw is None:
-                groups[name] = kind()
-            else:
-                groups[name] = _serve_group_from_dict(name, kind, raw)
-        return cls(**groups)
-
-    def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServeConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            _fail("serve_config", f"bad config JSON: {exc}")
-        return cls.from_dict(data)
 
     def describe(self) -> str:
         """One-line human summary (CLI banner)."""
@@ -1030,51 +893,6 @@ class ServeConfig:
         return " ".join(bits)
 
 
-def resolve_serve_config(
-    config: Any,
-    *,
-    caller: str,
-    overrides: Optional[Mapping[str, Any]] = None,
-) -> ServeConfig:
-    """The single dispatch shim behind every serving entry point.
-
-    ``config`` may be a :class:`ServeConfig`, a nested mapping in its
-    ``to_dict`` layout, or ``None``; ``overrides`` holds the flat
-    legacy kwargs the caller's user actually passed.  Passing both a
-    config and conflicting kwargs emits a :class:`DeprecationWarning`
-    (the explicit kwargs win) — the exact contract of
-    :func:`repro.solve_apsp`'s ``SolverConfig`` shim.
-    """
-    overrides = dict(overrides or {})
-    if config is None:
-        return ServeConfig.from_kwargs(**overrides)
-    if isinstance(config, Mapping):
-        config = ServeConfig.from_dict(config)
-    elif not isinstance(config, ServeConfig):
-        raise ConfigError(
-            f"serve_config must be a ServeConfig or a mapping, "
-            f"got {type(config).__name__}",
-            field="serve_config",
-        )
-    if not overrides:
-        return config
-    merged = config.with_overrides(**overrides)
-    if merged != config:
-        warnings.warn(
-            f"{caller} received both serve_config= and conflicting "
-            f"keyword argument(s) {sorted(overrides)}; the explicit "
-            "kwargs win.  Pass one ServeConfig instead.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return merged
-
-
 def load_serve_config(path: str) -> ServeConfig:
     """Read a :class:`ServeConfig` from a JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        _fail("serve_config", f"cannot read {path!r}: {exc}")
-    return ServeConfig.from_json(text)
+    return ServeConfig.load(path)

@@ -26,19 +26,17 @@ time and is how the multi-thread figures are regenerated on this host.
 from __future__ import annotations
 
 import time
-import warnings
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..exceptions import NegativeWeightError
 from ..graphs.csr import CSRGraph
-from ..graphs.degree import DegreeKind, degree_array
+from ..graphs.degree import degree_array
 from ..obs import metrics as _obs
 from ..order import compute_order, simulate_order
-from ..simx.machine import MachineSpec, default_machine
+from ..simx.machine import default_machine
 from ..types import Backend, PhaseTimes, Schedule
-from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .registry import (
     ShardHooks,
     SolverSpec,
@@ -149,92 +147,20 @@ def _register_sweep_family() -> None:
         register_solver(spec)
 
 
-#: defaults of the legacy flat kwargs — used by the shim to detect which
-#: arguments a caller actually passed
-_KWARG_DEFAULTS: Dict[str, object] = {
-    "algorithm": "parapsp",
-    "num_threads": 1,
-    "backend": Backend.SERIAL,
-    "schedule": None,
-    "ordering": None,
-    "machine": None,
-    "queue": "fifo",
-    "ratio": 1.0,
-    "degree_kind": DegreeKind.OUT,
-    "chunk": 1,
-    "use_flags": True,
-    "block_size": None,
-    "kernel": "auto",
-    "cost_model": DEFAULT_COST_MODEL,
-    "trace": False,
-    "fault_plan": None,
-    "on_worker_death": "raise",
-    "timeout": None,
-    "max_retries": 3,
-}
-
-
-def _explicit_kwargs(passed: Dict[str, object]) -> Dict[str, object]:
-    """The kwargs that differ from their legacy defaults."""
-    out: Dict[str, object] = {}
-    for name, value in passed.items():
-        default = _KWARG_DEFAULTS[name]
-        if value is default:
-            continue
-        try:
-            if value == default:
-                continue
-        except Exception:  # exotic objects without sane __eq__
-            pass
-        out[name] = value
-    return out
-
-
-def _normalize_kwargs(kwargs: Dict[str, object]) -> Dict[str, object]:
-    """Enum-typed legacy kwargs → the strings SolverConfig stores."""
-    out = dict(kwargs)
-    for key in ("backend", "schedule", "degree_kind"):
-        value = out.get(key)
-        if isinstance(value, (Backend, Schedule, DegreeKind)):
-            out[key] = value.value
-    return out
-
-
-def solve_apsp(
-    graph: CSRGraph,
-    *,
-    config=None,
-    algorithm: str = "parapsp",
-    num_threads: int = 1,
-    backend: "Backend | str" = Backend.SERIAL,
-    schedule: "Schedule | str | None" = None,
-    ordering: Optional[str] = None,
-    machine: Optional[MachineSpec] = None,
-    queue: str = "fifo",
-    ratio: float = 1.0,
-    degree_kind: "DegreeKind | str" = DegreeKind.OUT,
-    chunk: int = 1,
-    use_flags: bool = True,
-    block_size: "int | str | None" = None,
-    kernel: str = "auto",
-    cost_model: DijkstraCostModel = DEFAULT_COST_MODEL,
-    trace: bool = False,
-    fault_plan=None,
-    on_worker_death: str = "raise",
-    timeout: Optional[float] = None,
-    max_retries: int = 3,
-) -> APSPResult:
+def solve_apsp(graph: CSRGraph, **options) -> APSPResult:
     """Solve all-pairs shortest paths; see the module docstring.
 
-    Configuration: ``config`` (a :class:`repro.config.SolverConfig`, or
-    a nested mapping in its ``to_dict`` layout) is the first-class way
-    to describe a run; the remaining keyword arguments are the legacy
-    flat form and are folded into a ``SolverConfig`` by a shim, so both
-    spellings share one validation and dispatch path and produce
-    bitwise-identical results.  Passing ``config`` *and* flat kwargs
-    that conflict with it emits a :class:`DeprecationWarning` (the
-    explicit kwargs win).  All user-input validation raises
-    :class:`~repro.exceptions.ConfigError` naming the offending field.
+    ``options`` are the flat keywords of :data:`repro.config.KWARG_MAP`
+    (``algorithm``, ``num_threads``, ``backend``, ``schedule``,
+    ``ordering``, ``machine``, ``queue``, ``ratio``, ``degree_kind``,
+    ``chunk``, ``use_flags``, ``block_size``, ``kernel``, ``cost_model``,
+    ``trace``, ``fault_plan``, ``on_worker_death``, ``timeout``,
+    ``max_retries``).  They are validated into a
+    :class:`repro.config.SolverConfig`, whose dataclasses hold the
+    defaults; a saved config runs again as
+    ``solve_apsp(graph, **cfg.to_kwargs())``.  All user-input
+    validation raises :class:`~repro.exceptions.ConfigError` naming the
+    offending field.
 
     Fault tolerance: ``fault_plan`` (a :class:`repro.faults.FaultPlan`)
     injects deterministic worker faults into the sweep phase;
@@ -263,61 +189,12 @@ def solve_apsp(
     sections through a :class:`repro.trace.TraceRecorder` instead.
     """
     from ..config import SolverConfig
-    from ..exceptions import ConfigError
 
-    overrides = _normalize_kwargs(
-        _explicit_kwargs(
-            {
-                "algorithm": algorithm,
-                "num_threads": num_threads,
-                "backend": backend,
-                "schedule": schedule,
-                "ordering": ordering,
-                "machine": machine,
-                "queue": queue,
-                "ratio": ratio,
-                "degree_kind": degree_kind,
-                "chunk": chunk,
-                "use_flags": use_flags,
-                "block_size": block_size,
-                "kernel": kernel,
-                "cost_model": cost_model,
-                "trace": trace,
-                "fault_plan": fault_plan,
-                "on_worker_death": on_worker_death,
-                "timeout": timeout,
-                "max_retries": max_retries,
-            }
-        )
-    )
-    if config is None:
-        cfg = SolverConfig.from_kwargs(**overrides)
-    else:
-        if isinstance(config, dict):
-            config = SolverConfig.from_dict(config)
-        elif not isinstance(config, SolverConfig):
-            raise ConfigError(
-                f"config must be a SolverConfig or a mapping, "
-                f"got {type(config).__name__}",
-                field="config",
-            )
-        cfg = config
-        if overrides:
-            merged = config.with_overrides(**overrides)
-            if merged != config:
-                warnings.warn(
-                    "solve_apsp received both config= and conflicting "
-                    f"keyword argument(s) {sorted(overrides)}; the "
-                    "explicit kwargs win.  Pass one SolverConfig instead.",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            cfg = merged
-    return _solve_with_config(graph, cfg)
+    return _solve_with_config(graph, SolverConfig.from_kwargs(**options))
 
 
 def _solve_with_config(graph: CSRGraph, cfg) -> APSPResult:
-    """The single dispatch path behind both ``solve_apsp`` spellings.
+    """The dispatch path behind :func:`solve_apsp`.
 
     Resolves the registered :class:`~repro.core.registry.SolverSpec`,
     enforces the graph-level capability contract (a negative-weight
@@ -522,8 +399,7 @@ def solve_apsp_shards(
     shard_rows: int,
     start_row: int = 0,
     stop_row: "int | None" = None,
-    config=None,
-    **kwargs,
+    **options,
 ):
     """Stream the APSP matrix as ``(start_row, rows)`` blocks.
 
@@ -532,6 +408,7 @@ def solve_apsp_shards(
     into a single reusable ``(shard_rows, n)`` buffer, so peak memory is
     O(shard_rows × n) instead of O(n²) — this is what
     :func:`repro.serve.solve_to_store` writes to disk shard by shard.
+    ``options`` are :func:`solve_apsp`'s flat keywords.
 
     Within a shard, sources are issued in the configured ordering
     (restricted to the shard) and Algorithm 1's flag-reuse shortcut
@@ -579,14 +456,7 @@ def solve_apsp_shards(
             f"{shard_rows}), got {start_row}",
             field="start_row",
         )
-    if config is None:
-        cfg = SolverConfig.from_kwargs(
-            **_normalize_kwargs(dict(kwargs))
-        )
-    elif kwargs:
-        cfg = config.with_overrides(**_normalize_kwargs(dict(kwargs)))
-    else:
-        cfg = config
+    cfg = SolverConfig.from_kwargs(**options)
     if cfg.parallel.backend != Backend.SERIAL.value:
         raise ConfigError(
             "the shard-streaming solve runs on the serial backend "

@@ -178,11 +178,10 @@ def solve_apsp_cluster(
     cluster: ClusterSpec,
     *,
     shard_rows: Optional[int] = None,
-    config=None,
     fault_plan: Optional[FaultPlan] = None,
     cost_model: DijkstraCostModel = DEFAULT_COST_MODEL,
     schedule: "Schedule | str" = Schedule.DYNAMIC,
-    **kwargs,
+    **options,
 ) -> ClusterBuildResult:
     """Solve APSP as a simulated multi-node build (see module docstring).
 
@@ -190,8 +189,9 @@ def solve_apsp_cluster(
     ``solve_apsp(graph, use_flags=False)`` regardless of the cluster
     geometry or injected faults; the cluster only decides the *virtual
     cost* side of the result.  Solver selection, validation and row
-    production all go through the registry (``config=``/kwargs exactly
-    as :func:`repro.core.runner.solve_apsp_shards`), so Johnson
+    production all go through the registry (``options`` are
+    :func:`repro.solve_apsp`'s flat keywords, exactly as in
+    :func:`repro.core.runner.solve_apsp_shards`), so Johnson
     rank-partitions the same way the sweep family does.
     """
     from ..config import SolverConfig
@@ -209,15 +209,11 @@ def solve_apsp_cluster(
             f"shard_rows must be an int >= 1, got {shard_rows!r}"
         )
 
-    if config is None:
-        cfg = SolverConfig.from_kwargs(**kwargs)
-    elif kwargs:
-        cfg = config.with_overrides(**kwargs)
-    else:
-        cfg = config
     # independence of rows is what makes partitioning and recovery
     # bitwise-exact; the per-rank solve is serial per worker anyway
-    cfg = cfg.with_overrides(use_flags=False, backend="serial")
+    cfg = SolverConfig.from_kwargs(**options).with_overrides(
+        use_flags=False, backend="serial"
+    )
 
     spec = get_solver(cfg.algorithm.name)
     if graph.has_negative_weights and not spec.negative_weights:

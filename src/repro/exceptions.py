@@ -98,10 +98,11 @@ class NegativeCycleError(AlgorithmError):
 class ConfigError(AlgorithmError, ScheduleError, BackendError):
     """Invalid user-supplied solver configuration.
 
-    Every *user-input* validation failure of :func:`repro.solve_apsp` —
-    whether the knobs arrived as keyword arguments or inside a
-    :class:`repro.config.SolverConfig` — raises this, with the offending
-    field named as ``<group>.<field>`` (e.g. ``algorithm.ratio``).
+    Every *user-input* validation failure of :func:`repro.solve_apsp`
+    and the other entry points — whether the knobs arrived as keyword
+    arguments or from a config file — raises this, with the offending
+    field named as ``<group>.<field>`` (e.g. ``algorithm.ratio``).  The
+    validation itself lives in the :mod:`repro.config` records.
 
     It deliberately subclasses the legacy validation classes
     (:class:`AlgorithmError`, :class:`ScheduleError`,

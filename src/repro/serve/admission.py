@@ -108,25 +108,7 @@ class ServeFrontend:
         *,
         policy: Optional[AdmissionPolicy] = None,
         telemetry: Optional[TelemetryCollector] = None,
-        serve_config=None,
     ) -> None:
-        if serve_config is not None:
-            # unified ServeConfig path: admission budgets come from the
-            # config's admission group; an explicit policy= overrides
-            # it (DeprecationWarning on a genuine conflict)
-            from ..config import resolve_serve_config
-
-            overrides = {}
-            if policy is not None:
-                overrides = {
-                    "max_point": policy.max_point,
-                    "max_row": policy.max_row,
-                    "max_topk": policy.max_topk,
-                }
-            cfg = resolve_serve_config(
-                serve_config, caller="ServeFrontend", overrides=overrides
-            )
-            policy = cfg.admission.to_policy()
         self.engine = engine
         self.policy = policy or AdmissionPolicy()
         self.telemetry = telemetry

@@ -1235,38 +1235,31 @@ def run(args: argparse.Namespace, prog: str = "repro.serve.bench") -> int:
         print(f"{prog}: error: argument --events-sample: not allowed "
               "without argument --events", file=sys.stderr)
         return 2
-    cfg = None
-    if args.config is not None:
-        from ..config import load_serve_config
+    from ..config import ServeConfig
 
-        cfg = load_serve_config(args.config)
     # explicit flags win over a --config file, which wins over the
-    # bench's pinned defaults (same contract as repro-apsp solve)
-    shard_rows = args.shard_rows if args.shard_rows is not None else (
-        cfg.store.shard_rows if cfg is not None else DEFAULT_SHARD_ROWS
-    )
-    cache_shards = args.cache_shards if args.cache_shards is not None else (
-        cfg.engine.cache_shards if cfg is not None else DEFAULT_CACHE_SHARDS
-    )
-    codec = args.codec if args.codec is not None else (
-        cfg.store.codec if cfg is not None else "raw"
-    )
-    epsilon = args.epsilon if args.epsilon is not None else (
-        cfg.store.epsilon
-        if cfg is not None and cfg.store.epsilon is not None
-        else DEFAULT_EPSILON
-    )
+    # bench's pinned defaults (same rule as repro-apsp solve)
+    base = (ServeConfig.load(args.config) if args.config is not None
+            else ServeConfig.from_kwargs(shard_rows=DEFAULT_SHARD_ROWS,
+                                         cache_shards=DEFAULT_CACHE_SHARDS))
+    cfg = base.with_overrides(**{
+        key: value for key, value in (
+            ("shard_rows", args.shard_rows),
+            ("cache_shards", args.cache_shards),
+            ("codec", args.codec),
+            ("epsilon", args.epsilon),
+        ) if value is not None
+    })
+    if cfg.store.epsilon is None:  # the bench always serves with a gap
+        cfg = cfg.with_overrides(epsilon=DEFAULT_EPSILON)
     if args.save_config is not None:
-        from ..config import ServeConfig
-
-        base = cfg if cfg is not None else ServeConfig()
-        effective = base.with_overrides(
-            shard_rows=shard_rows, cache_shards=cache_shards,
-            codec=codec, epsilon=epsilon,
-        )
         with open(args.save_config, "w", encoding="utf-8") as fh:
-            fh.write(effective.to_json(indent=2) + "\n")
+            fh.write(cfg.to_json(indent=2) + "\n")
         print(f"config saved: {args.save_config}")
+    shard_rows, codec, epsilon = (
+        cfg.store.shard_rows, cfg.store.codec, cfg.store.epsilon
+    )
+    cache_shards = cfg.engine.cache_shards
     common = dict(scale=args.scale, edge_factor=args.edge_factor,
                   seed=args.seed, shard_rows=shard_rows,
                   cache_shards=cache_shards)

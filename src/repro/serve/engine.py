@@ -56,35 +56,10 @@ class QueryEngine:
         self,
         store: DistStore,
         *,
-        cache_shards: Optional[int] = None,
-        verify_loads: Optional[bool] = None,
+        cache_shards: int = 4,
+        verify_loads: bool = True,
         epsilon: Optional[float] = None,
-        serve_config=None,
     ) -> None:
-        if serve_config is not None:
-            # unified ServeConfig path: one validated bundle, explicit
-            # kwargs override it (DeprecationWarning on real conflict)
-            from ..config import resolve_serve_config
-
-            overrides = {
-                k: v
-                for k, v in (
-                    ("cache_shards", cache_shards),
-                    ("verify_loads", verify_loads),
-                    ("epsilon", epsilon),
-                )
-                if v is not None
-            }
-            cfg = resolve_serve_config(
-                serve_config, caller="QueryEngine", overrides=overrides
-            )
-            cache_shards = cfg.engine.cache_shards
-            verify_loads = cfg.engine.verify_loads
-            epsilon = cfg.store.epsilon
-        if cache_shards is None:
-            cache_shards = 4
-        if verify_loads is None:
-            verify_loads = True
         if cache_shards < 1:
             raise ServeError(
                 f"cache_shards must be >= 1, got {cache_shards!r}"

@@ -47,7 +47,6 @@ from ..exceptions import ServeError
 from ..obs.hist import LatencyHistogram
 from ..simx.engine import ThreadClockQueue
 from .admission import AdmissionPolicy, ServeFrontend
-from .engine import QueryEngine
 from .telemetry import TelemetryCollector, make_trace_id
 from .traffic import Request
 
@@ -223,49 +222,6 @@ class _VirtualCache:
         return ready, False, False
 
 
-def _resolve_replay_config(
-    caller: str,
-    serve_config,
-    *,
-    policy: Optional[AdmissionPolicy],
-    cost: Optional[ServeCostModel],
-    **flat: Any,
-):
-    """One dispatch path for the replay entry points.
-
-    ``policy``/``cost`` objects and flat knob kwargs are translated to
-    :class:`~repro.config.ServeConfig` overrides and merged through
-    :func:`~repro.config.resolve_serve_config` — same conflict rules
-    as every other serving entry point (explicit kwargs win, with a
-    ``DeprecationWarning`` on a genuine conflict).
-    """
-    from ..config import resolve_serve_config
-
-    overrides: Dict[str, Any] = {
-        k: v for k, v in flat.items() if v is not None
-    }
-    if policy is not None:
-        if not isinstance(policy, AdmissionPolicy):
-            raise ServeError(
-                f"policy must be an AdmissionPolicy, "
-                f"got {type(policy).__name__}"
-            )
-        overrides.update(
-            max_point=policy.max_point,
-            max_row=policy.max_row,
-            max_topk=policy.max_topk,
-        )
-    if cost is not None:
-        if not isinstance(cost, ServeCostModel):
-            raise ServeError(
-                f"cost must be a ServeCostModel, got {type(cost).__name__}"
-            )
-        overrides.update(dataclasses.asdict(cost))
-    return resolve_serve_config(
-        serve_config, caller=caller, overrides=overrides
-    )
-
-
 def replay_virtual(
     requests: Sequence[Request],
     *,
@@ -282,7 +238,6 @@ def replay_virtual(
     short_circuits: Optional[Sequence[int]] = None,
     telemetry: Optional[TelemetryCollector] = None,
     codec: str = "raw",
-    serve_config=None,
     router=None,
     node_budget: Optional[int] = None,
     servers_per_node: Optional[int] = None,
@@ -314,18 +269,35 @@ def replay_virtual(
     """
     if n < 1 or shard_rows < 1:
         raise ServeError("replay needs n >= 1 and shard_rows >= 1")
-    cfg = _resolve_replay_config(
-        "replay_virtual",
-        serve_config,
-        policy=policy,
-        cost=cost,
-        cache_shards=cache_shards,
-        num_servers=num_servers,
-        batch_window=batch_window,
-        batch_max=batch_max,
-        node_budget=node_budget,
-        servers_per_node=servers_per_node,
-    )
+    from ..config import ServeConfig
+
+    knobs: Dict[str, Any] = {
+        k: v
+        for k, v in (
+            ("cache_shards", cache_shards),
+            ("num_servers", num_servers),
+            ("batch_window", batch_window),
+            ("batch_max", batch_max),
+            ("node_budget", node_budget),
+            ("servers_per_node", servers_per_node),
+        )
+        if v is not None
+    }
+    if policy is not None:
+        if not isinstance(policy, AdmissionPolicy):
+            raise ServeError(
+                f"policy must be an AdmissionPolicy, "
+                f"got {type(policy).__name__}"
+            )
+        knobs.update(dataclasses.asdict(policy))
+    if cost is not None:
+        if not isinstance(cost, ServeCostModel):
+            raise ServeError(
+                f"cost must be a ServeCostModel, got {type(cost).__name__}"
+            )
+        knobs.update(dataclasses.asdict(cost))
+    # the ServeConfig groups hold the defaults and validate every knob
+    cfg = ServeConfig.from_kwargs(**knobs)
     policy = cfg.admission.to_policy()
     cost = cfg.cost.to_model()
     cache_shards = cfg.engine.cache_shards
@@ -683,11 +655,9 @@ def _replay_routed(
 
 def replay_threaded(
     requests: Sequence[Request],
-    frontend: Optional[ServeFrontend] = None,
+    frontend: ServeFrontend,
     *,
     num_threads: int = 4,
-    store=None,
-    serve_config=None,
 ) -> "Tuple[ReplayResult, List[object]]":
     """Push the trace through the real front end on a thread pool.
 
@@ -708,41 +678,6 @@ def replay_threaded(
 
     if num_threads < 1:
         raise ServeError(f"num_threads must be >= 1, got {num_threads!r}")
-    if frontend is None:
-        # construction path: build the whole stack from one ServeConfig
-        # (RoutedEngine when the config asks for more than one node)
-        if store is None:
-            raise ServeError(
-                "replay_threaded needs a frontend= or a store= "
-                "(plus optional serve_config=) to build one from"
-            )
-        cfg = _resolve_replay_config(
-            "replay_threaded", serve_config, policy=None, cost=None
-        )
-        if cfg.routing.num_nodes > 1:
-            from .router import RoutedEngine, ShardRouter
-
-            engine = RoutedEngine(
-                store,
-                ShardRouter(
-                    cfg.routing.num_nodes,
-                    replication=cfg.routing.replication,
-                    vnodes=cfg.routing.vnodes,
-                    hash_seed=cfg.routing.hash_seed,
-                ),
-                cache_shards=cfg.engine.cache_shards,
-                verify_loads=cfg.engine.verify_loads,
-                epsilon=cfg.store.epsilon,
-                node_budget=cfg.routing.node_budget,
-            )
-        else:
-            engine = QueryEngine(
-                store,
-                cache_shards=cfg.engine.cache_shards,
-                verify_loads=cfg.engine.verify_loads,
-                epsilon=cfg.store.epsilon,
-            )
-        frontend = ServeFrontend(engine, policy=cfg.admission.to_policy())
     result = ReplayResult()
 
     def serve(req: Request):

@@ -37,7 +37,6 @@ the repair itself fails loudly.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -49,7 +48,7 @@ from typing import Any, Dict, List
 
 import numpy as np
 
-from ..exceptions import ConfigError, StoreCorruptionError, StoreError
+from ..exceptions import StoreCorruptionError, StoreError
 from ..obs import metrics as _obs
 from . import telemetry as _tel
 from .codecs import get_codec
@@ -315,7 +314,7 @@ class DistStore:
                 f"repair graph has {graph.num_vertices} vertices, store "
                 f"was built for n={self.n}"
             )
-        cfg = SolverConfig.from_dict(self.manifest["config"])
+        options = SolverConfig.from_dict(self.manifest["config"]).to_kwargs()
         with _obs.span("serve.store.repair"):
             for index in [b for b in bad if b != "landmarks"]:
                 start, rows = self.shard_span(index)
@@ -325,7 +324,7 @@ class DistStore:
                     shard_rows=self.shard_rows,
                     start_row=start,
                     stop_row=start + rows,
-                    config=cfg,
+                    **options,
                 )
                 _, block = next(gen)
                 gen.close()
@@ -340,7 +339,7 @@ class DistStore:
                     )
                 (self.path / entry["file"]).write_bytes(payload)
             if "landmarks" in bad:
-                _write_landmarks(self, graph, cfg)
+                _write_landmarks(self, graph, options)
         _obs.counter_add("serve.store.shards_repaired", len(bad))
         self.verify()
         return bad
@@ -359,8 +358,9 @@ def _degree_order(graph, degree_kind: str) -> np.ndarray:
     return np.argsort(-degrees, kind="stable")
 
 
-def _write_landmarks(store: DistStore, graph, cfg) -> None:
-    """(Re)build the pinned landmark rows from the graph."""
+def _write_landmarks(store: DistStore, graph, options) -> None:
+    """(Re)build the pinned landmark rows from the graph; ``options``
+    are the solver keywords the store was built with."""
     from ..core.runner import solve_apsp_shards
 
     ids = store.manifest["landmarks"]["ids"]
@@ -375,7 +375,7 @@ def _write_landmarks(store: DistStore, graph, cfg) -> None:
             shard_rows=store.shard_rows,
             start_row=start,
             stop_row=stop,
-            config=cfg,
+            **options,
         )
         _, block = next(gen)
         gen.close()
@@ -399,68 +399,41 @@ def solve_to_store(
     num_landmarks=None,
     codec=None,
     epsilon=None,
-    store_config=None,
-    serve_config=None,
-    config=None,
-    **kwargs,
+    **options,
 ) -> DistStore:
     """Solve APSP and stream the result into a new store directory.
 
     Thin pipeline over :func:`repro.core.runner.solve_apsp_shards`:
     each yielded shard is codec-encoded, checksummed and written before
     the next is solved, so the n×n matrix never exists in memory.
+    ``options`` are :func:`repro.solve_apsp`'s flat keywords;
     ``use_flags`` is forced off for byte-determinism (see the module
-    docstring); everything else of the solver config is honoured and
-    recorded in the manifest, making the store reproducible from the
-    manifest alone.
+    docstring), everything else is honoured and recorded in the
+    manifest, making the store reproducible from the manifest alone.
 
-    Store-side knobs (``shard_rows``, ``num_landmarks``, ``codec``,
-    ``epsilon``) can come either flat or bundled in a validated
-    :class:`repro.config.StoreConfig` via ``store_config=``; flat
-    kwargs override the bundle.  ``num_landmarks`` top-degree rows are
-    pinned into ``landmarks.bin`` (always raw f8) for the serving
-    layer's ALT bounds and degraded mode.
+    The store-side knobs (``shard_rows``, ``num_landmarks``, ``codec``,
+    ``epsilon``) are the fields of :class:`repro.config.StoreConfig`,
+    which holds their defaults and validates them; a saved config
+    builds as ``solve_to_store(graph, path, **cfg.to_dict())``.
+    ``num_landmarks`` top-degree rows are pinned into ``landmarks.bin``
+    (always raw f8) for the serving layer's ALT bounds and degraded
+    mode.
     """
-    from ..config import StoreConfig
+    from ..config import SolverConfig, StoreConfig
 
-    overrides = {
-        name: value
-        for name, value in (
-            ("shard_rows", shard_rows),
-            ("num_landmarks", num_landmarks),
-            ("codec", codec),
-            ("epsilon", epsilon),
-        )
-        if value is not None
-    }
-    if serve_config is not None:
-        # unified ServeConfig path: the store group is the bundle; flat
-        # kwargs still win (DeprecationWarning on genuine conflict)
-        from ..config import resolve_serve_config
-
-        if store_config is not None:
-            raise ConfigError(
-                "pass either store_config= or serve_config=, not both",
-                field="serve_config",
+    store_cfg = StoreConfig(
+        **{
+            name: value
+            for name, value in (
+                ("shard_rows", shard_rows),
+                ("num_landmarks", num_landmarks),
+                ("codec", codec),
+                ("epsilon", epsilon),
             )
-        resolved = resolve_serve_config(
-            serve_config, caller="solve_to_store", overrides=overrides
-        )
-        store_cfg = resolved.store
-        overrides = {}
-    elif store_config is None:
-        store_cfg = StoreConfig()
-    elif isinstance(store_config, StoreConfig):
-        store_cfg = store_config
-    else:
-        raise ConfigError(
-            f"store_config must be a StoreConfig, "
-            f"got {type(store_config).__name__}",
-            field="store_config",
-        )
-    if overrides:
-        # dataclasses.replace re-runs StoreConfig validation
-        store_cfg = dataclasses.replace(store_cfg, **overrides)
+            if value is not None
+        }
+    )
+    cfg = SolverConfig.from_kwargs(**options).with_overrides(use_flags=False)
 
     path = Path(path)
     if path.exists() and any(path.iterdir()):
@@ -473,13 +446,7 @@ def solve_to_store(
         tempfile.mkdtemp(prefix=f".{path.name}.build-", dir=path.parent)
     )
     try:
-        manifest = _build_store_files(
-            graph,
-            build_dir,
-            store_cfg=store_cfg,
-            config=config,
-            kwargs=kwargs,
-        )
+        manifest = _build_store_files(graph, build_dir, store_cfg, cfg)
         if path.exists():
             path.rmdir()  # known empty from the check above
         os.replace(build_dir, path)
@@ -490,24 +457,14 @@ def solve_to_store(
     return DistStore(path, manifest)
 
 
-def _build_store_files(graph, path, *, store_cfg, config, kwargs):
+def _build_store_files(graph, path, store_cfg, cfg):
     """Solve + encode + write every store file into ``path``.
 
     Returns the manifest dict (also written to ``path``).  Factored out
     of :func:`solve_to_store` so the caller owns directory lifecycle
     (temp-sibling build, atomic rename).
     """
-    from ..config import SolverConfig
     from ..core.runner import solve_apsp_shards
-
-    if config is None:
-        cfg = SolverConfig.from_kwargs(**kwargs)
-    elif kwargs:
-        cfg = config.with_overrides(**kwargs)
-    else:
-        cfg = config
-    if cfg.algorithm.use_flags:
-        cfg = cfg.with_overrides(use_flags=False)
 
     n = graph.num_vertices
     shard_rows = store_cfg.shard_rows
@@ -529,7 +486,7 @@ def _build_store_files(graph, path, *, store_cfg, config, kwargs):
     max_abs_error = 0.0
     with _obs.span("serve.store.build"):
         for start, rows in solve_apsp_shards(
-            graph, shard_rows=shard_rows, config=cfg
+            graph, shard_rows=shard_rows, **cfg.to_kwargs()
         ):
             k = rows.shape[0]
             for v in range(start, start + k):

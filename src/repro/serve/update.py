@@ -503,9 +503,9 @@ def apply_edge_updates(
         # a pre-existing bad shard would be copied forward as "clean"
         store.verify()
 
-    cfg = SolverConfig.from_dict(store.manifest["config"])
-    if cfg.algorithm.use_flags:
-        cfg = cfg.with_overrides(use_flags=False)
+    cfg = SolverConfig.from_dict(store.manifest["config"]).with_overrides(
+        use_flags=False
+    )
     n = store.n
     shard_rows = store.shard_rows
     new_gen = store.generation + 1
@@ -586,7 +586,7 @@ def apply_edge_updates(
             shard_rows=shard_rows,
             start_row=start,
             stop_row=start + rows,
-            config=cfg,
+            **cfg.to_kwargs(),
         )
         _, block = next(gen)
         gen.close()

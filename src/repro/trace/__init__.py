@@ -10,7 +10,7 @@ Typical use::
     from repro.core.runner import solve_apsp
     from repro.trace import trace_from_apsp_result, analyze_trace, write_chrome
 
-    result = solve_apsp(graph, backend="sim", threads=8, trace=True)
+    result = solve_apsp(graph, backend="sim", num_threads=8, trace=True)
     trace = trace_from_apsp_result(result)
     write_chrome("trace.json", trace)       # open in ui.perfetto.dev
     print(analyze_trace(trace).format())    # where did the makespan go?

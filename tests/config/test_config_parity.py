@@ -1,20 +1,36 @@
-"""Config-vs-kwargs parity: one dispatch path, bitwise-identical results.
+"""Saved-config parity: a run rebuilt from its JSON file is the same run.
 
-The redesign's contract is that ``solve_apsp(g, config=c)`` and the
-equivalent flat-kwargs call are the *same* run — not merely numerically
-close: identical ``dist`` bytes and identical ``OpCounts`` — across
-backends and schedules.
+A :class:`SolverConfig` is the file format of a run.  Its contract is
+that saving a flat-kwargs call as JSON, loading it back and calling
+``solve_apsp(g, **cfg.to_kwargs())`` repeats the run exactly — not
+merely numerically close: identical ``dist`` bytes, identical
+``OpCounts`` and (on SIM) identical virtual time — across backends and
+schedules.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SolverConfig
 from repro.core.runner import solve_apsp
+
+
+def _rebuilt(kwargs):
+    """The flat kwargs of ``kwargs`` after a round trip through JSON."""
+    text = SolverConfig.from_kwargs(**kwargs).to_json()
+    return SolverConfig.from_json(text).to_kwargs()
+
+
+def _assert_same_run(a, b):
+    assert a.dist.tobytes() == b.dist.tobytes()
+    assert a.ops == b.ops
+    assert a.algorithm == b.algorithm
+    if a.backend == "sim":
+        # virtual time is part of the result on SIM; it must agree too
+        assert a.total_time == b.total_time
 
 COMBOS = [
     pytest.param(kwargs, id=label)
@@ -52,16 +68,10 @@ COMBOS = [
 
 @pytest.mark.parametrize("kwargs", COMBOS)
 def test_config_equals_kwargs_bitwise(small_weighted, kwargs):
-    via_kwargs = solve_apsp(small_weighted, **kwargs)
-    via_config = solve_apsp(
-        small_weighted, config=SolverConfig.from_kwargs(**kwargs)
+    _assert_same_run(
+        solve_apsp(small_weighted, **kwargs),
+        solve_apsp(small_weighted, **_rebuilt(kwargs)),
     )
-    assert np.array_equal(via_kwargs.dist, via_config.dist)
-    assert via_kwargs.ops == via_config.ops
-    assert via_kwargs.algorithm == via_config.algorithm
-    if kwargs.get("backend") == "sim":
-        # virtual time is part of the result on SIM; it must agree too
-        assert via_kwargs.total_time == via_config.total_time
 
 
 @st.composite
@@ -91,9 +101,7 @@ def deterministic_kwargs(draw):
 @settings(max_examples=12, deadline=None)
 @given(deterministic_kwargs())
 def test_parity_property(toy_graph, kwargs):
-    via_kwargs = solve_apsp(toy_graph, **kwargs)
-    via_config = solve_apsp(
-        toy_graph, config=SolverConfig.from_kwargs(**kwargs)
+    _assert_same_run(
+        solve_apsp(toy_graph, **kwargs),
+        solve_apsp(toy_graph, **_rebuilt(kwargs)),
     )
-    assert np.array_equal(via_kwargs.dist, via_config.dist)
-    assert via_kwargs.ops == via_config.ops

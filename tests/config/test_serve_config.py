@@ -1,9 +1,8 @@
-"""ServeConfig: round-trip property, validation, shim semantics."""
+"""ServeConfig: round-trip property, validation, flat-keyword conversion."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,6 @@ from repro.config import (
     TelemetryConfig,
     UpdateConfig,
     load_serve_config,
-    resolve_serve_config,
 )
 from repro.exceptions import ConfigError
 from repro.serve.codecs import codec_names
@@ -163,48 +161,22 @@ class TestValidation:
 
 
 class TestShim:
-    """resolve_serve_config is the one dispatch path all entry points
-    share: ServeConfig | mapping | None, flat kwargs win on conflict."""
+    """Flat serving keywords <-> ServeConfig: the conversions the file
+    boundary (CLI ``--config``) relies on."""
 
     def test_none_plus_kwargs_builds_from_kwargs(self):
-        cfg = resolve_serve_config(
-            None, caller="t", overrides={"shard_rows": 32}
-        )
+        # no file: the defaults with the given flags on top
+        cfg = ServeConfig().with_overrides(shard_rows=32)
         assert cfg == ServeConfig.from_kwargs(shard_rows=32)
 
     def test_mapping_accepted(self):
-        cfg = resolve_serve_config(
-            {"store": {"codec": "u16q"}}, caller="t"
-        )
+        cfg = ServeConfig.from_dict({"store": {"codec": "u16q"}})
         assert cfg.store.codec == "u16q"
-
-    def test_config_only_no_warning(self):
-        cfg = ServeConfig.from_kwargs(cache_shards=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = resolve_serve_config(cfg, caller="t")
-        assert out is cfg
-
-    def test_agreeing_kwargs_no_warning(self):
-        cfg = ServeConfig.from_kwargs(cache_shards=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            out = resolve_serve_config(
-                cfg, caller="t", overrides={"cache_shards": 8}
-            )
-        assert out == cfg
-
-    def test_conflicting_kwargs_warn_and_kwargs_win(self):
-        cfg = ServeConfig.from_kwargs(cache_shards=8)
-        with pytest.warns(DeprecationWarning, match="cache_shards"):
-            out = resolve_serve_config(
-                cfg, caller="t", overrides={"cache_shards": 2}
-            )
-        assert out.engine.cache_shards == 2
+        assert ServeConfig(store={"codec": "u16q"}) == cfg
 
     def test_bad_type_is_config_error(self):
         with pytest.raises(ConfigError) as exc_info:
-            resolve_serve_config(42, caller="t")
+            ServeConfig.from_dict(42)
         assert exc_info.value.field == "serve_config"
 
     def test_with_overrides(self):
@@ -215,10 +187,15 @@ class TestShim:
         # original untouched (frozen)
         assert cfg.routing.num_nodes == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(serve_configs())
+    def test_kwargs_round_trip_is_identity(self, cfg):
+        assert ServeConfig.from_kwargs(**cfg.to_kwargs()) == cfg
+
 
 class TestEntryPointParity:
-    """The same ServeConfig produces the same behavior as the legacy
-    flat kwargs at every serving entry point."""
+    """A ServeConfig handed to the serving entry points as flat keywords
+    behaves exactly like the same keywords spelled out."""
 
     @pytest.fixture(scope="class")
     def store(self, tmp_path_factory, small_weighted):
@@ -228,7 +205,7 @@ class TestEntryPointParity:
         return solve_to_store(
             small_weighted,
             tmp_path_factory.mktemp("cfgstore") / "s",
-            serve_config=cfg,
+            **cfg.store.to_dict(),
         )
 
     def test_store_build_matches_flat_kwargs(
@@ -244,12 +221,18 @@ class TestEntryPointParity:
         for i in range(store.num_shards):
             assert flat.load_shard(i).tobytes() == \
                 store.load_shard(i).tobytes()
+        assert flat.manifest == store.manifest
 
     def test_engine_honours_config(self, store):
         from repro.serve import QueryEngine
 
         cfg = ServeConfig.from_kwargs(cache_shards=2)
-        engine = QueryEngine(store, serve_config=cfg)
+        engine = QueryEngine(
+            store,
+            cache_shards=cfg.engine.cache_shards,
+            verify_loads=cfg.engine.verify_loads,
+            epsilon=cfg.store.epsilon,
+        )
         assert engine.cache_shards == 2
         flat = QueryEngine(store, cache_shards=2)
         assert engine.dist(0, 7) == flat.dist(0, 7)
@@ -258,18 +241,38 @@ class TestEntryPointParity:
         from repro.serve import QueryEngine, ServeFrontend
 
         cfg = ServeConfig.from_kwargs(max_point=3)
-        fe = ServeFrontend(QueryEngine(store), serve_config=cfg)
+        fe = ServeFrontend(
+            QueryEngine(store), policy=cfg.admission.to_policy()
+        )
         assert fe.policy.max_point == 3
 
-    def test_store_conflict_with_store_config_rejected(
-        self, tmp_path, small_weighted
+    def test_config_objects_are_not_a_call_form(
+        self, store, tmp_path, small_weighted
     ):
-        from repro.config import StoreConfig as SC
-        from repro.serve import solve_to_store
+        from repro.serve import (
+            QueryEngine,
+            ServeFrontend,
+            replay_threaded,
+            replay_virtual,
+            solve_to_store,
+        )
 
-        with pytest.raises(ConfigError) as exc_info:
-            solve_to_store(
-                small_weighted, tmp_path / "x",
-                store_config=SC(), serve_config=ServeConfig(),
-            )
-        assert exc_info.value.field == "serve_config"
+        cfg = ServeConfig()
+        # solve_to_store forwards unknown keywords to the solver, which
+        # names them; the others reject them at the signature
+        for name in ("serve_config", "store_config", "config"):
+            with pytest.raises(ConfigError) as exc_info:
+                solve_to_store(small_weighted, tmp_path / name,
+                               **{name: cfg})
+            assert exc_info.value.field == name
+        engine = QueryEngine(store)
+        for call in (
+            lambda: QueryEngine(store, serve_config=cfg),
+            lambda: ServeFrontend(engine, serve_config=cfg),
+            lambda: replay_virtual([], n=4, shard_rows=2, serve_config=cfg),
+            lambda: replay_threaded([], ServeFrontend(engine),
+                                    serve_config=cfg),
+            lambda: replay_threaded([], store=store),
+        ):
+            with pytest.raises(TypeError):
+                call()

@@ -1,9 +1,8 @@
-"""SolverConfig: round-trip property, validation, shim semantics."""
+"""SolverConfig: round-trip property, validation, flat-keyword conversion."""
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +91,11 @@ class TestRoundTrip:
     @given(solver_configs())
     def test_dict_round_trip_is_identity(self, cfg):
         assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(solver_configs())
+    def test_kwargs_round_trip_is_identity(self, cfg):
+        assert SolverConfig.from_kwargs(**cfg.to_kwargs()) == cfg
 
     @settings(max_examples=50, deadline=None)
     @given(solver_configs())
@@ -194,34 +198,12 @@ class TestValidation:
 
 
 class TestShim:
-    def test_config_only_no_warning(self, small_weighted):
-        cfg = SolverConfig.from_kwargs(use_flags=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            solve_apsp(small_weighted, config=cfg)
-
-    def test_agreeing_kwargs_no_warning(self, small_weighted):
-        cfg = SolverConfig.from_kwargs(use_flags=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            # explicit kwarg equals what the config already says
-            solve_apsp(small_weighted, config=cfg, use_flags=False)
-
-    def test_conflicting_kwargs_warn_and_kwargs_win(self, small_weighted):
-        # the shim detects explicit kwargs as "differs from the legacy
-        # default", so the conflict must come from a non-default kwarg
-        cfg = SolverConfig()  # queue="fifo"
-        with pytest.warns(DeprecationWarning, match="queue"):
-            result = solve_apsp(small_weighted, config=cfg, queue="heap")
-        # the explicit kwarg won: ops match a pure heap run
-        ref = solve_apsp(small_weighted, queue="heap")
-        assert result.ops == ref.ops
+    """Flat keywords <-> SolverConfig: the conversions the file boundary
+    (CLI ``--config``, store manifests) relies on."""
 
     def test_config_accepts_plain_mapping(self, small_weighted):
-        result = solve_apsp(
-            small_weighted,
-            config={"algorithm": {"use_flags": False}},
-        )
+        cfg = SolverConfig.from_dict({"algorithm": {"use_flags": False}})
+        result = solve_apsp(small_weighted, **cfg.to_kwargs())
         ref = solve_apsp(small_weighted, use_flags=False)
         import numpy as np
 
@@ -230,6 +212,9 @@ class TestShim:
     def test_unknown_kwarg_is_config_error(self, small_weighted):
         with pytest.raises(ConfigError, match="wibble"):
             SolverConfig.from_kwargs(wibble=1)
+        with pytest.raises(ConfigError) as exc_info:
+            solve_apsp(small_weighted, wibble=1)
+        assert exc_info.value.field == "wibble"
 
     def test_with_overrides(self):
         cfg = SolverConfig()
@@ -238,3 +223,22 @@ class TestShim:
         assert bumped.parallel.backend == "sim"
         # original untouched (frozen)
         assert cfg.parallel.num_threads == 1
+
+    def test_config_objects_are_not_a_call_form(self, small_weighted):
+        from repro.core.runner import solve_apsp_shards
+        from repro.dist import CLUSTER_FAST, solve_apsp_cluster
+
+        cfg = SolverConfig()
+        calls = {
+            "solve_apsp": lambda: solve_apsp(small_weighted, config=cfg),
+            "solve_apsp_shards": lambda: next(
+                solve_apsp_shards(small_weighted, shard_rows=8, config=cfg)
+            ),
+            "solve_apsp_cluster": lambda: solve_apsp_cluster(
+                small_weighted, CLUSTER_FAST, config=cfg
+            ),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConfigError) as exc_info:
+                call()
+            assert exc_info.value.field == "config", name

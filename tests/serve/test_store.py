@@ -246,16 +246,15 @@ class TestCodecStores:
         from repro.config import StoreConfig
 
         cfg = StoreConfig(codec="u16q", shard_rows=32, num_landmarks=2)
-        store = solve_to_store(
-            small_weighted, tmp_path / "cfg", store_config=cfg
-        )
+        store = solve_to_store(small_weighted, tmp_path / "cfg",
+                               **cfg.to_dict())
         assert store.codec_name == "u16q"
         assert store.shard_rows == 32
         assert len(store.landmark_ids) == 2
-        # flat kwargs override the config object and re-validate
+        # the store keywords are exactly the StoreConfig fields
         override = solve_to_store(
-            small_weighted, tmp_path / "cfg2", store_config=cfg,
-            codec="raw",
+            small_weighted, tmp_path / "cfg2",
+            **{**cfg.to_dict(), "codec": "raw"},
         )
         assert override.codec_name == "raw"
 

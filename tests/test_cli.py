@@ -361,3 +361,83 @@ class TestCommands:
         assert main(
             ["monitor", str(tmp_path / "events.jsonl"), "--check"]
         ) == 0
+
+
+class TestConfigFiles:
+    """``--config`` file + flags: every given flag wins, and the summary
+    and ``--save-config`` report the resolved run."""
+
+    @staticmethod
+    def _save(tmp_path, name, argv):
+        path = tmp_path / name
+        assert main(argv + ["--save-config", str(path)]) == 0
+        return path
+
+    def test_solve_flag_equal_to_default_overrides_config(
+        self, tmp_path, capsys
+    ):
+        sim = self._save(tmp_path, "sim.json", [
+            "solve", "--rmat", "5", "--backend", "sim", "--threads", "4",
+        ])
+        out = self._save(tmp_path, "out.json", [
+            "solve", "--rmat", "5", "--config", str(sim),
+            "--backend", "serial", "--threads", "1",
+        ])
+        saved = json.loads(out.read_text())
+        assert saved["parallel"]["backend"] == "serial"
+        assert saved["parallel"]["num_threads"] == 1
+        assert "(serial, 1 threads" in capsys.readouterr().out
+
+    def test_store_flag_equal_to_default_overrides_config(
+        self, tmp_path, capsys
+    ):
+        f4 = self._save(tmp_path, "f4.json", [
+            "store", "--rmat", "5", "--out", str(tmp_path / "a"),
+            "--codec", "f4",
+        ])
+        out = self._save(tmp_path, "out.json", [
+            "store", "--rmat", "5", "--out", str(tmp_path / "b"),
+            "--config", str(f4), "--codec", "raw",
+        ])
+        assert json.loads(out.read_text())["store"]["codec"] == "raw"
+        assert "codec     : raw" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "store"])
+    def test_saved_config_is_a_fixed_point(self, tmp_path, command):
+        argv = [command, "--rmat", "5"]
+        if command == "store":
+            first_argv = argv + ["--out", str(tmp_path / "a"),
+                                 "--codec", "u16q", "--epsilon", "0.5"]
+            again_argv = argv + ["--out", str(tmp_path / "b")]
+        else:
+            first_argv = argv + ["--schedule", "block", "--block-size",
+                                 "4", "--timeout", "30"]
+            again_argv = argv
+        first = self._save(tmp_path, "first.json", first_argv)
+        again = self._save(tmp_path, "again.json",
+                           again_argv + ["--config", str(first)])
+        assert again.read_bytes() == first.read_bytes()
+
+    def test_solve_summary_reports_the_resolved_run(
+        self, tmp_path, capsys
+    ):
+        from repro.config import SolverConfig
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(SolverConfig.from_kwargs(
+            backend="sim", num_threads=2,
+        ).to_json())
+        assert main(["solve", "--rmat", "5", "--config", str(cfg)]) == 0
+        assert "work units" in capsys.readouterr().out
+
+        cfg.write_text(SolverConfig.from_kwargs(
+            block_size=8, kernel="blocked", on_worker_death="raise",
+        ).to_json())
+        assert main([
+            "solve", "--rmat", "5", "--config", str(cfg),
+            "--fault-plan", "stall:worker=0,for=0.01",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "(kernel=blocked)" in out
+        assert "policy=raise" in out
+        assert "work units" not in out
