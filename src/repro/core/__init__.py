@@ -9,7 +9,7 @@ from .batch import (
 )
 from .calibrate import CalibrationSample, fit_cost_model, measure_sweeps
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
-from .dijkstra import dijkstra_sssp
+from .dijkstra import dijkstra_rows, dijkstra_sssp
 from .kernels import (
     KERNELS,
     BlockedKernel,
@@ -64,6 +64,7 @@ __all__ = [
     "measure_sweeps",
     "DEFAULT_COST_MODEL",
     "DijkstraCostModel",
+    "dijkstra_rows",
     "dijkstra_sssp",
     "KERNELS",
     "BlockKernel",

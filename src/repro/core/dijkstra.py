@@ -1,8 +1,17 @@
-"""Classic (unmodified) Dijkstra SSSP — the reuse-free reference.
+"""Classic (unmodified) Dijkstra — the reuse-free reference and kernel.
 
-Used by the repeated-Dijkstra baseline and by ablations that measure
-how much the flag shortcut saves.  Binary heap with lazy deletion;
-O((n + m) log n).
+:func:`dijkstra_sssp` is the pure-Python reference, used by the
+repeated-Dijkstra baseline and by ablations that measure how much the
+flag shortcut saves.  Binary heap with lazy deletion; O((n + m) log n).
+
+:func:`dijkstra_rows` is the compiled kernel behind every flagless
+exact-row path (store builds, repair, update re-solves):
+``scipy.sparse.csgraph.dijkstra`` over many sources in one call.  With
+non-negative weights every Dijkstra variant converges to the same float
+fixpoint, the minimum over paths of the left-to-right float sum
+(``fl(a + w)`` is monotone in ``a`` and never below it), so its rows are
+bitwise-identical to the per-vertex sweeps'.  scipy is imported on
+first use, so importing :mod:`repro` needs numpy only.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from ..exceptions import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..types import INF, OpCounts
 
-__all__ = ["dijkstra_sssp"]
+__all__ = ["dijkstra_sssp", "dijkstra_rows"]
 
 
 def dijkstra_sssp(
@@ -56,3 +65,22 @@ def dijkstra_sssp(
                 counts.edge_improvements += 1
                 heapq.heappush(heap, (nd, int(v)))
     return dist, counts
+
+
+def dijkstra_rows(graph, sources) -> np.ndarray:
+    """Shortest-distance rows ``(len(sources), n)``, one per source.
+
+    ``graph`` is a :class:`CSRGraph` (zero weights allowed, negative
+    ones not) or the matrix :func:`repro.graphs.build.to_scipy_csr`
+    made of one; pass the matrix to reuse it across calls.  scipy holds
+    the interpreter lock for the whole call, so callers that share the
+    process with readers keep ``sources`` to one shard's worth.
+    """
+    from scipy.sparse.csgraph import dijkstra
+
+    from ..graphs.build import to_scipy_csr
+
+    csr = to_scipy_csr(graph) if isinstance(graph, CSRGraph) else graph
+    return dijkstra(
+        csr, directed=True, indices=np.asarray(sources, dtype=np.int64)
+    )

@@ -21,7 +21,7 @@ implementations sit behind one interface:
             cross-check the vectorised paths and as a fallback)
 ``blocked`` pure-numpy 2-D kernels — the default
 ``scipy``   like ``blocked`` but gathers CSR segments through
-            ``scipy.sparse`` row slicing (skipped when scipy is absent)
+            ``scipy.sparse`` row slicing
 =========== ===========================================================
 
 Every implementation is *bitwise-identical* in its effect on the
@@ -286,14 +286,14 @@ class ScipyBlockKernel(BlockedKernel):
 
     Row slicing a scipy CSR matrix concatenates the per-row index and
     data arrays in C, which replaces the repeat/cumsum position
-    arithmetic of the numpy implementation.  Only registered when
-    scipy is importable (the container may not ship it).
+    arithmetic of the numpy implementation.  scipy is imported on
+    instantiation, so importing this module needs numpy only.
     """
 
     name = "scipy"
 
     def __init__(self) -> None:
-        from scipy import sparse  # noqa: F401 — availability probe
+        from scipy import sparse
 
         self._sparse = sparse
         self._cache_key: Optional[int] = None
@@ -316,22 +316,11 @@ class ScipyBlockKernel(BlockedKernel):
         return sub.indices.astype(np.int64), sub.data, lens
 
 
-def _available_kernels() -> Dict[str, Type[BlockKernel]]:
-    kernels: Dict[str, Type[BlockKernel]] = {
-        RowBlockKernel.name: RowBlockKernel,
-        BlockedKernel.name: BlockedKernel,
-    }
-    try:
-        import scipy.sparse  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is usually present
-        pass
-    else:
-        kernels[ScipyBlockKernel.name] = ScipyBlockKernel
-    return kernels
-
-
-#: registry of available blocked-kernel implementations
-KERNELS: Dict[str, Type[BlockKernel]] = _available_kernels()
+#: registry of the blocked-kernel implementations
+KERNELS: Dict[str, Type[BlockKernel]] = {
+    kernel.name: kernel
+    for kernel in (RowBlockKernel, BlockedKernel, ScipyBlockKernel)
+}
 
 
 def kernel_names() -> Tuple[str, ...]:

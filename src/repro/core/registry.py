@@ -41,12 +41,14 @@ __all__ = [
 class ShardHooks:
     """How one solver participates in the shard-streaming solve.
 
-    ``graph`` is the graph the per-row sweeps actually run on (Johnson
+    ``graph`` is the graph the rows are actually solved on (Johnson
     substitutes its reweighted graph); ``sweep_row(graph, source,
     state, cfg)`` fills ``state.dist[source]`` with that source's
     distance row and returns the sweep's :class:`~repro.types.OpCounts`
     (the cluster simulation prices each source with them; plain
-    streaming callers may ignore the return value); the optional
+    streaming callers may ignore the return value).  Flagless shard
+    solves do not call it: they fill whole shards of ``graph`` with
+    the compiled kernel instead.  The optional
     ``finalize(start, block)`` post-processes a completed ``(k, n)``
     block in place before it is yielded (Johnson un-reweights there).
     """

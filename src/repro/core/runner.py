@@ -36,7 +36,7 @@ from ..graphs.degree import degree_array
 from ..obs import metrics as _obs
 from ..order import compute_order, simulate_order
 from ..simx.machine import default_machine
-from ..types import Backend, PhaseTimes, Schedule
+from ..types import INF, Backend, PhaseTimes, Schedule
 from .registry import (
     ShardHooks,
     SolverSpec,
@@ -420,7 +420,11 @@ def solve_apsp_shards(
     depends on ``shard_rows``.  With ``use_flags=False`` every source
     is an independent Dijkstra and the output is bitwise identical to
     the in-memory solve regardless of shard size — which is why
-    :func:`repro.serve.solve_to_store` builds stores that way.
+    :func:`repro.serve.solve_to_store` builds stores that way.  Such
+    shards skip the ordering and the per-vertex sweep altogether: each
+    is one call of the compiled kernel
+    :func:`~repro.core.dijkstra.dijkstra_rows`, counted as
+    ``sweep.native_rows``.
 
     Only the serial backend is meaningful here — the buffer is the
     memory bound, and handing it to several workers would break it.
@@ -433,7 +437,6 @@ def solve_apsp_shards(
     """
     from ..config import SolverConfig
     from ..exceptions import ConfigError
-    from ..types import INF
 
     if not isinstance(shard_rows, int) or isinstance(shard_rows, bool) \
             or shard_rows < 1:
@@ -475,6 +478,50 @@ def solve_apsp_shards(
     # on (Johnson substitutes its reweighted graph), how one source's
     # row is filled, and any per-block post-processing
     hooks = spec.shard_hooks(graph, cfg)
+    fill = (
+        _flagged_shard_filler(graph, spec, hooks, cfg)
+        if cfg.algorithm.use_flags
+        else _native_shard_filler(hooks)
+    )
+    n = graph.num_vertices
+    shard_rows = min(shard_rows, max(1, n))
+    buffer = np.empty((shard_rows, n), dtype=np.float64)
+    for start in range(start_row, stop_row, shard_rows):
+        k = min(shard_rows, stop_row - start, n - start)
+        block = buffer[:k]
+        with _obs.span("apsp.shard"):
+            fill(start, block)
+        if hooks.finalize is not None:
+            hooks.finalize(start, block)
+        _obs.counter_add("serve.store.shards_solved", 1)
+        yield start, block
+
+
+def _native_shard_filler(hooks: ShardHooks):
+    """Flagless shards: one compiled-kernel call per shard.
+
+    Every row is an independent Dijkstra, so neither the ordering nor
+    the per-source sweep matters; the kernel's rows are bitwise those
+    of the sweep (see :mod:`repro.core.dijkstra`).  One call per shard,
+    never the whole matrix, keeps the interpreter lock free between
+    shards for readers sharing the process.
+    """
+    from ..graphs.build import to_scipy_csr
+    from .dijkstra import dijkstra_rows
+
+    csr = to_scipy_csr(hooks.graph)
+
+    def fill(start: int, block: np.ndarray) -> None:
+        k = block.shape[0]
+        block[...] = dijkstra_rows(csr, np.arange(start, start + k))
+        _obs.counter_add("sweep.native_rows", k)
+
+    return fill
+
+
+def _flagged_shard_filler(graph: CSRGraph, spec: SolverSpec, hooks, cfg):
+    """Flags-on shards: per-vertex sweeps in the configured ordering,
+    reusing rows finished earlier in the same shard."""
     ordering_name = (
         cfg.algorithm.ordering
         if cfg.algorithm.ordering is not None
@@ -495,23 +542,17 @@ def solve_apsp_shards(
     position = np.empty(n, dtype=np.int64)
     position[order_result.order] = np.arange(n, dtype=np.int64)
 
-    shard_rows = min(shard_rows, max(1, n))
-    buffer = np.empty((shard_rows, n), dtype=np.float64)
-    for start in range(start_row, stop_row, shard_rows):
-        k = min(shard_rows, stop_row - start, n - start)
-        block = buffer[:k]
+    def fill(start: int, block: np.ndarray) -> None:
+        k = block.shape[0]
         block.fill(INF)
         state = _ShardState(block, start, n)
         sources = start + np.argsort(
             position[start:start + k], kind="stable"
         )
-        with _obs.span("apsp.shard"):
-            for s in sources:
-                hooks.sweep_row(hooks.graph, int(s), state, cfg)
-        if hooks.finalize is not None:
-            hooks.finalize(start, block)
-        _obs.counter_add("serve.store.shards_solved", 1)
-        yield start, block
+        for s in sources:
+            hooks.sweep_row(hooks.graph, int(s), state, cfg)
+
+    return fill
 
 
 _register_sweep_family()

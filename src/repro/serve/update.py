@@ -404,25 +404,24 @@ def _exact_dirty_rows(
 
     Row ``s`` changes iff ``d(s, e)`` changes for some touched endpoint
     ``e`` (undirected): any altered shortest path crosses a touched
-    endpoint, and conversely.  One Dijkstra per endpoint per graph pins
-    this down; the comparison is bitwise because the solver's float
-    fixpoint is canonical (min over paths of the running-sum float).
+    endpoint, and conversely.  One compiled-kernel call per graph over
+    all endpoints pins this down; the comparison is bitwise because the
+    solver's float fixpoint is canonical (min over paths of the
+    running-sum float).
 
     When ``store`` is given, the old-graph run doubles as a wrong-graph
     guard: the endpoint's freshly solved row must agree with the row
     the store serves (within the codec's certified error).
     """
-    from ..core.dijkstra import dijkstra_sssp
+    from ..core.dijkstra import dijkstra_rows
 
-    n = graph_old.num_vertices
-    changed = np.zeros(n, dtype=bool)
-    for e in endpoints:
-        d_old, _ = dijkstra_sssp(graph_old, e)
-        if store is not None:
-            _check_row_matches_store(store, e, d_old)
-        d_new, _ = dijkstra_sssp(graph_new, e)
-        changed |= d_old != d_new
-    return changed
+    endpoints = list(endpoints)
+    d_old = dijkstra_rows(graph_old, endpoints)
+    if store is not None:
+        for e, row in zip(endpoints, d_old):
+            _check_row_matches_store(store, e, row)
+    d_new = dijkstra_rows(graph_new, endpoints)
+    return np.any(d_old != d_new, axis=0)
 
 
 def _check_row_matches_store(store: DistStore, e: int, d_old: np.ndarray):

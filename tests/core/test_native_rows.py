@@ -1,0 +1,335 @@
+"""Byte identity of the compiled flagless kernel against the sweep.
+
+Every flagless exact-row path (store builds, repair, the update's
+dirty-shard re-solve and endpoint refinement, Johnson's inner solve)
+runs :func:`repro.core.dijkstra.dijkstra_rows`.  The per-vertex
+``modified_dijkstra_sssp(use_flags=False)`` sweep stays as the
+reference: with non-negative weights both reach the same float fixpoint
+(the minimum over paths of the left-to-right float sum), so rows must
+agree byte for byte — on arbitrary float weights, not only on weights
+where summation order cannot matter.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import dijkstra_rows, modified_dijkstra_sssp, solve_apsp_shards
+from repro.core.dijkstra import dijkstra_sssp
+from repro.core.johnson import bellman_ford_potentials, reweight_graph
+from repro.core.state import new_state
+from repro.graphs import CSRGraph, attach_negative_weights, from_arc_arrays
+from repro.obs import MetricsRegistry, use_registry
+from repro.serve.update import (
+    EdgeUpdate,
+    _exact_dirty_rows,
+    apply_updates_to_graph,
+)
+
+SETTINGS = dict(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def graphs(draw, max_n=14, directed=None, weights=None):
+    """Random graphs, possibly disconnected, with one weight family.
+
+    ``weights``, a name or a strategy drawing one: ``"dyadic"``
+    (multiples of 1/4, many ties), ``"float"`` (arbitrary floats,
+    rounding in every sum) or ``"zeros"`` (floats with some arcs set to
+    exactly 0, built with ``allow_negative=True`` as Johnson's
+    reweighting produces).
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    if directed is None:
+        directed = draw(st.booleans())
+    if weights is None:
+        weights = st.sampled_from(["dyadic", "float", "zeros"])
+    if not isinstance(weights, str):
+        weights = draw(weights)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=3 * n,
+        )
+    ) if n > 1 else []
+    m = len(pairs)
+    if weights == "dyadic":
+        w = np.asarray(
+            draw(st.lists(st.integers(1, 12), min_size=m, max_size=m)),
+            dtype=np.float64,
+        ) / 4.0
+    else:
+        w = np.asarray(
+            draw(
+                st.lists(
+                    st.floats(0.01, 10.0, allow_nan=False),
+                    min_size=m,
+                    max_size=m,
+                )
+            ),
+            dtype=np.float64,
+        )
+    src = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    graph = from_arc_arrays(src, dst, w, num_vertices=n, directed=directed)
+    if weights == "zeros" and graph.num_arcs:
+        # zero whole edges (both arcs of an undirected one) by their
+        # canonical endpoint pair
+        arc_src = np.repeat(np.arange(n), np.diff(graph.indptr))
+        lo = np.minimum(arc_src, graph.indices)
+        hi = np.maximum(arc_src, graph.indices)
+        salt = draw(st.integers(0, 2))
+        zero = (lo * 7 + hi * 3 + salt) % 3 == 0
+        graph = CSRGraph(
+            graph.indptr,
+            graph.indices,
+            np.where(zero, 0.0, graph.weights),
+            directed=directed,
+            allow_negative=True,
+        )
+    return graph
+
+
+def sweep_rows(graph, sources, queue="fifo"):
+    """The reference: one flagless per-vertex sweep per source."""
+    n = graph.num_vertices
+    state = new_state(n)
+    for s in sources:
+        modified_dijkstra_sssp(
+            graph, int(s), state, queue=queue, use_flags=False
+        )
+    return state.dist[np.asarray(sources, dtype=np.int64)]
+
+
+def streamed(graph, shard_rows, **options):
+    """Concatenate the shards of one ``solve_apsp_shards`` stream."""
+    blocks = [
+        (start, rows.copy())
+        for start, rows in solve_apsp_shards(
+            graph, shard_rows=shard_rows, use_flags=False, **options
+        )
+    ]
+    return blocks
+
+
+class TestKernelRows:
+    @given(graph=graphs())
+    @settings(**SETTINGS)
+    def test_rows_match_fifo_and_heap_sweeps(self, graph):
+        sources = np.arange(graph.num_vertices)
+        got = dijkstra_rows(graph, sources)
+        assert got.dtype == np.float64
+        assert got.shape == (graph.num_vertices, graph.num_vertices)
+        for queue in ("fifo", "heap"):
+            assert got.tobytes() == sweep_rows(graph, sources, queue).tobytes()
+
+    @given(graph=graphs(), data=st.data())
+    @settings(**SETTINGS)
+    def test_any_source_subset_in_any_order(self, graph, data):
+        sources = data.draw(
+            st.lists(st.integers(0, graph.num_vertices - 1), max_size=6)
+        )
+        got = dijkstra_rows(graph, sources)
+        assert got.shape == (len(sources), graph.num_vertices)
+        assert got.tobytes() == sweep_rows(graph, sources).tobytes()
+
+    def test_prebuilt_matrix_equals_graph_argument(self):
+        from repro.graphs.build import to_scipy_csr
+
+        graph = from_arc_arrays(
+            [0, 1, 2], [1, 2, 0], [0.1, 0.2, 0.3], num_vertices=4,
+            directed=True,
+        )
+        direct = dijkstra_rows(graph, [0, 3])
+        reused = dijkstra_rows(to_scipy_csr(graph), [0, 3])
+        assert direct.tobytes() == reused.tobytes()
+        assert np.isinf(direct[1, :3]).all() and direct[1, 3] == 0.0
+
+    def test_single_vertex(self):
+        graph = CSRGraph(np.zeros(2, dtype=np.int64), np.zeros(0))
+        assert dijkstra_rows(graph, [0]).tolist() == [[0.0]]
+        ((start, rows),) = streamed(graph, 4)
+        assert start == 0 and rows.tolist() == [[0.0]]
+
+
+class TestShardStream:
+    @given(graph=graphs(), data=st.data())
+    @settings(**SETTINGS)
+    def test_every_shard_size_matches_the_sweep(self, graph, data):
+        n = graph.num_vertices
+        reference = sweep_rows(graph, range(n))
+        extra = data.draw(st.integers(1, 5))
+        for shard_rows in (1, 7, n, n + extra):
+            blocks = streamed(graph, shard_rows)
+            assert [s for s, _ in blocks] == list(range(0, n, shard_rows))
+            matrix = np.concatenate([rows for _, rows in blocks])
+            assert matrix.tobytes() == reference.tobytes()
+
+    @given(graph=graphs(), data=st.data())
+    @settings(**SETTINGS)
+    def test_sub_ranges_match_the_sweep(self, graph, data):
+        n = graph.num_vertices
+        shard_rows = data.draw(st.sampled_from([1, 7, n, n + 2]))
+        starts = list(range(0, n, shard_rows))
+        start = data.draw(st.sampled_from(starts))
+        stop = data.draw(st.integers(start, n))
+        blocks = streamed(
+            graph, shard_rows, start_row=start, stop_row=stop
+        )
+        assert [s for s, _ in blocks] == list(range(start, stop, shard_rows))
+        got = (
+            np.concatenate([rows for _, rows in blocks])
+            if blocks
+            else np.empty((0, n))
+        )
+        assert got.tobytes() == sweep_rows(graph, range(start, stop)).tobytes()
+
+    @given(
+        graph=graphs(
+            directed=True, weights=st.sampled_from(["dyadic", "float"])
+        ),
+        seed=st.integers(0, 2**16),
+        shard_rows=st.sampled_from([1, 3, 7]),
+    )
+    @settings(**SETTINGS)
+    def test_johnson_reweighted_zero_weight_path(self, graph, seed, shard_rows):
+        # negative weights from potentials: the reweighted inner graph
+        # has exact zeros on every tight arc
+        graph = attach_negative_weights(graph, seed=seed)
+        h, _, _ = bellman_ford_potentials(graph)
+        inner = reweight_graph(graph, h) if np.any(h != 0.0) else graph
+        n = graph.num_vertices
+        reference = sweep_rows(inner, range(n)) + (h[None, :] - h[:, None])
+        blocks = streamed(graph, shard_rows, algorithm="johnson")
+        matrix = np.concatenate([rows for _, rows in blocks])
+        assert matrix.tobytes() == reference.tobytes()
+
+
+class TestTelemetry:
+    def test_native_rows_counted_inside_the_shard_span(self):
+        graph = from_arc_arrays(
+            [0, 1, 2, 3], [1, 2, 3, 4], [1.0, 2.0, 0.5, 1.5],
+            num_vertices=10,
+        )
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            streamed(graph, 4)
+        counters = reg.counters()
+        assert counters["sweep.native_rows"] == 10
+        assert counters["serve.store.shards_solved"] == 3
+        # the per-vertex sweep and the ordering never ran
+        assert "sweep.count" not in counters
+        assert not any(k.startswith(("ops.", "kernel.relax.")) for k in counters)
+        names = [rec.path for rec in reg.spans]
+        assert names.count("apsp.shard") == 3
+        assert "apsp.ordering" not in names
+
+    def test_flagged_shards_keep_the_per_vertex_sweep(self):
+        graph = from_arc_arrays(
+            [0, 1, 2, 3], [1, 2, 3, 4], [1.0, 2.0, 0.5, 1.5],
+            num_vertices=10,
+        )
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            for _ in solve_apsp_shards(graph, shard_rows=4, use_flags=True):
+                pass
+        counters = reg.counters()
+        assert counters["sweep.count"] == 10
+        assert "sweep.native_rows" not in counters
+
+
+def old_exact_dirty_rows(graph_old, graph_new, endpoints):
+    """The per-endpoint pure-Python loop the kernel call replaced."""
+    changed = np.zeros(graph_old.num_vertices, dtype=bool)
+    for e in endpoints:
+        d_old, _ = dijkstra_sssp(graph_old, e)
+        d_new, _ = dijkstra_sssp(graph_new, e)
+        changed |= d_old != d_new
+    return changed
+
+
+@st.composite
+def update_batches(draw):
+    graph = draw(graphs(max_n=16, directed=False, weights="float"))
+    n = graph.num_vertices
+    if n < 2:
+        return graph, []
+    existing = {
+        (min(u, v), max(u, v))
+        for u in range(n)
+        for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]].tolist()
+    }
+    keys = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            .filter(lambda p: p[0] < p[1]),
+            max_size=5,
+            unique=True,
+        )
+    )
+    updates = []
+    for u, v in keys:
+        delete = (u, v) in existing and draw(st.booleans())
+        weight = None if delete else draw(st.floats(0.01, 10.0))
+        updates.append(EdgeUpdate(u, v, weight))
+    return graph, updates
+
+
+class TestExactDirtyRows:
+    @given(batch=update_batches())
+    @settings(**SETTINGS)
+    def test_mask_matches_per_endpoint_loop(self, batch):
+        graph, updates = batch
+        new_graph = apply_updates_to_graph(graph, updates)
+        endpoints = sorted({x for upd in updates for x in (upd.u, upd.v)})
+        got = _exact_dirty_rows(graph, new_graph, endpoints)
+        want = old_exact_dirty_rows(graph, new_graph, endpoints)
+        assert got.dtype == bool
+        assert np.array_equal(got, want)
+
+    def test_no_endpoints_no_dirty_rows(self):
+        graph = from_arc_arrays([0], [1], [1.0], num_vertices=3)
+        got = _exact_dirty_rows(graph, graph, [])
+        assert got.shape == (3,) and not got.any()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_rmat_rows_match_the_sweep(directed):
+    """A larger scale-free graph with float weights, end to end."""
+    from repro.graphs.generators import attach_random_weights
+    from repro.graphs.rmat import rmat
+
+    graph = attach_random_weights(
+        rmat(7, 8, seed=3, directed=directed), weight_range=(0.5, 10.0),
+        seed=3,
+    )
+    n = graph.num_vertices
+    matrix = np.concatenate([rows.copy() for _, rows in solve_apsp_shards(
+        graph, shard_rows=16, use_flags=False
+    )])
+    assert matrix.tobytes() == sweep_rows(graph, range(n)).tobytes()
+
+
+def test_import_stays_numpy_only():
+    """scipy loads on the first kernel call, not on ``import repro``."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (
+        "import sys, repro, repro.core, repro.serve; "
+        "assert 'scipy' not in sys.modules, 'scipy imported eagerly'"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True,
+        env={"PYTHONPATH": str(src), "PATH": ""},
+    )
