@@ -11,9 +11,9 @@ import pytest
 
 from repro.baselines import floyd_warshall, repeated_dijkstra
 from repro.core import (
+    merge_block,
     modified_dijkstra_sssp,
     new_state,
-    resolve_kernel,
     run_sweep,
     solve_apsp,
 )
@@ -106,29 +106,19 @@ def test_multilists_ordering_real(benchmark, big_degrees):
     )
 
 
-def test_unbatched_sweep(benchmark, graph):
+def test_one_worker_sweep(benchmark, graph):
+    """One worker: the lockstep engine in blocks of 64 sources."""
     n = graph.num_vertices
     benchmark.pedantic(
         lambda: run_sweep(graph, np.arange(n)), rounds=1, iterations=1
     )
 
 
-def test_batched_sweep_blocked_kernel(benchmark, graph):
+def test_per_source_sweep(benchmark, graph):
+    """Two serial virtual workers: one task per source."""
     n = graph.num_vertices
     benchmark.pedantic(
-        lambda: run_sweep(graph, np.arange(n), block_size=64),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def test_batched_sweep_flagless_whole_block(benchmark, graph):
-    """The headline regime: independent sweeps, full block occupancy."""
-    n = graph.num_vertices
-    benchmark.pedantic(
-        lambda: run_sweep(
-            graph, np.arange(n), use_flags=False, block_size=n
-        ),
+        lambda: run_sweep(graph, np.arange(n), num_threads=2),
         rounds=1,
         iterations=1,
     )
@@ -136,12 +126,11 @@ def test_batched_sweep_flagless_whole_block(benchmark, graph):
 
 @pytest.mark.parametrize("block", [16, 64, 256])
 def test_merge_block_kernel(benchmark, block):
-    kern = resolve_kernel("blocked")
     rng = np.random.default_rng(0)
     dist = rng.uniform(1.0, 100.0, size=(2 * block, 2048))
     rows = np.arange(block, dtype=np.int64)
     hubs = rows + block
-    benchmark(lambda: kern.merge_block(dist, rows, hubs % 2048))
+    benchmark(lambda: merge_block(dist, rows, hubs % 2048))
 
 
 def _opcounts_workload():

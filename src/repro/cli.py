@@ -36,7 +36,6 @@ import numpy as np
 from .analysis.tables import format_table
 from .bench import experiment_ids, get_profile, run_many, save_report
 from .config import ServeConfig, SolverConfig
-from .core.kernels import kernel_names
 from .core.runner import algorithm_names, solve_apsp
 from .graphs.datasets import dataset_info, dataset_names, load_dataset
 from .graphs.degree import degree_array
@@ -92,21 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--schedule",
         choices=("block", "static-cyclic", "dynamic"),
         default=None,
-    )
-    solve.add_argument(
-        "--block-size",
-        type=_block_size_arg,
-        default=None,
-        metavar="B",
-        help="batch sources in blocks of B through the blocked min-plus "
-        "sweep engine; 'auto' tunes B, omit for the unbatched path",
-    )
-    solve.add_argument(
-        "--kernel",
-        choices=("auto",) + kernel_names(),
-        default=None,
-        help="blocked-kernel implementation (only used with --block-size; "
-        "default auto)",
     )
     solve.add_argument("--directed", action="store_true")
     solve.add_argument("--out", help="write the distance matrix (.npy)")
@@ -447,23 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _block_size_arg(value: str) -> "int | str":
-    """``--block-size`` accepts a positive int or the literal 'auto'."""
-    if value == "auto":
-        return value
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer or 'auto', got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"block size must be >= 1, got {parsed}"
-        )
-    return parsed
-
-
 #: ``solve`` without ``--config``: SolverConfig defaults, except that
 #: the CLI recovers from worker deaths instead of raising
 _SOLVE_BASE = SolverConfig.from_kwargs(on_worker_death="retry")
@@ -554,8 +521,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         num_threads=args.threads,
         backend=args.backend,
         schedule=args.schedule,
-        block_size=args.block_size,
-        kernel=args.kernel,
         fault_plan=fault_plan,
         on_worker_death=args.on_worker_death,
         timeout=args.timeout,
@@ -577,9 +542,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"{result.num_threads} threads, schedule={result.schedule})")
     print(f"ordering     : {result.ordering_method} "
           f"[{result.phase_times.ordering:.6g} {unit}]")
-    if "block_size" in result.extra:
-        print(f"block size   : {int(result.extra['block_size'])} "
-              f"(kernel={cfg.batch.kernel})")
     print(f"dijkstra     : {result.phase_times.dijkstra:.6g} {unit}")
     print(f"total        : {result.total_time:.6g} {unit}")
     if cfg.faults.plan is not None:

@@ -24,7 +24,6 @@ group           knobs
 ``algorithm``   name, ordering, schedule, queue, ratio, degree_kind,
                 use_flags
 ``parallel``    backend, num_threads, chunk, machine
-``batch``       block_size, kernel
 ``faults``      plan, on_worker_death, timeout, max_retries
 ``obs``         trace, cost_model
 =============== ====================================================
@@ -54,7 +53,6 @@ from .types import Backend, Schedule
 __all__ = [
     "AlgorithmConfig",
     "ParallelConfig",
-    "BatchConfig",
     "FaultConfig",
     "ObsConfig",
     "SolverConfig",
@@ -218,42 +216,6 @@ class ParallelConfig(_Group):
                 "parallel.machine",
                 f"machine must be a MachineSpec or None, "
                 f"got {type(self.machine).__name__}",
-            )
-
-
-@dataclass(frozen=True)
-class BatchConfig(_Group):
-    """Batched-sweep engine knobs (:mod:`repro.core.batch`)."""
-
-    _name = "batch"
-
-    #: ``None`` = unbatched, ``"auto"`` = tuned, int = block of sources
-    block_size: "int | str | None" = None
-    kernel: str = "auto"
-
-    def __post_init__(self) -> None:
-        from .core.kernels import kernel_names
-
-        bs = self.block_size
-        if isinstance(bs, str):
-            if bs != "auto":
-                _fail(
-                    "batch.block_size",
-                    f"block_size must be a positive int, 'auto' or None; "
-                    f"got {bs!r}",
-                )
-        elif bs is not None:
-            if not isinstance(bs, int) or isinstance(bs, bool) or bs < 1:
-                _fail(
-                    "batch.block_size",
-                    f"block_size must be a positive int, 'auto' or None; "
-                    f"got {bs!r}",
-                )
-        valid = ("auto",) + kernel_names()
-        if self.kernel not in valid:
-            _fail(
-                "batch.kernel",
-                f"unknown kernel {self.kernel!r}; expected one of {valid}",
             )
 
 
@@ -576,8 +538,6 @@ KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "num_threads": ("parallel", "num_threads"),
     "chunk": ("parallel", "chunk"),
     "machine": ("parallel", "machine"),
-    "block_size": ("batch", "block_size"),
-    "kernel": ("batch", "kernel"),
     "fault_plan": ("faults", "plan"),
     "on_worker_death": ("faults", "on_worker_death"),
     "timeout": ("faults", "timeout"),
@@ -594,7 +554,6 @@ class SolverConfig(_Bundle):
     _groups = {
         "algorithm": AlgorithmConfig,
         "parallel": ParallelConfig,
-        "batch": BatchConfig,
         "faults": FaultConfig,
         "obs": ObsConfig,
     }
@@ -604,9 +563,29 @@ class SolverConfig(_Bundle):
 
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    batch: BatchConfig = field(default_factory=BatchConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        """Like :meth:`_Bundle.from_dict`, but drops the retired keys.
+
+        Store manifests and config files written by earlier versions
+        carry ``algorithm.delta`` (the Δ-stepping bucket width) and a
+        ``batch`` group (the retired batching knobs).  Neither ever
+        changed a result, so both are dropped whatever their value and
+        such stores stay repairable and updatable.  Every other unknown
+        key is still rejected.
+        """
+        if isinstance(data, Mapping):
+            data = {key: value for key, value in data.items()
+                    if key != "batch"}
+            algorithm = data.get("algorithm")
+            if isinstance(algorithm, Mapping):
+                data["algorithm"] = {key: value
+                                     for key, value in algorithm.items()
+                                     if key != "delta"}
+        return super().from_dict(data)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -636,8 +615,6 @@ class SolverConfig(_Bundle):
         ]
         if self.algorithm.schedule:
             bits.append(f"schedule={self.algorithm.schedule}")
-        if self.batch.block_size is not None:
-            bits.append(f"block_size={self.batch.block_size}")
         if self.faults.plan is not None:
             bits.append(f"faults={len(self.faults.plan)}")
         return " ".join(bits)

@@ -1,26 +1,11 @@
 """The paper's core contribution: modified-Dijkstra APSP, sequential
 and parallel, on real backends and on the simulated machine."""
 
-from .batch import (
-    BlockTuneSample,
-    autotune_block_size,
-    resolve_block_size,
-    run_block,
-)
+from .batch import BLOCK, run_block
 from .calibrate import CalibrationSample, fit_cost_model, measure_sweeps
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .dijkstra import dijkstra_rows, dijkstra_sssp
-from .kernels import (
-    KERNELS,
-    BlockedKernel,
-    BlockKernel,
-    RowBlockKernel,
-    ScipyBlockKernel,
-    kernel_names,
-    merge_row,
-    relax_edges,
-    resolve_kernel,
-)
+from .kernels import merge_block, merge_row, relax_block, relax_edges
 from .modified_dijkstra import modified_dijkstra_sssp
 from .registry import (
     ShardHooks,
@@ -55,9 +40,7 @@ from .sweep import SweepOutcome, run_sweep
 from .verify import verify_apsp
 
 __all__ = [
-    "BlockTuneSample",
-    "autotune_block_size",
-    "resolve_block_size",
+    "BLOCK",
     "run_block",
     "CalibrationSample",
     "fit_cost_model",
@@ -66,14 +49,9 @@ __all__ = [
     "DijkstraCostModel",
     "dijkstra_rows",
     "dijkstra_sssp",
-    "KERNELS",
-    "BlockKernel",
-    "BlockedKernel",
-    "RowBlockKernel",
-    "ScipyBlockKernel",
-    "kernel_names",
-    "resolve_kernel",
+    "merge_block",
     "merge_row",
+    "relax_block",
     "relax_edges",
     "modified_dijkstra_sssp",
     "seq_adaptive",

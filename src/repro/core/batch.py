@@ -1,55 +1,49 @@
-"""Batched multi-source sweep engine (blocked min-plus execution).
+"""One-worker lockstep sweep engine (blocked min-plus execution).
 
-The unbatched sweep (:mod:`repro.core.sweep`) runs Algorithm 1 one
-source and one row-operation at a time, so on a single core the
-Python/numpy dispatch overhead of every ``merge_row`` / ``relax_edges``
-call dominates the actual arithmetic.  This module executes a *block*
-of B sources in lockstep rounds instead: each round, every still-active
-source of the block classifies the head of its own queue, and then
+The per-source sweep (:func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp`)
+runs Algorithm 1 one source and one row operation at a time, so on a
+single core the Python/numpy dispatch cost of every ``merge_row`` /
+``relax_edges`` call dominates the arithmetic.  This module runs a
+*block* of :data:`BLOCK` sources in lockstep rounds instead: each round,
+every still-active source of the block classifies the head of its own
+queue, and then
 
-* all sources that popped a flagged vertex are folded in **one** 2-D
-  blocked min-plus kernel (``cand = D[hubs] + D[rows, hubs][:, None]``,
-  masked min into the block's working rows), and
-* all sources that popped an unflagged vertex relax their frontiers in
-  **one** concatenated-CSR scatter.
+* all sources that popped an earlier-issued vertex are folded in **one**
+  2-D min-plus merge (:func:`~repro.core.kernels.merge_block`), and
+* all other sources relax their frontiers in **one** concatenated-CSR
+  scatter (:func:`~repro.core.kernels.relax_block`).
 
-The per-pop numpy dispatch cost is thereby amortised over the whole
-block (see ``docs/perf.md`` for measurements).
+:func:`repro.core.sweep.run_sweep` uses it whenever the sweep runs on
+one worker; with two or more workers it runs the per-source sweep.
 
-Equivalence to the unbatched path
----------------------------------
+Equivalence to the per-source sweep
+-----------------------------------
 Each source keeps its *own* queue, dedup state and operation counters,
 and every read of another row touches only **final** rows — so each
-source's logical operation sequence is exactly the one the unbatched
-sweep would issue.  In *strict* mode (serial backend, or one worker)
-the engine additionally stalls a source whose queue head is an
-earlier-ordered source of the same block that has not finished yet —
-precisely the rows the sequential sweep would have had available — and
-is therefore **bitwise-identical** to the unbatched path in both the
-distance matrix and the per-source ``OpCounts`` (asserted by
-``tests/integration/test_property_batch.py``).  In *racy* mode
-(threads/process workers) flags are read opportunistically like the
-unbatched concurrent sweep: a missed flag only forgoes reuse, the
-output is exact either way.
+source's logical operation sequence is exactly the one the sequential
+sweep would issue.  Merge-vs-relax is decided by issue position (the
+sequential sweep sees ``flag[t]`` set iff ``t`` was issued earlier), and
+a source whose queue head is an earlier source of the same, still
+unfinished block stalls until that row is final.  The engine is
+therefore **bitwise-identical** to an in-order loop of
+``modified_dijkstra_sssp`` in both the distance matrix and the
+per-source ``OpCounts`` (asserted by
+``tests/integration/test_property_batch.py``).  That positional rule is
+why the engine needs one worker: the paper's flag reuse (§5) makes a
+source depend on rows finished earlier, so only the sequential order
+keeps the lockstep exact and worth it.
 
 Stall progress argument: a source only ever waits on an *earlier*
 position of its own block, so the earliest unfinished source of a block
 can never stall — every round makes progress and the lockstep cannot
 deadlock.
-
-Block size selection: pass an explicit B, or ``"auto"`` to let
-:func:`autotune_block_size` measure the blocked merge kernel at a few
-candidate sizes (calibrate-style timed samples) and pick the smallest
-block within 10% of the best per-row throughput.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -57,21 +51,13 @@ from ..exceptions import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..obs import metrics as _obs
 from ..types import OpCounts
-from .kernels import BlockKernel, merge_row, relax_edges, resolve_kernel
+from .kernels import merge_block, merge_row, relax_block, relax_edges
 from .state import APSPState
 
-__all__ = [
-    "BlockTuneSample",
-    "autotune_block_size",
-    "resolve_block_size",
-    "run_block",
-]
+__all__ = ["BLOCK", "run_block"]
 
-#: candidate block sizes probed by the auto-tuner
-TUNE_CANDIDATES: Tuple[int, ...] = (16, 32, 64, 128, 256)
-
-#: accept the smallest candidate within this factor of the best
-TUNE_SLACK = 1.10
+#: sources per lockstep block (the unit a one-worker sweep claims)
+BLOCK = 64
 
 #: drop out of lockstep into sequential sprints at/below this occupancy
 #: (low-occupancy rounds pay the blocked kernels' fixed cost for
@@ -84,90 +70,6 @@ MERGE_BATCH_MIN = 3
 RELAX_BATCH_MIN = 6
 
 
-@dataclass(frozen=True)
-class BlockTuneSample:
-    """One timed probe of the blocked merge kernel."""
-
-    block_size: int
-    seconds_per_row: float
-
-
-def autotune_block_size(
-    n: int,
-    *,
-    kernel: "str | BlockKernel" = "auto",
-    candidates: Sequence[int] = TUNE_CANDIDATES,
-    repeats: int = 3,
-) -> Tuple[int, List[BlockTuneSample]]:
-    """Measure the blocked merge kernel and pick a block size.
-
-    Times ``merge_block`` on synthetic rows of the workload's real row
-    length ``n`` for each candidate B (best of ``repeats``), then
-    returns the smallest B whose per-row time is within
-    :data:`TUNE_SLACK` of the fastest — bigger blocks amortise
-    dispatch but serialise more of a block behind stalls, so the
-    smallest near-optimal block wins.
-    """
-    n = int(n)
-    if n <= 1:
-        return 1, []
-    usable = sorted({int(b) for b in candidates if 1 <= int(b) <= n})
-    if not usable:
-        return 1, []
-    kern = resolve_kernel(kernel)
-    rows_needed = 2 * max(usable)
-    rng = np.random.default_rng(0)
-    dist = rng.uniform(1.0, 100.0, size=(rows_needed, n))
-    samples: List[BlockTuneSample] = []
-    # the synthetic timing probes are not algorithm work: suppress the
-    # installed metrics registry so they cannot pollute kernel.* counters
-    # (repro.obs.regress cross-checks those against ops.* totals)
-    with _obs.use_registry(None):
-        for b in usable:
-            rows = np.arange(b, dtype=np.int64)
-            hubs = np.minimum(rows + b, n - 1)  # valid as rows and columns
-            kern.merge_block(dist, rows, hubs)  # warm-up
-            best = float("inf")
-            for _ in range(max(1, repeats)):
-                t0 = time.perf_counter()
-                kern.merge_block(dist, rows, hubs)
-                best = min(best, time.perf_counter() - t0)
-            samples.append(BlockTuneSample(b, best / b))
-    floor = min(s.seconds_per_row for s in samples)
-    for s in samples:  # usable is sorted ascending
-        if s.seconds_per_row <= floor * TUNE_SLACK:
-            return s.block_size, samples
-    return samples[-1].block_size, samples  # pragma: no cover
-
-
-def resolve_block_size(
-    block_size: "int | str | None",
-    n: int,
-    *,
-    kernel: "str | BlockKernel" = "auto",
-) -> Optional[int]:
-    """Normalise the ``block_size`` knob: None, ``"auto"`` or an int."""
-    if block_size is None:
-        return None
-    if isinstance(block_size, str):
-        if block_size == "auto":
-            tuned, _ = autotune_block_size(n, kernel=kernel)
-            return max(1, tuned)
-        try:
-            block_size = int(block_size)
-        except ValueError:
-            raise AlgorithmError(
-                f"block_size must be a positive int, 'auto' or None; "
-                f"got {block_size!r}"
-            ) from None
-    block_size = int(block_size)
-    if block_size < 1:
-        raise AlgorithmError(
-            f"block_size must be >= 1, got {block_size}"
-        )
-    return min(block_size, max(1, n))
-
-
 def run_block(
     graph: CSRGraph,
     state: APSPState,
@@ -176,33 +78,33 @@ def run_block(
     *,
     queue: str = "fifo",
     use_flags: bool = True,
-    strict: bool = True,
-    kernel: "str | BlockKernel" = "auto",
 ) -> Dict[int, OpCounts]:
     """Run one block of sources in lockstep; returns per-source counts.
 
     ``block_sources`` are the sources of this block in issue order;
     ``positions`` is the inverse permutation of the *full* sweep order
-    (``positions[order[i]] == i``), which strict mode uses to decide
-    merge-vs-relax exactly like the sequential sweep would.
+    (``positions[order[i]] == i``), which decides merge-vs-relax exactly
+    like the sequential sweep would.  Every source issued before this
+    block must be finished.
 
     Scheduling inside the block:
 
-    * sources that would stall (strict mode, queue head is an earlier
-      in-block source that has not finished) are *parked* on their
-      blocker and woken when it finishes — no per-round re-checks;
-    * when a round's merge or relax set is a singleton it dispatches to
-      the row kernels (the blocked kernels' fixed cost only pays off
-      for 2+ rows);
-    * when only one source is runnable it *sprints*: the engine drops
-      out of lockstep and drains that queue with the plain inline loop
-      at unbatched speed.  In strict mode the lone runnable source is
-      provably the earliest unfinished one (parked sources wait on
-      earlier positions), so it can never stall mid-sprint.
+    * sources that would stall (queue head is an earlier in-block
+      source that has not finished) are *parked* on their blocker and
+      woken when it finishes — no per-round re-checks;
+    * a round's merge or relax set smaller than
+      :data:`MERGE_BATCH_MIN` / :data:`RELAX_BATCH_MIN` dispatches to
+      the row kernels (the blocked kernels' fixed cost does not pay
+      off for so few rows);
+    * at or below :data:`SPRINT_THRESHOLD` runnable sources the engine
+      *sprints*: it drops out of lockstep and drains the earliest
+      source's queue with the plain inline loop at per-source speed.
+      That source is provably the earliest unfinished one (parked
+      sources wait on earlier positions), so it can never stall
+      mid-sprint.
     """
     if queue not in ("fifo", "heap"):
         raise AlgorithmError(f"unknown queue discipline {queue!r}")
-    kern = resolve_kernel(kernel)
     dist = state.dist
     flag = state.flag
     n = state.n
@@ -211,8 +113,8 @@ def run_block(
     nb = len(srcs)
     reg = _obs._current
     fifo = queue == "fifo"
-    pos_list: List[int] = positions.tolist() if strict else []
-    pos_s: List[int] = [pos_list[s] for s in srcs] if strict else [0] * nb
+    pos_list: List[int] = positions.tolist()
+    pos_s: List[int] = [pos_list[s] for s in srcs]
     blk_index: Dict[int, int] = {s: j for j, s in enumerate(srcs)}
     rows_v: List[np.ndarray] = [dist[s] for s in srcs]  # 1-D row views
 
@@ -279,9 +181,7 @@ def run_block(
             t = q.popleft()
             iq[t] = 0
             pops[j] += 1
-            if use_flags and t != s and (
-                pos_list[t] < ps if strict else flag[t]
-            ):
+            if use_flags and t != s and pos_list[t] < ps:
                 merges[j] += 1
                 merge_row(row, dist[t], float(row[t]))
                 continue
@@ -307,9 +207,7 @@ def run_block(
             pops[j] += 1
             if d > row[t]:
                 continue  # stale entry (lazy deletion)
-            if use_flags and t != s and (
-                pos_list[t] < ps if strict else flag[t]
-            ):
+            if use_flags and t != s and pos_list[t] < ps:
                 merges[j] += 1
                 merge_row(row, dist[t], float(row[t]))
                 continue
@@ -326,11 +224,11 @@ def run_block(
     while active:
         if len(active) <= SPRINT_THRESHOLD:
             # low occupancy: sprint the earliest-position runnable
-            # source sequentially.  In strict mode that source is the
+            # source sequentially.  That source is the
             # earliest *unfinished* one (parked sources wait on earlier
             # positions, and the earliest unfinished can never park),
             # so the sprint can never need a row that is not final.
-            j = min(active, key=pos_s.__getitem__) if strict else active[0]
+            j = min(active, key=pos_s.__getitem__)
             sprints += 1
             sprint(j)
             active.remove(j)
@@ -351,7 +249,7 @@ def run_block(
                 # appendleft put-back beats a peek-then-pop on every pop
                 t = q.popleft()
             else:
-                # skip stale entries exactly like the unbatched sweep
+                # skip stale entries exactly like the per-source sweep
                 # (lazy deletion; the row is not touched in between)
                 row = rows_v[j]
                 while q:
@@ -364,26 +262,21 @@ def run_block(
                 if t < 0:
                     next_active.extend(finish(j))
                     continue
-            do_merge = False
-            if use_flags and t != s:
-                if strict:
-                    # positional rule: the sequential sweep would see
-                    # flag[t] set iff t was issued earlier
-                    if pos_list[t] < pos_s[j]:
-                        jb = blk_index.get(t)
-                        if jb is not None and not finished[jb]:
-                            # row t not final yet — park until it is
-                            if fifo:
-                                q.appendleft(t)
-                            else:
-                                heapq.heappush(q, (d, t))
-                                pops[j] -= 1
-                            parked_on[jb].append(j)
-                            parks += 1
-                            continue
-                        do_merge = True
-                elif flag[t]:
-                    do_merge = True
+            # positional rule: the sequential sweep would see flag[t]
+            # set iff t was issued earlier
+            do_merge = use_flags and t != s and pos_list[t] < pos_s[j]
+            if do_merge:
+                jb = blk_index.get(t)
+                if jb is not None and not finished[jb]:
+                    # row t not final yet — park until it is
+                    if fifo:
+                        q.appendleft(t)
+                    else:
+                        heapq.heappush(q, (d, t))
+                        pops[j] -= 1
+                    parked_on[jb].append(j)
+                    parks += 1
+                    continue
             if fifo:
                 in_queue[j][t] = 0
                 pops[j] += 1
@@ -403,7 +296,7 @@ def run_block(
                     t = merge_ts[k]
                     merge_row(row, dist[t], float(row[t]))
             else:
-                kern.merge_block(
+                merge_block(
                     dist,
                     np.fromiter(
                         (srcs[j] for j in merge_js),
@@ -427,7 +320,7 @@ def run_block(
                     targets.append(got)
                     lens.append(int(nbrs.size))
             else:
-                targets, lens = kern.relax_block(
+                targets, lens = relax_block(
                     dist,
                     np.fromiter(
                         (srcs[j] for j in relax_js),

@@ -9,25 +9,18 @@ Two layers live here:
 * :func:`relax_edges` — lines 13–18: relax every arc out of ``t`` and
   report which targets improved (they must be enqueued).
 
-**Blocked kernels** — the dispatch layer behind the batched sweep
-engine (:mod:`repro.core.batch`).  A blocked kernel performs the *same
-logical operations* for many working rows in one numpy call: a 2-D
-min-plus merge (``cand = D[hubs] + prefix[:, None]`` folded into the
-block's rows) and a concatenated-CSR frontier relaxation.  Three
-implementations sit behind one interface:
+**Blocked kernels** — the same two operations for many working rows
+in one numpy call, behind the lockstep engine of
+:mod:`repro.core.batch`:
 
-=========== ===========================================================
-``row``     reference: loops over the row kernels above (used to
-            cross-check the vectorised paths and as a fallback)
-``blocked`` pure-numpy 2-D kernels — the default
-``scipy``   like ``blocked`` but gathers CSR segments through
-            ``scipy.sparse`` row slicing
-=========== ===========================================================
+* :func:`merge_block` — a 2-D min-plus merge (``cand = D[hubs] +
+  prefix[:, None]`` folded into the block's rows);
+* :func:`relax_block` — one concatenated-CSR frontier relaxation.
 
-Every implementation is *bitwise-identical* in its effect on the
-distance matrix and reports identical logical operation counts, so the
-cost model (:mod:`repro.core.costs`) and the simulator remain valid no
-matter which kernel executed the work.
+Each is *bitwise-identical* in its effect on the distance matrix to the
+equivalent row-kernel calls, and the engine counts the same logical
+operations, so the cost model (:mod:`repro.core.costs`) and the
+simulator stay valid whichever layer executed the work.
 
 Observability: when a :mod:`repro.obs` registry is installed the row
 kernels report per-call counters (``kernel.merge_row.*`` /
@@ -40,24 +33,13 @@ call.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import List, Tuple
 
 import numpy as np
 
-from ..exceptions import AlgorithmError
 from ..obs import metrics as _obs
 
-__all__ = [
-    "merge_row",
-    "relax_edges",
-    "BlockKernel",
-    "RowBlockKernel",
-    "BlockedKernel",
-    "ScipyBlockKernel",
-    "KERNELS",
-    "kernel_names",
-    "resolve_kernel",
-]
+__all__ = ["merge_row", "relax_edges", "merge_block", "relax_block"]
 
 
 def merge_row(
@@ -122,221 +104,87 @@ def relax_edges(
 
 
 # ---------------------------------------------------------------------------
-# Blocked kernel dispatch layer
+# Blocked kernels: one numpy call for a whole round of the lockstep engine
 # ---------------------------------------------------------------------------
 
 
-class BlockKernel:
-    """One batched round of merge / relax work for a block of sources.
+def merge_block(dist: np.ndarray, rows: np.ndarray, hubs: np.ndarray) -> None:
+    """``dist[rows[i]] = min(dist[rows[i]], dist[rows[i], hubs[i]]
+    + dist[hubs[i]])`` for every i — many :func:`merge_row` calls in one.
 
-    The batched sweep engine calls :meth:`merge_block` with the rows
-    that popped a flagged vertex this round and :meth:`relax_block`
-    with the rows that popped an unflagged one.  Implementations must
-    leave the distance matrix bitwise-identical to issuing the
-    equivalent row-kernel calls one at a time (asserted by the test
-    suite), which is what keeps ``OpCounts`` and the cost model honest.
+    ``rows`` must be duplicate-free (each source contributes at most
+    one merge per round) and every ``hubs[i]`` row final.
     """
-
-    name = "abstract"
-
-    def merge_block(
-        self,
-        dist: np.ndarray,
-        rows: np.ndarray,
-        hubs: np.ndarray,
-    ) -> None:
-        """``dist[rows[i]] = min(dist[rows[i]], dist[rows[i], hubs[i]]
-        + dist[hubs[i]])`` for every i — B merges, one call.
-
-        ``rows`` must be duplicate-free (each source contributes at
-        most one merge per round) and every ``hubs[i]`` row final.
-        """
-        raise NotImplementedError
-
-    def relax_block(
-        self,
-        dist: np.ndarray,
-        rows: np.ndarray,
-        hubs: np.ndarray,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        weights: np.ndarray,
-    ) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Relax the out-arcs of ``hubs[i]`` within row ``rows[i]``.
-
-        Returns ``(targets, attempted)``: per-segment improved
-        neighbour ids (the Enqueue sets, in CSR order) and the
-        per-segment attempted-arc counts.  ``rows`` duplicate-free.
-        """
-        raise NotImplementedError
+    prefix = dist[rows, hubs]
+    cand = dist[hubs]  # (B, n) gather — a copy, safe to mutate
+    cand += prefix[:, None]
+    cur = dist[rows]
+    reg = _obs._current
+    if reg is not None:
+        improved = int(np.count_nonzero(cand < cur))
+        reg.add("kernel.batch.merge.calls", 1)
+        reg.add("kernel.batch.merge.rows", int(rows.size))
+        reg.add("kernel.batch.merge.improved", improved)
+    np.minimum(cur, cand, out=cur)
+    dist[rows] = cur
 
 
-class RowBlockKernel(BlockKernel):
-    """Reference implementation: loop over the row kernels.
+def relax_block(
+    dist: np.ndarray,
+    rows: np.ndarray,
+    hubs: np.ndarray,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Relax the out-arcs of ``hubs[i]`` within row ``rows[i]`` for
+    every i — many :func:`relax_edges` calls in one.
 
-    Emits ``kernel.merge_row.*`` / ``kernel.relax.*`` counters exactly
-    like the unbatched sweep; exists so the vectorised kernels can be
-    cross-checked against the audited primitives.
+    Returns ``(targets, attempted)``: per-segment improved neighbour
+    ids (the Enqueue sets, in CSR order) and the per-segment
+    attempted-arc counts.  ``rows`` must be duplicate-free.
     """
-
-    name = "row"
-
-    def merge_block(self, dist, rows, hubs) -> None:
-        for r, h in zip(rows, hubs):
-            merge_row(dist[r], dist[h], float(dist[r, h]))
-
-    def relax_block(self, dist, rows, hubs, indptr, indices, weights):
-        targets: List[np.ndarray] = []
-        attempted = np.empty(rows.size, dtype=np.int64)
-        for i, (r, h) in enumerate(zip(rows, hubs)):
-            lo, hi = indptr[h], indptr[h + 1]
-            nbrs = indices[lo:hi]
-            attempted[i] = nbrs.size
-            got, _ = relax_edges(
-                dist[r], nbrs, weights[lo:hi], float(dist[r, h])
-            )
-            targets.append(got)
-        return targets, attempted
-
-
-class BlockedKernel(BlockKernel):
-    """Pure-numpy 2-D kernels: one call per round, any block size."""
-
-    name = "blocked"
-
-    def merge_block(self, dist, rows, hubs) -> None:
-        prefix = dist[rows, hubs]
-        cand = dist[hubs]  # (B, n) gather — a copy, safe to mutate
-        cand += prefix[:, None]
-        cur = dist[rows]
-        reg = _obs._current
-        if reg is not None:
-            improved = int(np.count_nonzero(cand < cur))
-            reg.add("kernel.batch.merge.calls", 1)
-            reg.add("kernel.batch.merge.rows", int(rows.size))
-            reg.add("kernel.batch.merge.improved", improved)
-        np.minimum(cur, cand, out=cur)
-        dist[rows] = cur
-
-    def _gather_segments(
-        self, hubs, indptr, indices, weights
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated CSR slices of ``hubs`` → (nbrs, ws, lens)."""
-        starts = indptr[hubs]
-        lens = indptr[hubs + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
-            empty = indices[:0]
-            return empty, weights[:0], lens
-        # flat positions: for segment k, starts[k] + (0 .. lens[k]-1)
-        seg_flat = np.cumsum(lens) - lens
-        pos = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(seg_flat, lens)
-            + np.repeat(starts, lens)
-        )
-        return indices[pos], weights[pos], lens
-
-    def relax_block(self, dist, rows, hubs, indptr, indices, weights):
-        nbrs, ws, lens = self._gather_segments(
-            hubs, indptr, indices, weights
-        )
-        reg = _obs._current
-        bounds = np.cumsum(lens)
-        total = int(bounds[-1]) if lens.size else 0
-        if total == 0:
-            if reg is not None:
-                reg.add("kernel.batch.relax.calls", 1)
-                reg.add("kernel.batch.relax.segments", int(rows.size))
-                reg.add("kernel.batch.relax.empty", int(rows.size))
-            return [nbrs] * rows.size, lens
-        rowrep = np.repeat(rows, lens)
-        base = np.repeat(dist[rows, hubs], lens)
-        cand = base + ws
-        cur = dist[rowrep, nbrs]
-        mask = cand < cur
-        imp = np.flatnonzero(mask)
-        if imp.size:
-            # rows are duplicate-free and each CSR row is
-            # duplicate-free, so every (row, nbr) pair is unique and
-            # the scatter-assign has no write conflicts
-            dist[rowrep[imp], nbrs[imp]] = cand[imp]
-        imp_nbrs = nbrs[imp]
-        # manual slicing instead of np.split: the per-chunk dispatch of
-        # array_split dominates this kernel's fixed cost otherwise
-        cuts = np.searchsorted(imp, bounds).tolist()
-        targets = []
-        prev = 0
-        for end in cuts:
-            targets.append(imp_nbrs[prev:end])
-            prev = end
+    starts = indptr[hubs]
+    lens = indptr[hubs + 1] - starts
+    bounds = np.cumsum(lens)
+    total = int(bounds[-1]) if lens.size else 0
+    reg = _obs._current
+    if total == 0:
         if reg is not None:
             reg.add("kernel.batch.relax.calls", 1)
             reg.add("kernel.batch.relax.segments", int(rows.size))
-            reg.add("kernel.batch.relax.attempted", total)
-            reg.add("kernel.batch.relax.improved", int(imp.size))
-            empties = int(np.count_nonzero(lens == 0))
-            if empties:
-                reg.add("kernel.batch.relax.empty", empties)
-        return targets, lens
-
-
-class ScipyBlockKernel(BlockedKernel):
-    """Blocked kernels with CSR segment gathering via ``scipy.sparse``.
-
-    Row slicing a scipy CSR matrix concatenates the per-row index and
-    data arrays in C, which replaces the repeat/cumsum position
-    arithmetic of the numpy implementation.  scipy is imported on
-    instantiation, so importing this module needs numpy only.
-    """
-
-    name = "scipy"
-
-    def __init__(self) -> None:
-        from scipy import sparse
-
-        self._sparse = sparse
-        self._cache_key: Optional[int] = None
-        self._cache_mat = None
-
-    def _matrix(self, indptr, indices, weights):
-        key = id(indices)
-        if self._cache_key != key:
-            n = indptr.size - 1
-            self._cache_mat = self._sparse.csr_matrix(
-                (weights, indices, indptr), shape=(n, n), copy=False
-            )
-            self._cache_key = key
-        return self._cache_mat
-
-    def _gather_segments(self, hubs, indptr, indices, weights):
-        mat = self._matrix(indptr, indices, weights)
-        sub = mat[hubs]
-        lens = np.diff(sub.indptr).astype(np.int64)
-        return sub.indices.astype(np.int64), sub.data, lens
-
-
-#: registry of the blocked-kernel implementations
-KERNELS: Dict[str, Type[BlockKernel]] = {
-    kernel.name: kernel
-    for kernel in (RowBlockKernel, BlockedKernel, ScipyBlockKernel)
-}
-
-
-def kernel_names() -> Tuple[str, ...]:
-    return tuple(KERNELS)
-
-
-def resolve_kernel(name: "str | BlockKernel" = "auto") -> BlockKernel:
-    """Instantiate a blocked kernel by name (``"auto"`` → ``blocked``)."""
-    if isinstance(name, BlockKernel):
-        return name
-    if name == "auto":
-        name = BlockedKernel.name
-    try:
-        return KERNELS[name]()
-    except KeyError:
-        raise AlgorithmError(
-            f"unknown kernel {name!r}; available: "
-            f"{', '.join(KERNELS)} (or 'auto')"
-        ) from None
+            reg.add("kernel.batch.relax.empty", int(rows.size))
+        return [indices[:0]] * rows.size, lens
+    # flat CSR positions: for segment k, starts[k] + (0 .. lens[k]-1)
+    pos = (
+        np.arange(total, dtype=np.int64)
+        - np.repeat(bounds - lens, lens)
+        + np.repeat(starts, lens)
+    )
+    nbrs = indices[pos]
+    rowrep = np.repeat(rows, lens)
+    cand = np.repeat(dist[rows, hubs], lens) + weights[pos]
+    cur = dist[rowrep, nbrs]
+    imp = np.flatnonzero(cand < cur)
+    if imp.size:
+        # rows are duplicate-free and each CSR row is duplicate-free,
+        # so every (row, nbr) pair is unique and the scatter-assign has
+        # no write conflicts
+        dist[rowrep[imp], nbrs[imp]] = cand[imp]
+    imp_nbrs = nbrs[imp]
+    # manual slicing instead of np.split: the per-chunk dispatch of
+    # array_split dominates this kernel's fixed cost otherwise
+    targets = []
+    prev = 0
+    for end in np.searchsorted(imp, bounds).tolist():
+        targets.append(imp_nbrs[prev:end])
+        prev = end
+    if reg is not None:
+        reg.add("kernel.batch.relax.calls", 1)
+        reg.add("kernel.batch.relax.segments", int(rows.size))
+        reg.add("kernel.batch.relax.attempted", total)
+        reg.add("kernel.batch.relax.improved", int(imp.size))
+        empties = int(np.count_nonzero(lens == 0))
+        if empties:
+            reg.add("kernel.batch.relax.empty", empties)
+    return targets, lens

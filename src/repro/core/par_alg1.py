@@ -28,14 +28,8 @@ def par_alg1(
     schedule: "Schedule | str" = Schedule.DYNAMIC,
     machine: Optional[MachineSpec] = None,
     queue: str = "fifo",
-    block_size: "int | str | None" = None,
-    kernel: str = "auto",
 ) -> APSPResult:
-    """Run ParAlg1 with ``num_threads`` workers.
-
-    ``block_size`` / ``kernel`` route the sweep through the batched
-    engine (see :func:`repro.core.runner.solve_apsp`).
-    """
+    """Run ParAlg1 with ``num_threads`` workers."""
     return solve_apsp(
         graph,
         algorithm="paralg1",
@@ -44,6 +38,4 @@ def par_alg1(
         schedule=schedule,
         machine=machine,
         queue=queue,
-        block_size=block_size,
-        kernel=kernel,
     )

@@ -30,16 +30,12 @@ def par_alg2(
     machine: Optional[MachineSpec] = None,
     ratio: float = 1.0,
     queue: str = "fifo",
-    block_size: "int | str | None" = None,
-    kernel: str = "auto",
 ) -> APSPResult:
     """Run ParAlg2 with ``num_threads`` workers.
 
     ``ordering`` may swap in ``"parbuckets"`` / ``"parmax"`` — the
     Figure 5 experiment (effect of approximate vs exact orders on the
-    Dijkstra-phase time).  ``block_size`` / ``kernel`` route the sweep
-    through the batched engine (see
-    :func:`repro.core.runner.solve_apsp`).
+    Dijkstra-phase time).
     """
     return solve_apsp(
         graph,
@@ -51,6 +47,4 @@ def par_alg2(
         machine=machine,
         ratio=ratio,
         queue=queue,
-        block_size=block_size,
-        kernel=kernel,
     )

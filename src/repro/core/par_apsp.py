@@ -28,14 +28,8 @@ def par_apsp(
     schedule: "Schedule | str" = Schedule.DYNAMIC,
     machine: Optional[MachineSpec] = None,
     queue: str = "fifo",
-    block_size: "int | str | None" = None,
-    kernel: str = "auto",
 ) -> APSPResult:
-    """Run ParAPSP (the paper's headline algorithm).
-
-    ``block_size`` / ``kernel`` route the sweep through the batched
-    engine (see :func:`repro.core.runner.solve_apsp`).
-    """
+    """Run ParAPSP (the paper's headline algorithm)."""
     with _obs.span("par_apsp"):
         return solve_apsp(
             graph,
@@ -45,6 +39,4 @@ def par_apsp(
             schedule=schedule,
             machine=machine,
             queue=queue,
-            block_size=block_size,
-            kernel=kernel,
         )

@@ -153,9 +153,8 @@ def solve_apsp(graph: CSRGraph, **options) -> APSPResult:
     ``options`` are the flat keywords of :data:`repro.config.KWARG_MAP`
     (``algorithm``, ``num_threads``, ``backend``, ``schedule``,
     ``ordering``, ``machine``, ``queue``, ``ratio``, ``degree_kind``,
-    ``chunk``, ``use_flags``, ``block_size``, ``kernel``, ``cost_model``,
-    ``trace``, ``fault_plan``, ``on_worker_death``, ``timeout``,
-    ``max_retries``).  They are validated into a
+    ``chunk``, ``use_flags``, ``cost_model``, ``trace``, ``fault_plan``,
+    ``on_worker_death``, ``timeout``, ``max_retries``).  They are validated into a
     :class:`repro.config.SolverConfig`, whose dataclasses hold the
     defaults; a saved config runs again as
     ``solve_apsp(graph, **cfg.to_kwargs())``.  All user-input
@@ -175,12 +174,11 @@ def solve_apsp(graph: CSRGraph, **options) -> APSPResult:
     the exact APSP matrix regardless of algorithm, backend, schedule or
     thread count.
 
-    ``block_size`` (an int, ``"auto"``, or ``None`` = unbatched) routes
-    the sweep phase through the batched lockstep engine of
-    :mod:`repro.core.batch`; ``kernel`` selects the blocked-kernel
-    implementation.  The SIM backend models per-operation costs, which
-    batching does not change (``OpCounts`` are identical by
-    construction), so both knobs are ignored there.
+    On a real backend with one worker the sweep phase runs the lockstep
+    engine of :mod:`repro.core.batch`, with two or more the per-source
+    sweep (see :func:`repro.core.sweep.run_sweep`).  The SIM backend
+    models per-operation costs, which batching does not change
+    (``OpCounts`` are identical by construction).
 
     ``trace=True`` (SIM backend) makes both phases record per-event
     virtual timelines on ``sim_ordering`` / ``sim_dijkstra``, the input
@@ -331,16 +329,11 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
             chunk=chunk,
             queue=queue,
             use_flags=use_flags,
-            block_size=cfg.batch.block_size,
-            kernel=cfg.batch.kernel,
             fault_plan=fault_plan,
             on_worker_death=cfg.faults.on_worker_death,
             timeout=cfg.faults.timeout,
             max_retries=cfg.faults.max_retries,
         )
-    extra: Dict[str, float] = {}
-    if sweep.block_size is not None:
-        extra["block_size"] = float(sweep.block_size)
     return APSPResult(
         algorithm=algorithm,
         dist=sweep.dist,
@@ -354,7 +347,6 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
         ),
         ops=sweep.total_ops(),
         per_source_work=sweep.work_vector(cost_model),
-        extra=extra,
     )
 
 

@@ -4,16 +4,18 @@ This module is the engine behind ParAlg1/ParAlg2/ParAPSP's main loop
 (Algorithm 4 / Algorithm 8 lines 4–8) on the *real* execution backends.
 The simulated counterpart lives in :mod:`repro.core.simulate`.
 
-Two execution strategies are available:
+The worker count picks the execution strategy; no option does:
 
-* **unbatched** (``block_size=None``, the default) — one
-  ``modified_dijkstra_sssp`` call per source, row kernels;
-* **batched** (``block_size=B`` or ``"auto"``) — sources are processed
-  in blocks of B by the lockstep engine of :mod:`repro.core.batch`,
-  which replaces per-source row operations with blocked min-plus /
-  concatenated-CSR kernels.  Distances and per-source ``OpCounts`` are
-  bitwise-identical to the unbatched path (strictly guaranteed for
-  deterministic single-worker runs; see the batch module docstring).
+* **one worker** (``num_threads == 1`` on any backend) — sources run in
+  blocks of :data:`~repro.core.batch.BLOCK` through the lockstep engine
+  of :mod:`repro.core.batch`, which replaces per-source row operations
+  with blocked min-plus / concatenated-CSR kernels.  Distances and
+  per-source ``OpCounts`` are bitwise those of an in-order loop of
+  ``modified_dijkstra_sssp``.  A block is the unit of work a worker
+  claims, so fault plans and crash recovery count blocks here;
+* **two or more workers** (real threads or processes, or the serial
+  backend's virtual workers) — one ``modified_dijkstra_sssp`` call per
+  source, each claimed on its own.
 
 Concurrency notes (threads backend): every sweep writes only its own
 row of the distance matrix; rows of *other* sources are only read after
@@ -43,9 +45,8 @@ from ..parallel import Backend, Schedule, parallel_for
 from ..parallel.backends.process import SharedArray, fork_available, run_parallel_map
 from ..obs import metrics as _obs
 from ..types import INF, OpCounts
-from .batch import resolve_block_size, run_block
+from .batch import BLOCK, run_block
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
-from .kernels import resolve_kernel
 from .modified_dijkstra import modified_dijkstra_sssp
 from .state import APSPState, new_state
 
@@ -55,20 +56,17 @@ __all__ = ["SweepOutcome", "run_sweep"]
 class SweepOutcome:
     """Distance matrix + per-source op accounting of one sweep phase."""
 
-    __slots__ = ("dist", "per_source", "elapsed_seconds", "block_size")
+    __slots__ = ("dist", "per_source", "elapsed_seconds")
 
     def __init__(
         self,
         dist: np.ndarray,
         per_source: List[OpCounts],
         elapsed_seconds: float,
-        block_size: Optional[int] = None,
     ) -> None:
         self.dist = dist
         self.per_source = per_source
         self.elapsed_seconds = elapsed_seconds
-        #: resolved batching block size (None = unbatched)
-        self.block_size = block_size
 
     def total_ops(self) -> OpCounts:
         return OpCounts.sum(self.per_source)
@@ -91,8 +89,6 @@ def run_sweep(
     chunk: int = 1,
     queue: str = "fifo",
     use_flags: bool = True,
-    block_size: "int | str | None" = None,
-    kernel: str = "auto",
     fault_plan=None,
     on_worker_death: str = "raise",
     timeout: Optional[float] = None,
@@ -102,21 +98,19 @@ def run_sweep(
 
     ``order[i]`` is the i-th source to issue (Algorithm 8 line 6–7).
     Returns per-source counts indexed by *vertex id* (not position).
-
-    ``block_size`` switches to the batched lockstep engine: an int is
-    used directly, ``"auto"`` runs the calibrate-style block-size
-    tuner, ``None`` keeps the unbatched per-source path.  ``kernel``
-    picks the blocked-kernel implementation (``"auto"``, ``"row"``,
-    ``"blocked"``, ``"scipy"``) and only matters when batching.
+    One worker runs the lockstep engine in blocks of
+    :data:`~repro.core.batch.BLOCK` sources; more run one task per
+    source (see the module docstring).
 
     Crash recovery: under ``on_worker_death="retry"`` a lost source (or
-    source block) has its distance row(s) reset to the fresh-sweep state
-    — INF everywhere, 0 on the diagonal, flag cleared — before being
-    re-run, which yields the bitwise-identical exact matrix (flags are
-    only ever set after a row is final, so no other sweep can have read
-    the partial row).  ``fault_plan`` injects deterministic faults and
-    ``timeout`` / ``max_retries`` bound each process round — see
-    :mod:`repro.faults`.
+    block) has its distance row(s) reset to the fresh-sweep state — INF
+    everywhere, 0 on the diagonal, flag cleared — before being re-run,
+    which yields the bitwise-identical exact matrix (flags are only
+    ever set after a row is final, so no other sweep can have read the
+    partial row; with one worker the lost work is always the tail of
+    the order, re-run in order).  ``fault_plan`` injects deterministic
+    faults and ``timeout`` / ``max_retries`` bound each process round —
+    see :mod:`repro.faults`.
     """
     backend = Backend.coerce(backend)
     schedule = Schedule.coerce(schedule)
@@ -133,24 +127,6 @@ def run_sweep(
         )
     if backend is Backend.SIM:
         raise BackendError("use repro.core.simulate for the SIM backend")
-    resolved_block = resolve_block_size(block_size, n, kernel=kernel)
-    if resolved_block is not None:
-        return _sweep_batched(
-            graph,
-            order,
-            backend=backend,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            queue=queue,
-            use_flags=use_flags,
-            block_size=resolved_block,
-            kernel=kernel,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            timeout=timeout,
-            max_retries=max_retries,
-        )
     if backend is Backend.PROCESS:
         return _sweep_process(
             graph,
@@ -168,17 +144,36 @@ def run_sweep(
 
     state = new_state(n)
     per_source: List[Optional[OpCounts]] = [None] * n
+    if num_threads == 1:
+        width = BLOCK
+        positions = np.empty(n, dtype=np.int64)
+        positions[order] = np.arange(n, dtype=np.int64)
 
-    def body(i: int, _thread: int) -> None:
-        s = int(order[i])
-        with _obs.span("sweep.source"):
-            per_source[s] = modified_dijkstra_sssp(
-                graph, s, state, queue=queue, use_flags=use_flags
-            )
+        def body(b: int, _thread: int) -> None:
+            with _obs.span("sweep.block"):
+                got = run_block(
+                    graph,
+                    state,
+                    order[b * BLOCK:(b + 1) * BLOCK],
+                    positions,
+                    queue=queue,
+                    use_flags=use_flags,
+                )
+            for s, counts in got.items():
+                per_source[s] = counts
+    else:
+        width = 1
+
+        def body(i: int, _thread: int) -> None:
+            s = int(order[i])
+            with _obs.span("sweep.source"):
+                per_source[s] = modified_dijkstra_sssp(
+                    graph, s, state, queue=queue, use_flags=use_flags
+                )
 
     t0 = time.perf_counter()
     parallel_for(
-        n,
+        -(-n // width),
         body,
         num_threads=num_threads,
         schedule=schedule,
@@ -186,44 +181,29 @@ def run_sweep(
         backend=backend,
         fault_plan=fault_plan,
         on_worker_death=on_worker_death,
-        on_retry=_row_resetter(state, order, per_source),
+        on_retry=_row_resetter(state, order, width, per_source),
     )
     elapsed = time.perf_counter() - t0
     counts = [c if c is not None else OpCounts() for c in per_source]
     return SweepOutcome(state.dist, counts, elapsed)
 
 
-def _row_resetter(state: APSPState, order: np.ndarray, per_source=None):
+def _row_resetter(
+    state: APSPState, order: np.ndarray, width: int, per_source=None
+):
     """Recovery hook: return fresh-sweep state to lost sources.
 
-    ``indices`` are loop positions; each maps to a source whose row may
-    be half-written by a dead worker.  A row reset mirrors
-    :meth:`APSPState.reset` for that single source, after which re-running
-    the sweep produces the exact row again (shortest-path distances are
-    unique, so recovery is bitwise).
+    ``indices`` are loop positions; position ``i`` covers the sources
+    ``order[i * width:(i + 1) * width]`` (one source, or one block),
+    whose rows may be half-written by a dead worker.  A row reset
+    mirrors :meth:`APSPState.reset` for that single source, after which
+    re-running the sweep produces the exact row again (shortest-path
+    distances are unique, so recovery is bitwise).
     """
 
     def reset(indices: List[int]) -> None:
         for i in indices:
-            s = int(order[i])
-            state.dist[s, :] = INF
-            state.dist[s, s] = 0.0
-            state.flag[s] = 0
-            if per_source is not None:
-                per_source[s] = None
-
-    return reset
-
-
-def _block_resetter(
-    state: APSPState, order: np.ndarray, block_size: int, per_source=None
-):
-    """Like :func:`_row_resetter`, for batched sweeps (blocks as tasks)."""
-
-    def reset(blocks: List[int]) -> None:
-        for b in blocks:
-            for s in order[b * block_size:(b + 1) * block_size]:
-                s = int(s)
+            for s in order[i * width:(i + 1) * width].tolist():
                 state.dist[s, :] = INF
                 state.dist[s, s] = 0.0
                 state.flag[s] = 0
@@ -293,7 +273,7 @@ def _sweep_process(
             on_worker_death=on_worker_death,
             timeout=timeout,
             max_retries=max_retries,
-            on_retry=_row_resetter(state, order),
+            on_retry=_row_resetter(state, order, 1),
         )
         elapsed = time.perf_counter() - t0
         per_source: List[OpCounts] = [OpCounts() for _ in range(n)]
@@ -301,163 +281,3 @@ def _sweep_process(
             per_source[s] = counts
         dist = shared_dist.array.copy()  # segment dies with the context
     return SweepOutcome(dist, per_source, elapsed)
-
-
-def _sweep_batched(
-    graph: CSRGraph,
-    order: np.ndarray,
-    *,
-    backend: Backend,
-    num_threads: int,
-    schedule: Schedule,
-    chunk: int,
-    queue: str,
-    use_flags: bool,
-    block_size: int,
-    kernel: str,
-    fault_plan=None,
-    on_worker_death: str = "raise",
-    timeout: Optional[float] = None,
-    max_retries: int = 3,
-) -> SweepOutcome:
-    """Batched sweep: blocks of sources through the lockstep engine.
-
-    Blocks are the scheduling unit — ``order`` is cut into
-    ``ceil(n / B)`` contiguous blocks which the chosen backend
-    dispatches exactly like it would dispatch single sources.  With one
-    worker the blocks run in issue order and the engine's strict mode
-    reproduces the sequential sweep bit-for-bit; with several workers
-    flags are read opportunistically (racy mode), like the unbatched
-    concurrent sweep.
-    """
-    n = graph.num_vertices
-    positions = np.empty(n, dtype=np.int64)
-    positions[order] = np.arange(n, dtype=np.int64)
-    num_blocks = -(-n // block_size) if n else 0
-    kern = resolve_kernel(kernel)
-    reg = _obs.get_registry()
-    if reg is not None:
-        reg.gauge_set("kernel.batch.block_size", block_size)
-
-    if backend is Backend.PROCESS and num_threads > 1 and fork_available():
-        return _sweep_batched_process(
-            graph,
-            order,
-            positions,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            queue=queue,
-            use_flags=use_flags,
-            block_size=block_size,
-            kernel=kernel,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            timeout=timeout,
-            max_retries=max_retries,
-        )
-
-    state = new_state(n)
-    per_source: List[Optional[OpCounts]] = [None] * n
-    strict = backend is Backend.SERIAL or num_threads <= 1 \
-        or backend is Backend.PROCESS  # process fell back to one worker
-
-    def body(b: int, _thread: int) -> None:
-        block = order[b * block_size:(b + 1) * block_size]
-        with _obs.span("sweep.block"):
-            got = run_block(
-                graph,
-                state,
-                block,
-                positions,
-                queue=queue,
-                use_flags=use_flags,
-                strict=strict,
-                kernel=kern,
-            )
-        for s, counts in got.items():
-            per_source[s] = counts
-
-    t0 = time.perf_counter()
-    parallel_for(
-        num_blocks,
-        body,
-        num_threads=num_threads,
-        schedule=schedule,
-        chunk=chunk,
-        backend=(
-            Backend.SERIAL if backend is Backend.PROCESS else backend
-        ),
-        fault_plan=fault_plan,
-        on_worker_death=on_worker_death,
-        on_retry=_block_resetter(state, order, block_size, per_source),
-    )
-    elapsed = time.perf_counter() - t0
-    counts = [c if c is not None else OpCounts() for c in per_source]
-    return SweepOutcome(state.dist, counts, elapsed, block_size)
-
-
-def _sweep_batched_process(
-    graph: CSRGraph,
-    order: np.ndarray,
-    positions: np.ndarray,
-    *,
-    num_threads: int,
-    schedule: Schedule,
-    chunk: int,
-    queue: str,
-    use_flags: bool,
-    block_size: int,
-    kernel: str,
-    fault_plan=None,
-    on_worker_death: str = "raise",
-    timeout: Optional[float] = None,
-    max_retries: int = 3,
-) -> SweepOutcome:
-    """Shared-memory multiprocessing batched sweep (blocks as tasks).
-
-    A lost source block is recovered by resetting its rows in the
-    shared matrix and re-running the block — bitwise-identical output,
-    same argument as the unbatched process sweep.
-    """
-    n = graph.num_vertices
-    num_blocks = -(-n // block_size)
-    with SharedArray.allocate((n, n), np.float64) as shared_dist, \
-            SharedArray.allocate((n,), np.uint8) as shared_flag:
-        state = APSPState(dist=shared_dist.array, flag=shared_flag.array)
-        state.reset()
-
-        def work(b: int) -> List[Tuple[int, OpCounts]]:
-            block = order[b * block_size:(b + 1) * block_size]
-            got = run_block(
-                graph,
-                state,
-                block,
-                positions,
-                queue=queue,
-                use_flags=use_flags,
-                strict=False,
-                kernel=kernel,
-            )
-            return list(got.items())
-
-        t0 = time.perf_counter()
-        results = run_parallel_map(
-            num_blocks,
-            work,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            timeout=timeout,
-            max_retries=max_retries,
-            on_retry=_block_resetter(state, order, block_size),
-        )
-        elapsed = time.perf_counter() - t0
-        per_source: List[OpCounts] = [OpCounts() for _ in range(n)]
-        for items in results:
-            for s, counts in items:
-                per_source[s] = counts
-        dist = shared_dist.array.copy()  # segment dies with the context
-    return SweepOutcome(dist, per_source, elapsed, block_size)

@@ -20,9 +20,6 @@ Layout
   desync the cost model.
 * :mod:`repro.obs.smoke`    — deterministic smoke workload that produces
   the ``BENCH_smoke.json`` artifact CI compares against its baseline.
-* :mod:`repro.obs.smoke_batched` — batched-vs-unbatched sweep smoke
-  (``BENCH_smoke_batched.json``); gates batched virtual cost ≤
-  unbatched and reports the wall-clock speedup headline.
 * :mod:`repro.obs.hist`     — mergeable log-bucketed streaming
   ``LatencyHistogram`` with a certified relative quantile error and
   per-bucket trace-id exemplars; the distribution counterpart of the

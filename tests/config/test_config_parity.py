@@ -38,7 +38,8 @@ COMBOS = [
         ("serial-default", {}),
         ("serial-seq-opt", {"algorithm": "seq-opt", "ratio": 0.5}),
         ("serial-heap-noflags", {"queue": "heap", "use_flags": False}),
-        ("serial-batched", {"block_size": 16, "kernel": "blocked"}),
+        # one worker runs the lockstep engine (blocks of 64 sources)
+        ("serial-batched", {"num_threads": 1, "queue": "heap"}),
         (
             "sim-8t",
             {"backend": "sim", "num_threads": 8, "trace": True},

@@ -10,14 +10,12 @@ from hypothesis import strategies as st
 
 from repro.config import (
     AlgorithmConfig,
-    BatchConfig,
     FaultConfig,
     ObsConfig,
     ParallelConfig,
     SolverConfig,
     load_config,
 )
-from repro.core.kernels import kernel_names
 from repro.core.runner import ALGORITHMS, solve_apsp
 from repro.exceptions import (
     AlgorithmError,
@@ -63,14 +61,6 @@ def solver_configs(draw):
         num_threads=draw(st.integers(min_value=1, max_value=16)),
         chunk=draw(st.integers(min_value=1, max_value=8)),
     )
-    batch = BatchConfig(
-        block_size=draw(
-            st.none()
-            | st.just("auto")
-            | st.integers(min_value=1, max_value=64)
-        ),
-        kernel=draw(st.sampled_from(("auto",) + kernel_names())),
-    )
     faults = FaultConfig(
         on_worker_death=draw(st.sampled_from(["retry", "raise"])),
         timeout=draw(
@@ -81,8 +71,7 @@ def solver_configs(draw):
     )
     obs = ObsConfig(trace=draw(st.booleans()))
     return SolverConfig(
-        algorithm=algorithm, parallel=parallel, batch=batch,
-        faults=faults, obs=obs,
+        algorithm=algorithm, parallel=parallel, faults=faults, obs=obs,
     )
 
 
@@ -154,9 +143,6 @@ class TestValidation:
              lambda: ParallelConfig(num_threads=0)),
             ("parallel.chunk", lambda: ParallelConfig(chunk=0)),
             ("parallel.machine", lambda: ParallelConfig(machine="m5")),
-            ("batch.block_size", lambda: BatchConfig(block_size=0)),
-            ("batch.block_size", lambda: BatchConfig(block_size="big")),
-            ("batch.kernel", lambda: BatchConfig(kernel="cuda")),
             ("faults.on_worker_death",
              lambda: FaultConfig(on_worker_death="shrug")),
             ("faults.timeout", lambda: FaultConfig(timeout=0)),
@@ -183,6 +169,31 @@ class TestValidation:
             SolverConfig.from_dict({"gpu": {}})
         with pytest.raises(ConfigError):
             SolverConfig.from_dict({"algorithm": {"bogus_knob": 1}})
+
+    @pytest.mark.parametrize(
+        "batch", [{"block_size": 64, "kernel": "blocked"}, None, "junk"]
+    )
+    @pytest.mark.parametrize("delta", [None, 0.5, "auto"])
+    def test_from_dict_drops_exactly_the_retired_keys(self, batch, delta):
+        data = SolverConfig.from_kwargs(ratio=0.5).to_dict()
+        data["batch"] = batch
+        data["algorithm"]["delta"] = delta
+        assert SolverConfig.from_dict(data) == SolverConfig.from_kwargs(
+            ratio=0.5
+        )
+        data["algorithm"]["gamma"] = 1
+        with pytest.raises(ConfigError, match="gamma"):
+            SolverConfig.from_dict(data)
+        del data["algorithm"]["gamma"]
+        data["parallel"]["delta"] = 1  # retired only under "algorithm"
+        with pytest.raises(ConfigError, match="delta"):
+            SolverConfig.from_dict(data)
+
+    def test_retired_keywords_are_rejected(self, small_weighted):
+        for key in ("block_size", "kernel", "delta"):
+            with pytest.raises(ConfigError) as exc_info:
+                solve_apsp(small_weighted, **{key: None})
+            assert exc_info.value.field == key
 
     def test_legacy_exception_types_still_catch(self):
         """ConfigError subclasses the pre-redesign exception types, so

@@ -1,88 +1,19 @@
-"""The batched lockstep sweep engine and its kernel dispatch layer."""
+"""The one-worker lockstep sweep engine and its blocked kernels."""
 
 import numpy as np
 import pytest
 
-from repro.core.batch import (
-    SPRINT_THRESHOLD,
-    autotune_block_size,
-    resolve_block_size,
-    run_block,
-)
-from repro.core.kernels import (
-    KERNELS,
-    BlockedKernel,
-    RowBlockKernel,
-    kernel_names,
-    resolve_kernel,
-)
+from repro.core.batch import BLOCK, SPRINT_THRESHOLD, run_block
+from repro.core.kernels import merge_block, merge_row, relax_block, relax_edges
 from repro.core.state import new_state
 from repro.core.sweep import run_sweep
-from repro.exceptions import AlgorithmError
 from repro.obs import MetricsRegistry, use_registry
 from tests.conftest import assert_same_apsp
-
-
-class TestResolveBlockSize:
-    def test_none_means_unbatched(self):
-        assert resolve_block_size(None, 100) is None
-
-    def test_int_passthrough_capped_at_n(self):
-        assert resolve_block_size(16, 100) == 16
-        assert resolve_block_size(500, 100) == 100
-
-    def test_auto_tunes_within_range(self):
-        b = resolve_block_size("auto", 200)
-        assert 1 <= b <= 200
-
-    @pytest.mark.parametrize("bad", [0, -1, -64])
-    def test_nonpositive_rejected(self, bad):
-        with pytest.raises(AlgorithmError, match="block_size"):
-            resolve_block_size(bad, 100)
-
-    def test_garbage_string_rejected(self):
-        with pytest.raises(AlgorithmError):
-            resolve_block_size("bogus", 100)
-
-
-class TestAutotune:
-    def test_returns_valid_candidate(self):
-        b, samples = autotune_block_size(256, repeats=1)
-        assert b in {s.block_size for s in samples}
-        assert all(s.seconds_per_row >= 0 for s in samples)
-        assert all(1 <= s.block_size <= 256 for s in samples)
-
-    def test_tiny_n_degenerates_to_one(self):
-        b, samples = autotune_block_size(1)
-        assert b == 1
-        assert samples == []
-
-    def test_probes_do_not_pollute_metrics(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            autotune_block_size(128, repeats=1)
-        assert registry.counters() == {}
-
-
-class TestKernelRegistry:
-    def test_row_and_blocked_always_available(self):
-        assert "row" in KERNELS
-        assert "blocked" in KERNELS
-
-    def test_auto_resolves_to_blocked(self):
-        assert isinstance(resolve_kernel("auto"), BlockedKernel)
-
-    def test_instance_passthrough(self):
-        kern = RowBlockKernel()
-        assert resolve_kernel(kern) is kern
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(AlgorithmError, match="unknown kernel"):
-            resolve_kernel("cuda")
+from tests.integration.test_property_batch import in_order_sweep
 
 
 class TestKernelParity:
-    """Every kernel implementation must act bitwise like the row loop."""
+    """The blocked kernels must act bitwise like the row-kernel loop."""
 
     def _setup(self, graph, seed=0):
         n = graph.num_vertices
@@ -95,27 +26,32 @@ class TestKernelParity:
         rows, idx = np.unique(rows, return_index=True)
         return dist, rows, hubs[idx]
 
-    @pytest.mark.parametrize("name", kernel_names())
-    def test_merge_block_matches_row_loop(self, small_weighted, name):
+    def test_merge_block_matches_row_loop(self, small_weighted):
         dist_a, rows, hubs = self._setup(small_weighted)
         dist_b = dist_a.copy()
-        RowBlockKernel().merge_block(dist_a, rows, hubs)
-        resolve_kernel(name).merge_block(dist_b, rows, hubs)
+        for r, h in zip(rows, hubs):
+            merge_row(dist_a[r], dist_a[h], float(dist_a[r, h]))
+        merge_block(dist_b, rows, hubs)
         assert np.array_equal(dist_a, dist_b)
 
-    @pytest.mark.parametrize("name", kernel_names())
-    def test_relax_block_matches_row_loop(self, small_weighted, name):
+    def test_relax_block_matches_row_loop(self, small_weighted):
         g = small_weighted
         dist_a, rows, hubs = self._setup(g, seed=3)
         dist_b = dist_a.copy()
-        targets_a, lens_a = RowBlockKernel().relax_block(
-            dist_a, rows, hubs, g.indptr, g.indices, g.weights
-        )
-        targets_b, lens_b = resolve_kernel(name).relax_block(
+        targets_a, lens_a = [], []
+        for r, h in zip(rows, hubs):
+            lo, hi = g.indptr[h], g.indptr[h + 1]
+            got, _ = relax_edges(
+                dist_a[r], g.indices[lo:hi], g.weights[lo:hi],
+                float(dist_a[r, h]),
+            )
+            targets_a.append(got)
+            lens_a.append(hi - lo)
+        targets_b, lens_b = relax_block(
             dist_b, rows, hubs, g.indptr, g.indices, g.weights
         )
         assert np.array_equal(dist_a, dist_b)
-        assert list(lens_a) == list(lens_b)
+        assert lens_a == list(lens_b)
         # enqueue sets must match *in CSR order* — queue contents feed
         # the pop sequence, so ordering is part of the bitwise contract
         assert len(targets_a) == len(targets_b)
@@ -124,82 +60,81 @@ class TestKernelParity:
 
 
 class TestRunBlock:
-    def _unbatched(self, graph, queue="fifo", use_flags=True):
-        return run_sweep(
-            graph,
-            np.arange(graph.num_vertices),
-            queue=queue,
-            use_flags=use_flags,
-        )
-
     @pytest.mark.parametrize("queue", ["fifo", "heap"])
     def test_whole_graph_block_bitwise(self, small_weighted, queue):
+        """One block of every source, wider than BLOCK: still exact."""
         g = small_weighted
         n = g.num_vertices
-        ref = self._unbatched(g, queue=queue)
-        state = new_state(n)
         order = np.arange(n)
-        got = run_block(
-            g,
-            state,
-            order,
-            order.copy(),
-            queue=queue,
-            use_flags=True,
-            strict=True,
-            kernel=resolve_kernel("blocked"),
-        )
-        assert np.array_equal(state.dist, ref.dist)
+        dist, per_source = in_order_sweep(g, order, queue=queue)
+        state = new_state(n)
+        got = run_block(g, state, order, order.copy(), queue=queue)
+        assert np.array_equal(state.dist, dist)
         assert len(got) == n
         for s, counts in got.items():
-            assert counts == ref.per_source[s]
+            assert counts == per_source[s]
 
     def test_flagless_block_is_plain_sssp(self, small_weighted):
         g = small_weighted
-        n = g.num_vertices
-        ref = self._unbatched(g, use_flags=False)
-        out = run_sweep(
-            g, np.arange(n), use_flags=False, block_size=n
-        )
-        assert np.array_equal(out.dist, ref.dist)
-        assert out.per_source == ref.per_source
+        order = np.arange(g.num_vertices)
+        dist, per_source = in_order_sweep(g, order, use_flags=False)
+        out = run_sweep(g, order, use_flags=False)
+        assert np.array_equal(out.dist, dist)
+        assert out.per_source == per_source
 
     def test_sprint_path_covered(self, toy_graph):
-        """A block smaller than the sprint threshold runs inline and
-        must still be bitwise-identical."""
+        """A block that shrinks below the sprint threshold runs inline
+        and must still be bitwise-identical."""
         g = toy_graph
         n = g.num_vertices
         assert n > SPRINT_THRESHOLD  # blocks shrink below it mid-run
-        ref = self._unbatched(g)
-        out = run_sweep(g, np.arange(n), block_size=2)
-        assert np.array_equal(out.dist, ref.dist)
-        assert out.per_source == ref.per_source
+        order = np.arange(n)
+        dist, per_source = in_order_sweep(g, order)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            out = run_sweep(g, order)
+        assert np.array_equal(out.dist, dist)
+        assert out.per_source == per_source
+        assert registry.counters()["kernel.batch.sprints"] >= 1
 
 
 class TestBatchedSweepBackends:
-    def test_outcome_records_block_size(self, small_weighted):
-        g = small_weighted
-        out = run_sweep(g, np.arange(g.num_vertices), block_size=8)
-        assert out.block_size == 8
-        unbatched = run_sweep(g, np.arange(g.num_vertices))
-        assert unbatched.block_size is None
-
     def test_process_backend_exact(self, small_weighted, reference):
         g = small_weighted
         out = run_sweep(
-            g,
-            np.arange(g.num_vertices),
-            backend="process",
-            num_threads=2,
-            block_size=16,
+            g, np.arange(g.num_vertices), backend="process", num_threads=2
         )
         assert_same_apsp(out.dist, reference(g))
+
+    def test_process_one_worker_runs_lockstep(self, small_weighted):
+        """The process backend's one-worker fallback is a one-worker
+        sweep: lockstep blocks, bitwise the in-order sweep."""
+        g = small_weighted
+        order = np.arange(g.num_vertices)
+        dist, per_source = in_order_sweep(g, order)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            out = run_sweep(g, order, backend="process", num_threads=1)
+        assert out.dist.tobytes() == dist.tobytes()
+        assert out.per_source == per_source
+        assert registry.counters()["kernel.batch.blocks"] >= 1
 
     def test_emits_batch_counters(self, small_weighted):
         g = small_weighted
         registry = MetricsRegistry()
         with use_registry(registry):
-            run_sweep(g, np.arange(g.num_vertices), block_size=16)
+            run_sweep(g, np.arange(g.num_vertices))
         counters = registry.counters()
-        assert counters["kernel.batch.blocks"] >= 1
-        assert registry.gauges()["kernel.batch.block_size"] == 16
+        assert counters["kernel.batch.blocks"] == -(-g.num_vertices // BLOCK)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_multi_worker_runs_per_source(self, small_weighted, backend):
+        g = small_weighted
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_sweep(
+                g, np.arange(g.num_vertices), backend=backend, num_threads=2
+            )
+        counters = registry.counters()
+        assert counters["sweep.count"] == g.num_vertices
+        assert not any(key.startswith("kernel.batch.") for key in counters)

@@ -124,8 +124,9 @@ class TestSolve:
         assert sim.phase_times.other > 0
 
     def test_batched_matches_unbatched(self, negative_graph):
+        """One worker (lockstep) against two virtual workers (per-source)."""
         a = solve_apsp(negative_graph, algorithm="johnson")
-        b = solve_apsp(negative_graph, algorithm="johnson", block_size=16)
+        b = solve_apsp(negative_graph, algorithm="johnson", num_threads=2)
         assert np.array_equal(
             np.isfinite(a.dist), np.isfinite(b.dist)
         )

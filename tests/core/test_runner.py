@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import ALGORITHMS, algorithm_names, solve_apsp
 from repro.exceptions import AlgorithmError
+from repro.obs import MetricsRegistry, use_registry
 from repro.simx import MACHINE_I
 from tests.conftest import assert_same_apsp
 
@@ -105,19 +106,18 @@ class TestResultContents:
         with pytest.raises(AlgorithmError, match="ratio"):
             seq_optimized(toy_graph, ratio=-1.0)
 
-    def test_block_size_forwarded(self, small_weighted):
-        a = solve_apsp(small_weighted, algorithm="seq-opt")
-        b = solve_apsp(small_weighted, algorithm="seq-opt", block_size=16)
-        assert b.extra["block_size"] == 16
-        assert "block_size" not in a.extra
-        assert np.array_equal(a.dist, b.dist)
-        assert a.ops == b.ops
-
-    def test_block_size_auto_resolves(self, small_weighted):
-        r = solve_apsp(
-            small_weighted, algorithm="parapsp", block_size="auto"
-        )
-        assert 1 <= r.extra["block_size"] <= small_weighted.num_vertices
+    def test_worker_count_picks_the_sweep_engine(self, small_weighted):
+        """One worker runs the lockstep engine, two serial virtual
+        workers the per-source sweep; both issue sources in order, so
+        the results agree bitwise and no option is recorded."""
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            one = solve_apsp(small_weighted, algorithm="parapsp")
+        assert registry.counters()["kernel.batch.blocks"] >= 1
+        two = solve_apsp(small_weighted, algorithm="parapsp", num_threads=2)
+        assert one.dist.tobytes() == two.dist.tobytes()
+        assert one.ops == two.ops
+        assert one.extra == two.extra == {}
 
     def test_degree_kind_forwarded(self, directed_weighted, reference):
         r = solve_apsp(

@@ -55,6 +55,13 @@ def graph():
 
 
 @pytest.fixture(scope="module")
+def three_blocks():
+    """150 vertices: three one-worker claims of 64, 64 and 22 sources."""
+    g = erdos_renyi(150, 0.05, seed=12, name="er-faults-blocks")
+    return attach_random_weights(g, seed=12)
+
+
+@pytest.fixture(scope="module")
 def golden(graph):
     return solve_apsp(graph, algorithm="parapsp", num_threads=1).dist
 
@@ -79,17 +86,10 @@ class TestProcessAcceptance:
         assert counters["faults.retry_rounds"] >= 1
         assert multiprocessing.active_children() == []
 
-    def test_batched_process_recovers_exact(self, graph, golden):
-        result = solve_apsp(
-            graph,
-            algorithm="parapsp",
-            num_threads=THREADS,
-            backend="process",
-            block_size=8,
-            fault_plan=KILL_ALL,
-            on_worker_death="retry",
-        )
-        assert_same_apsp(result.dist, golden)
+    def test_batched_process_recovers_exact(self, three_blocks):
+        """One process worker falls back to the in-process one-worker
+        sweep: lockstep blocks, recovered bitwise."""
+        _one_worker_kill_drill(three_blocks, "process")
 
     def test_raise_policy_surfaces_backend_error(self, graph):
         with pytest.raises(BackendError, match="retry"):
@@ -102,6 +102,38 @@ class TestProcessAcceptance:
                 on_worker_death="raise",
             )
         assert multiprocessing.active_children() == []
+
+
+def _one_worker_kill_drill(graph, backend):
+    """One worker claims a block of 64 sources at a time (the lockstep
+    engine's unit), so a fault plan counts blocks there, not sources.
+    A kill on the second claim loses every block after the first; the
+    retry re-runs them in order, bitwise equal to the fault-free run."""
+    clean = solve_apsp(graph, algorithm="parapsp", num_threads=1)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result = solve_apsp(
+            graph,
+            algorithm="parapsp",
+            num_threads=1,
+            backend=backend,
+            fault_plan=FaultPlan.single(KILL, worker=0, after_claims=2),
+            on_worker_death="retry",
+        )
+    assert result.dist.tobytes() == clean.dist.tobytes()
+    assert result.ops == clean.ops
+    counters = registry.snapshot()["counters"]
+    assert counters["faults.worker_deaths"] == 1
+    # the kill fires as block 1 of ceil(150 / 64) = 3 is claimed:
+    # blocks 1 and 2 are lost, and each block still runs once
+    assert counters["faults.recovered_indices"] == 2
+    assert counters["kernel.batch.blocks"] == 3
+
+
+class TestOneWorkerAcceptance:
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    def test_kill_recovers_bitwise(self, three_blocks, backend):
+        _one_worker_kill_drill(three_blocks, backend)
 
 
 class TestThreadsAcceptance:

@@ -292,7 +292,8 @@ class TestKernelConsistency:
         assert regressions == []
 
     def test_real_sweep_counters_are_consistent(self, small_weighted):
-        """End to end: a real batched run satisfies the invariants."""
+        """End to end: a real one-worker (lockstep) run satisfies the
+        invariants."""
         import numpy as np
 
         from repro.core.sweep import run_sweep
@@ -301,9 +302,7 @@ class TestKernelConsistency:
         registry = MetricsRegistry()
         n = small_weighted.num_vertices
         with use_registry(registry):
-            outcome = run_sweep(
-                small_weighted, np.arange(n), block_size=16
-            )
+            outcome = run_sweep(small_weighted, np.arange(n))
         counters = registry.counters()
         total = outcome.total_ops()
         counters.update(

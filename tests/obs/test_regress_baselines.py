@@ -89,7 +89,7 @@ def baseline(request):
 
 
 def test_baselines_found():
-    assert len(BASELINES) >= 8
+    assert len(BASELINES) >= 7
 
 
 def test_self_compare_passes(baseline):

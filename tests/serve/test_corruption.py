@@ -116,6 +116,35 @@ class TestDetectionAndRepair:
         ref = solve_apsp(graph, use_flags=False).dist
         assert np.array_equal(store.load_shard(2), ref[32:48])
 
+    def test_retired_config_keys_stay_repairable(self, built):
+        """Stores built by earlier versions carry ``algorithm.delta`` and
+        a ``batch`` group in their manifest config; repair and updates
+        must still read it."""
+        import json
+
+        from repro.serve import DistStore, apply_edge_updates
+        from repro.serve.update import EdgeUpdate, _edge_weights
+
+        store, graph = built
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["algorithm"]["delta"] = 0.25
+        manifest["config"]["batch"] = {"block_size": 64, "kernel": "blocked"}
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        store = DistStore.open(store.path)
+
+        target = store.path / store.manifest["shards"][2]["file"]
+        before = target.read_bytes()
+        StoreCorruptionSpec(shard=2, nbytes=6, seed=11).apply(target)
+        assert store.repair(graph) == [2]
+        assert target.read_bytes() == before
+        store.verify()
+
+        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        result = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2)])
+        assert result.generation == 1
+        result.store.verify()
+
     def test_repair_clean_store_is_noop(self, built):
         store, graph = built
         assert store.repair(graph) == []

@@ -30,22 +30,19 @@ class TestParser:
                 ["solve", "--dataset", "WordNet", "--algorithm", "magic"]
             )
 
-    def test_block_size_accepts_int_and_auto(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["solve", "--dataset", "WordNet", "--block-size", "32"]
-        )
-        assert args.block_size == 32
-        args = parser.parse_args(
-            ["solve", "--dataset", "WordNet", "--block-size", "auto"]
-        )
-        assert args.block_size == "auto"
-
-    @pytest.mark.parametrize("bad", ["0", "-4", "many"])
+    @pytest.mark.parametrize("bad", ["0", "-4", "many", "64", "auto"])
     def test_block_size_rejects_garbage(self, bad):
+        """``--block-size`` is retired (the worker count picks the sweep
+        engine), so every value is rejected, garbage included."""
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["solve", "--dataset", "WordNet", "--block-size", bad]
+            )
+
+    def test_kernel_flag_retired(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["solve", "--dataset", "WordNet", "--kernel", "blocked"]
             )
 
 
@@ -112,33 +109,28 @@ class TestCommands:
     def test_solve_batched_emits_kernel_batch_metrics(
         self, tmp_path, capsys
     ):
-        """ISSUE 2 acceptance: --block-size auto end-to-end with
-        --metrics produces kernel.batch.* counters in the artifact."""
+        """One worker runs the lockstep engine: --metrics records
+        kernel.batch.* counters, kernel-consistent with ops.*; two
+        threads run the per-source sweep and record none."""
         from repro.obs import load_artifact
         from repro.obs.regress import check_kernel_consistency
 
-        target = tmp_path / "BENCH_batched.json"
-        code = main(
-            [
-                "solve",
-                "--rmat",
-                "6",
-                "--seed",
-                "3",
-                "--block-size",
-                "auto",
-                "--metrics",
-                str(target),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "block size" in out
-        artifact = load_artifact(str(target))
-        counters = artifact["counters"]
-        assert any(k.startswith("kernel.batch.") for k in counters)
-        assert artifact["gauges"]["kernel.batch.block_size"] >= 1
-        assert check_kernel_consistency(counters) == []
+        def counters(name, *flags):
+            target = tmp_path / name
+            argv = ["solve", "--rmat", "6", "--seed", "3", *flags,
+                    "--metrics", str(target)]
+            assert main(argv) == 0
+            found = load_artifact(str(target))["counters"]
+            assert check_kernel_consistency(found) == []
+            return found
+
+        one = counters("BENCH_1w.json", "--threads", "1")
+        two = counters("BENCH_2w.json", "--backend", "threads",
+                       "--threads", "2")
+        assert "block size" not in capsys.readouterr().out
+        assert any(k.startswith("kernel.batch.") for k in one)
+        assert not any(k.startswith("kernel.batch.") for k in two)
+        assert one["ops.pops"] > 0 and two["ops.pops"] > 0
 
     def test_order_command(self, capsys):
         code = main(
@@ -410,8 +402,8 @@ class TestConfigFiles:
                                  "--codec", "u16q", "--epsilon", "0.5"]
             again_argv = argv + ["--out", str(tmp_path / "b")]
         else:
-            first_argv = argv + ["--schedule", "block", "--block-size",
-                                 "4", "--timeout", "30"]
+            first_argv = argv + ["--schedule", "block", "--threads",
+                                 "2", "--timeout", "30"]
             again_argv = argv
         first = self._save(tmp_path, "first.json", first_argv)
         again = self._save(tmp_path, "again.json",
@@ -431,13 +423,30 @@ class TestConfigFiles:
         assert "work units" in capsys.readouterr().out
 
         cfg.write_text(SolverConfig.from_kwargs(
-            block_size=8, kernel="blocked", on_worker_death="raise",
+            on_worker_death="raise",
         ).to_json())
         assert main([
             "solve", "--rmat", "5", "--config", str(cfg),
             "--fault-plan", "stall:worker=0,for=0.01",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(kernel=blocked)" in out
         assert "policy=raise" in out
         assert "work units" not in out
+
+    def test_saved_config_with_retired_keys_still_loads(self, tmp_path):
+        """Config files saved by earlier versions carry
+        ``algorithm.delta`` and a ``batch`` group; both are dropped on
+        load, and re-saving writes the current schema."""
+        old = self._save(tmp_path, "old.json", [
+            "solve", "--rmat", "5", "--threads", "2",
+        ])
+        data = json.loads(old.read_text())
+        data["algorithm"]["delta"] = 0.5
+        data["batch"] = {"block_size": "auto", "kernel": "blocked"}
+        old.write_text(json.dumps(data))
+        again = self._save(tmp_path, "again.json", [
+            "solve", "--rmat", "5", "--config", str(old),
+        ])
+        saved = json.loads(again.read_text())
+        assert "batch" not in saved and "delta" not in saved["algorithm"]
+        assert saved["parallel"]["num_threads"] == 2
