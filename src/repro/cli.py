@@ -910,7 +910,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .exceptions import ReproError
     from .serve import monitor as serve_monitor
 
     argv = [args.log]
@@ -920,10 +919,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         argv += ["--tail", str(args.tail)]
     if args.top is not None:
         argv += ["--top", str(args.top)]
-    try:
-        return serve_monitor.main(argv)
-    except ReproError as exc:
-        raise SystemExit(f"repro-apsp monitor: error: {exc}")
+    return serve_monitor.main(argv)
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:

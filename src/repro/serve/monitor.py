@@ -22,12 +22,16 @@ and ``repro-apsp monitor`` are the same entry point.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..exceptions import ReproError
 from ..obs.hist import LatencyHistogram
-from .telemetry import EVENT_KINDS, TELEMETRY_SCHEMA_VERSION
+from .telemetry import (
+    TELEMETRY_SCHEMA_VERSION,
+    _scan_event_log,
+    read_event_log,
+)
 
 __all__ = [
     "check_event_log",
@@ -38,67 +42,27 @@ __all__ = [
 ]
 
 
-def _read_lines(path: str) -> List[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in fh.read().splitlines() if line.strip()]
-
-
 def check_event_log(path: str) -> List[str]:
-    """Validate an event log; returns problem strings (empty = OK)."""
+    """Validate an event log; returns problem strings (empty = OK).
+
+    Every line gets the per-record check of
+    :func:`~repro.serve.telemetry.read_event_log`; on top, each trace's
+    timestamps must not go backwards.
+    """
     problems: List[str] = []
-    try:
-        lines = _read_lines(path)
-    except OSError as exc:
-        return [f"cannot read {path}: {exc}"]
-    if not lines:
-        return [f"{path}: empty event log (missing header line)"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"{path}:1: header is not JSON: {exc}"]
-    if not isinstance(header, dict):
-        return [f"{path}:1: header is not a JSON object"]
-    if header.get("schema") != TELEMETRY_SCHEMA_VERSION:
-        problems.append(
-            f"{path}:1: schema {header.get('schema')!r} != "
-            f"{TELEMETRY_SCHEMA_VERSION!r}"
-        )
     last_t: Dict[str, float] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        where = f"{path}:{lineno}"
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"{where}: not JSON: {exc}")
+    for index, (where, record, found) in enumerate(_scan_event_log(path)):
+        problems.extend(f"{where}: {problem}" for problem in found)
+        if found or index == 0:  # the header has no timestamp
             continue
-        if not isinstance(record, dict):
-            problems.append(f"{where}: event is not a JSON object")
-            continue
-        trace_id = record.get("trace_id")
-        kind = record.get("kind")
-        if not isinstance(trace_id, str) or not trace_id:
-            problems.append(f"{where}: missing/empty trace_id")
-            continue
-        if kind not in EVENT_KINDS:
-            problems.append(f"{where}: unknown event kind {kind!r}")
-        t = record.get("t")
-        dur = record.get("dur", 0.0)
-        if not isinstance(t, (int, float)) or isinstance(t, bool):
-            problems.append(f"{where}: non-numeric timestamp {t!r}")
-            continue
-        if not isinstance(dur, (int, float)) or isinstance(dur, bool) \
-                or dur < 0:
-            problems.append(f"{where}: bad duration {dur!r}")
+        trace_id, t = record["trace_id"], float(record["t"])
         previous = last_t.get(trace_id)
-        if previous is not None and float(t) < previous:
+        if previous is not None and t < previous:
             problems.append(
-                f"{where}: timestamp {t} goes backwards for "
+                f"{where}: timestamp {record['t']} goes backwards for "
                 f"trace {trace_id} (was {previous})"
             )
-        last_t[trace_id] = float(t)
-        attrs = record.get("attrs")
-        if attrs is not None and not isinstance(attrs, dict):
-            problems.append(f"{where}: attrs is not an object")
+        last_t[trace_id] = t
     return problems
 
 
@@ -111,8 +75,6 @@ def summarize_event_log(
     ``dur`` field; they feed the latency histogram (exemplars = trace
     ids) and the ``slowest`` top-K list.
     """
-    from .telemetry import read_event_log
-
     header, events = read_event_log(path)
     kind_counts: Dict[str, int] = {}
     status_counts: Dict[str, int] = {}
@@ -156,8 +118,6 @@ def summarize_event_log(
 
 def tail_events(path: str, count: int = 10) -> List[Dict[str, Any]]:
     """The last ``count`` event records of the log, in order."""
-    from .telemetry import read_event_log
-
     _, events = read_event_log(path)
     if count <= 0:
         return []
@@ -245,11 +205,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 1
         print(f"OK: {args.log} is a valid {TELEMETRY_SCHEMA_VERSION} log")
         return 0
-    if args.tail:
-        for record in tail_events(args.log, args.tail):
-            print(_format_event(record))
-        return 0
-    print(format_summary(summarize_event_log(args.log, top=args.top)))
+    try:
+        if args.tail:
+            lines = [_format_event(record)
+                     for record in tail_events(args.log, args.tail)]
+        else:
+            lines = [format_summary(summarize_event_log(args.log,
+                                                        top=args.top))]
+    except ReproError as exc:
+        raise SystemExit(f"{parser.prog}: error: {exc}")
+    for line in lines:
+        print(line)
     return 0
 
 
