@@ -438,6 +438,10 @@ class _Bundle:
     _name = ""
     #: what the flat keywords are called in error messages
     _keywords = ""
+    #: keys earlier versions wrote that no longer mean anything, as
+    #: ``"group"`` or ``"group.field"``: dropped on load whatever their
+    #: value, so old config files and store manifests still load
+    _retired: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         for name, kind in self._groups.items():
@@ -492,6 +496,14 @@ class _Bundle:
     def from_dict(cls, data: Mapping[str, Any]):
         if not isinstance(data, Mapping):
             _fail(cls._name, f"must be a mapping, got {type(data).__name__}")
+        data = dict(data)
+        for key in cls._retired:
+            group, _, fname = key.partition(".")
+            if not fname:
+                data.pop(group, None)
+            elif isinstance(data.get(group), Mapping):
+                data[group] = {k: v for k, v in data[group].items()
+                               if k != fname}
         unknown = set(data) - set(cls._groups)
         if unknown:
             _fail(cls._name, f"unknown group(s): {sorted(unknown)}")
@@ -560,32 +572,13 @@ class SolverConfig(_Bundle):
     _kwargs = KWARG_MAP
     _name = "config"
     _keywords = "solve_apsp"
+    # the Δ-stepping bucket width and the batching knobs
+    _retired = ("algorithm.delta", "batch")
 
     algorithm: AlgorithmConfig = field(default_factory=AlgorithmConfig)
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
     faults: FaultConfig = field(default_factory=FaultConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]):
-        """Like :meth:`_Bundle.from_dict`, but drops the retired keys.
-
-        Store manifests and config files written by earlier versions
-        carry ``algorithm.delta`` (the Δ-stepping bucket width) and a
-        ``batch`` group (the retired batching knobs).  Neither ever
-        changed a result, so both are dropped whatever their value and
-        such stores stay repairable and updatable.  Every other unknown
-        key is still rejected.
-        """
-        if isinstance(data, Mapping):
-            data = {key: value for key, value in data.items()
-                    if key != "batch"}
-            algorithm = data.get("algorithm")
-            if isinstance(algorithm, Mapping):
-                data["algorithm"] = {key: value
-                                     for key, value in algorithm.items()
-                                     if key != "delta"}
-        return super().from_dict(data)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -720,7 +713,6 @@ class ServeCostConfig(_Group):
 
     load_base: float = 2e-4
     load_per_mb: float = 0.064
-    hit_cost: float = 2e-5
     point_cost: float = 5e-6
     gather_cost: float = 2e-5
     row_cost: float = 2e-4
@@ -796,7 +788,6 @@ SERVE_KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "max_topk": ("admission", "max_topk"),
     "load_base": ("cost", "load_base"),
     "load_per_mb": ("cost", "load_per_mb"),
-    "hit_cost": ("cost", "hit_cost"),
     "point_cost": ("cost", "point_cost"),
     "gather_cost": ("cost", "gather_cost"),
     "row_cost": ("cost", "row_cost"),
@@ -844,6 +835,8 @@ class ServeConfig(_Bundle):
     _kwargs = SERVE_KWARG_MAP
     _name = "serve_config"
     _keywords = "serving"
+    # the cost of a cache hit, which neither replay ever charged
+    _retired = ("cost.hit_cost",)
 
     store: StoreConfig = field(default_factory=StoreConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)

@@ -55,7 +55,6 @@ def serve_configs(draw):
     )
     cost = ServeCostConfig(
         load_base=draw(_pos_float),
-        hit_cost=draw(_pos_float),
         point_cost=draw(_pos_float),
     )
     telemetry = TelemetryConfig(
@@ -158,6 +157,26 @@ class TestValidation:
     def test_unknown_kwarg_is_config_error(self):
         with pytest.raises(ConfigError, match="wibble"):
             ServeConfig.from_kwargs(wibble=1)
+
+    @pytest.mark.parametrize("hit_cost", [2e-5, None, "junk"])
+    def test_from_dict_drops_exactly_the_retired_keys(self, hit_cost):
+        data = ServeConfig.from_kwargs(point_cost=1e-5).to_dict()
+        data["cost"]["hit_cost"] = hit_cost
+        assert ServeConfig.from_dict(data) == ServeConfig.from_kwargs(
+            point_cost=1e-5
+        )
+        data["cost"]["miss_cost"] = 1
+        with pytest.raises(ConfigError, match="miss_cost"):
+            ServeConfig.from_dict(data)
+        del data["cost"]["miss_cost"]
+        data["engine"]["hit_cost"] = 1  # retired only under "cost"
+        with pytest.raises(ConfigError, match="hit_cost"):
+            ServeConfig.from_dict(data)
+
+    def test_hit_cost_is_not_a_keyword(self):
+        with pytest.raises(ConfigError) as exc_info:
+            ServeConfig.from_kwargs(hit_cost=2e-5)
+        assert exc_info.value.field == "hit_cost"
 
 
 class TestShim:
