@@ -46,7 +46,7 @@ from .registry import (
     solver_names,
 )
 from .simulate import simulate_sweep
-from .state import APSPResult
+from .state import APSPResult, ShardState
 from .sweep import run_sweep
 
 __all__ = [
@@ -350,41 +350,6 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
     )
 
 
-class _ShardRowMap:
-    """Duck-typed ``dist`` for shard-local sweeps.
-
-    Maps a *vertex id* onto a row of a small ``(shard_rows, n)`` buffer
-    so :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` can
-    run unmodified while the full n×n matrix never exists.  Merges are
-    safe because flags are raised only for in-shard sources, so the
-    sweep never asks for a row outside the buffer.
-    """
-
-    __slots__ = ("buffer", "base")
-
-    def __init__(self, buffer: np.ndarray, base: int) -> None:
-        self.buffer = buffer
-        self.base = base
-
-    def __getitem__(self, vertex: int) -> np.ndarray:
-        return self.buffer[vertex - self.base]
-
-
-class _ShardState:
-    """APSPState-shaped view over one shard buffer (see ``_ShardRowMap``)."""
-
-    __slots__ = ("dist", "flag", "_n")
-
-    def __init__(self, buffer: np.ndarray, base: int, n: int) -> None:
-        self.dist = _ShardRowMap(buffer, base)
-        self.flag = np.zeros(n, dtype=np.uint8)
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-
 def solve_apsp_shards(
     graph: CSRGraph,
     *,
@@ -537,7 +502,7 @@ def _flagged_shard_filler(graph: CSRGraph, spec: SolverSpec, hooks, cfg):
     def fill(start: int, block: np.ndarray) -> None:
         k = block.shape[0]
         block.fill(INF)
-        state = _ShardState(block, start, n)
+        state = ShardState(block, start, n)
         sources = start + np.argsort(
             position[start:start + k], kind="stable"
         )

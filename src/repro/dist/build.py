@@ -19,9 +19,10 @@ network.  Concretely:
   :class:`~repro.types.OpCounts` through the cost model and playing the
   rank's source list on the ``simx`` machine (``threads_per_node``
   workers, memory-contention multiplier included);
-* assembly ships every remotely-solved shard to rank 0 under the
-  cluster's α–β model (one ``latency`` per shard plus
-  ``per_element_cost`` per element), which is where ``network_bytes``
+* assembly ships every remotely-solved shard to rank 0 as one message
+  priced by :meth:`ClusterSpec.transfer_cost` (one ``latency`` plus
+  ``per_element_cost`` per element — the same α–β expression as
+  :meth:`ClusterSpec.row_broadcast_delay`), which is where ``network_bytes``
   and the assembly tail of the makespan come from;
 * a :class:`~repro.faults.FaultPlan` is interpreted at **node
   granularity**: ``kill`` fells a rank after its m-th shard claim (its
@@ -43,6 +44,7 @@ import numpy as np
 
 from ..core.costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from ..core.registry import get_solver
+from ..core.state import ShardState
 from ..exceptions import FaultPlanError, NegativeWeightError, SimulationError
 from ..faults.plan import KILL, STALL, FaultPlan
 from ..graphs.csr import CSRGraph
@@ -98,37 +100,6 @@ class ClusterBuildResult:
             "recovered_shards": len(self.recovered_by),
             "per_rank": self.per_rank,
         }
-
-
-class _RowState:
-    """Adapter giving the shard hooks a row-mapped view of one block.
-
-    Mirrors the private state object of
-    :func:`repro.core.runner.solve_apsp_shards`: ``dist[source]`` maps
-    to the block row ``source - base``, and a scratch flag array keeps
-    the sweep signature happy (flags are forced off here anyway).
-    """
-
-    __slots__ = ("dist", "flag", "_n")
-
-    class _RowMap:
-        __slots__ = ("_buf", "_base")
-
-        def __init__(self, buf: np.ndarray, base: int) -> None:
-            self._buf = buf
-            self._base = base
-
-        def __getitem__(self, source: int) -> np.ndarray:
-            return self._buf[source - self._base]
-
-    def __init__(self, block: np.ndarray, base: int, n: int) -> None:
-        self.dist = self._RowMap(block, base)
-        self.flag = np.zeros(n, dtype=np.uint8)
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        return self._n
 
 
 def _node_fault_schedule(
@@ -241,7 +212,7 @@ def solve_apsp_cluster(
         start = s * shard_rows
         stop = min(start + shard_rows, n)
         block = dist[start:stop]
-        state = _RowState(block, start, n)
+        state = ShardState(block, start, n)
         for source in range(start, stop):
             counts = hooks.sweep_row(hooks.graph, source, state, cfg)
             if counts is not None:
@@ -328,10 +299,8 @@ def solve_apsp_cluster(
     for s in range(num_shards):
         if solved_on[s] == 0:
             continue
-        rows = min(shard_rows, n - s * shard_rows)
-        elements = rows * n
-        assembly_time += cluster.latency \
-            + cluster.per_element_cost * elements
+        elements = min(shard_rows, n - s * shard_rows) * n
+        assembly_time += cluster.transfer_cost(elements)
         network_bytes += 8 * elements
     makespan = float(finish.max()) + assembly_time
 

@@ -71,12 +71,19 @@ class ClusterSpec:
     def rank_of_worker(self, worker: int) -> int:
         return worker // self.threads_per_node
 
+    def transfer_cost(self, elements: int) -> float:
+        """α–β price of one message of ``elements`` distance entries:
+        one ``latency`` plus ``per_element_cost`` per element.  The one
+        network expression behind both the row broadcast and the
+        cluster build's assembly."""
+        return self.latency + self.per_element_cost * elements
+
     def row_broadcast_delay(self, n: int) -> float:
         """Time until a finished n-element row is visible on remote
         ranks (tree broadcast: one α plus the pipelined transfer)."""
         if self.num_nodes == 1:
             return 0.0
-        return self.latency + self.per_element_cost * n
+        return self.transfer_cost(n)
 
     def row_broadcast_bytes(self, n: int) -> int:
         """Network bytes moved per finished row (float64 elements to

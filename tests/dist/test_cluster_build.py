@@ -161,6 +161,18 @@ class TestCostModel:
         )
         assert result.network_bytes == remote_rows * n * 8
 
+    def test_assembly_prices_each_remote_shard_as_one_message(
+        self, small_weighted
+    ):
+        result = solve_apsp_cluster(small_weighted, CLUSTER_FAST)
+        n = small_weighted.num_vertices
+        expected = 0.0
+        for s in range(result.num_shards):
+            if s % CLUSTER_FAST.num_nodes != 0:
+                rows = min(result.shard_rows, n - s * result.shard_rows)
+                expected += CLUSTER_FAST.transfer_cost(rows * n)
+        assert result.assembly_time == expected
+
     def test_single_node_ships_nothing(self, small_weighted):
         cluster = ClusterSpec(name="solo", num_nodes=1,
                               threads_per_node=4)

@@ -35,6 +35,12 @@ class TestClusterSpec:
         c = cluster(nodes=2, latency=100.0, per_element_cost=2.0)
         assert c.row_broadcast_delay(50) == 100.0 + 100.0
 
+    def test_transfer_cost_is_the_broadcast_delay(self):
+        c = cluster(nodes=3, latency=100.0, per_element_cost=2.0)
+        assert c.transfer_cost(0) == 100.0
+        assert c.transfer_cost(50) == 200.0
+        assert c.row_broadcast_delay(50) == c.transfer_cost(50)
+
     def test_broadcast_bytes(self):
         c = cluster(nodes=4)
         assert c.row_broadcast_bytes(100) == 8 * 100 * 3
