@@ -120,11 +120,6 @@ def run_sweep(
         raise AlgorithmError(
             f"order must list all {n} sources, got shape {order.shape}"
         )
-    if chunk < 1:
-        raise AlgorithmError(
-            f"chunk must be >= 1, got {chunk} (a non-positive chunk "
-            "would make dynamic workers spin forever)"
-        )
     if backend is Backend.SIM:
         raise BackendError("use repro.core.simulate for the SIM backend")
     if backend is Backend.PROCESS:
@@ -237,7 +232,7 @@ def _sweep_process(
     re-swept, so the retried matrix is bitwise-identical.
     """
     n = graph.num_vertices
-    if num_threads <= 1 or not fork_available():
+    if num_threads == 1 or not fork_available():
         return run_sweep(
             graph,
             order,

@@ -1,8 +1,10 @@
 """Worker-side realisation of a :class:`~repro.faults.plan.FaultPlan`.
 
-A :class:`WorkerFaultInjector` is created inside each worker (process
-child or thread) for the specs that target it.  The execution backends
-call two hooks:
+A :class:`WorkerFaultInjector` is created for each worker (process
+child, thread, serial lane or simulated thread) from the specs that
+target it; it is the only code that interprets fault triggers.  With no
+plan its hooks do nothing, so every executor runs one loop whether or
+not faults are injected.  The executors call two hooks:
 
 * :meth:`on_claim` — after every successful work claim (a dynamic-
   counter chunk, or the single implicit claim of a static assignment).
@@ -12,8 +14,10 @@ call two hooks:
 
 Each armed spec fires at most once.  ``kill`` delivers a *real*
 ``SIGKILL`` to the calling process when ``hard=True`` (process
-backend) and raises :class:`ThreadDeath` otherwise (threads backend,
-where killing the process would take the whole interpreter down).
+backend) and raises :class:`ThreadDeath` otherwise (threads and serial
+backends and the simulator, where killing the process would take the
+whole interpreter down).  A ``stall`` calls the ``sleep`` hook, which
+the simulator points at its virtual clock.
 """
 
 from __future__ import annotations

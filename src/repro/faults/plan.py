@@ -11,10 +11,13 @@ it:
   written over the result pipe before the worker exits;
 * the **threads backend** models ``kill`` as a silent worker-thread
   death (the thread stops claiming work without reporting anything);
-* the **simulator** (:mod:`repro.simx.parfor`) turns faults into
-  virtual-time events: a killed thread is parked forever, its
+* the **simulator** (:mod:`repro.simx.parfor`) reads the same
+  injector hooks in virtual time: a stall is virtual overhead, a
+  killed thread stops at the current virtual instant, and its
   unexecuted iterations re-enter the work queue and are re-issued to
-  surviving threads as labelled ``recovery`` trace events.
+  surviving threads as labelled ``recovery`` trace events.  Static
+  assignments stay one claim each, dispatched in virtual-time order;
+  an empty plan is the plan-free run.
 
 Determinism: every trigger is counted in claims/iterations, never in
 wall time, so a given plan produces the same injection point on every
@@ -76,8 +79,9 @@ class FaultSpec:
     ``worker`` targets a worker/thread id (``-1`` = seeded random pick,
     see :meth:`FaultPlan.bind`).  ``after_claims`` arms kill/stall/
     corrupt-pipe faults after the worker's m-th successful work claim
-    (static workers make exactly one claim — their whole assignment —
-    so ``after_claims > 1`` never fires on a static schedule).
+    (a static worker's whole assignment is one claim, so
+    ``after_claims > 1`` fires on a static schedule only at the
+    recovery claims a simulated survivor takes).
     ``iteration`` arms a ``raise`` fault on a specific loop index,
     wherever it is executed.  ``seconds`` is the stall length: wall
     seconds on real backends, virtual work units in the simulator.

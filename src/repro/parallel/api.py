@@ -53,13 +53,11 @@ def parallel_for(
     """
     backend = Backend.coerce(backend)
     schedule = Schedule.coerce(schedule)
-    if n < 0:
-        raise BackendError(f"iteration count must be >= 0, got {n}")
     if backend is Backend.SERIAL or num_threads == 1:
         return _serial.run_parallel_for(
             n,
             body,
-            num_threads=max(1, num_threads),
+            num_threads=num_threads,
             schedule=schedule,
             chunk=chunk,
             fault_plan=fault_plan,
@@ -110,10 +108,6 @@ def parallel_map(
     """
     backend = Backend.coerce(backend)
     schedule = Schedule.coerce(schedule)
-    if n < 0:
-        raise BackendError(f"iteration count must be >= 0, got {n}")
-    if backend is Backend.SERIAL or num_threads == 1:
-        return [fn(i) for i in range(n)]
     if backend is Backend.PROCESS:
         return _process.run_parallel_map(
             n,
@@ -126,23 +120,22 @@ def parallel_map(
             on_worker_death=on_worker_death,
             on_retry=on_retry,
         )
-    if backend is Backend.THREADS:
-        results: List[Any] = [None] * n
-
-        def body(i: int, _thread_id: int) -> None:
-            results[i] = fn(i)
-
-        _threads.run_parallel_for(
-            n,
-            body,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            on_retry=on_retry,
+    if backend is Backend.SERIAL or num_threads == 1:
+        run = _serial.run_parallel_for
+    elif backend is Backend.THREADS:
+        run = _threads.run_parallel_for
+    else:
+        raise BackendError(
+            f"backend {backend.value!r} is not valid for parallel_map"
         )
-        return results
-    raise BackendError(
-        f"backend {backend.value!r} is not valid for parallel_map"
+    return _serial.map_through(
+        run,
+        n,
+        fn,
+        num_threads=num_threads,
+        schedule=schedule,
+        chunk=chunk,
+        fault_plan=fault_plan,
+        on_worker_death=on_worker_death,
+        on_retry=on_retry,
     )

@@ -28,13 +28,14 @@ processes are joined (terminated if necessary) and all pipes closed in
 ``finally``, so no path leaks zombies.
 
 Deterministic fault injection (:mod:`repro.faults`) hooks the worker
-entry points: a bound :class:`~repro.faults.WorkerFaultInjector` can
+entry point: a bound :class:`~repro.faults.WorkerFaultInjector` can
 SIGKILL the worker's own process after m claims, stall it, corrupt its
 result pipe, or raise inside ``fn`` — all counted in claims/iterations,
 never wall time.
 
-On platforms without ``fork`` (Windows) the map transparently degrades
-to serial execution rather than failing.
+On platforms without ``fork`` (Windows), and at one worker, the map
+runs on the serial backend's loop instead (fault plan included) rather
+than failing.
 """
 
 from __future__ import annotations
@@ -49,10 +50,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ...exceptions import BackendError, FaultInjected, ScheduleError
+from ...exceptions import BackendError, FaultInjected
+from ...faults.inject import WorkerFaultInjector
 from ...obs import metrics as _obs
 from ...types import Schedule
-from ..schedule import static_assignment
+from ..schedule import ClaimSource, check_loop
+from . import serial as _serial
 
 __all__ = ["fork_available", "run_parallel_map", "SharedArray", "SharedMatrix"]
 
@@ -71,61 +74,31 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _worker_static(fn, indices, conn, injector=None) -> None:
-    """Child entry for static schedules: evaluate an index batch.
+def _worker(fn, source, worker: int, conn, injector) -> None:
+    """Child entry: evaluate every index ``worker`` claims from ``source``.
 
-    The whole assignment counts as one work claim, so kill/stall faults
-    with ``after_claims == 1`` fire before any iteration runs and
-    ``after_claims > 1`` never fires here.
+    A static assignment is one claim; dynamic claims come from a counter
+    in shared memory, so the claim is atomic across processes.  Fault
+    hooks run *after* the claim, so a killed worker takes its
+    claimed-but-unexecuted indices down with it — exactly the lost-work
+    shape recovery has to handle.
     """
     out: List[Tuple[int, Any]] = []
     try:
-        if injector is not None:
+        while True:
+            items = source.claim(worker)
+            if not items:
+                break
             injector.on_claim(conn)
-        for i in indices:
-            i = int(i)
-            if injector is not None:
+            for i in items:
                 injector.on_iteration(i)
-            out.append((i, fn(i)))
+                out.append((i, fn(i)))
         conn.send(("ok", out))
     except FaultInjected as exc:
         # injected failures are recoverable worker deaths, not bugs;
         # ship the partial results so only the rest is re-executed
         conn.send(("fault", (repr(exc), out)))
     except BaseException as exc:  # noqa: BLE001 — shipped to parent
-        conn.send(("error", repr(exc)))
-    finally:
-        conn.close()
-
-
-def _worker_dynamic(fn, counter, lock, n, chunk, conn, injector=None) -> None:
-    """Child entry for the dynamic schedule: fetch-and-add work counter.
-
-    ``counter`` is a ``multiprocessing.Value``; the paired ``lock`` makes
-    the claim atomic across processes (matching the DynamicCounter the
-    thread backend uses).  Fault hooks run *after* the claim, so a
-    killed worker takes its claimed-but-unexecuted range down with it —
-    exactly the lost-work shape recovery has to handle.
-    """
-    out: List[Tuple[int, Any]] = []
-    try:
-        while True:
-            with lock:
-                start = counter.value
-                if start >= n:
-                    break
-                end = min(start + chunk, n)
-                counter.value = end
-            if injector is not None:
-                injector.on_claim(conn)
-            for i in range(start, end):
-                if injector is not None:
-                    injector.on_iteration(i)
-                out.append((i, fn(i)))
-        conn.send(("ok", out))
-    except FaultInjected as exc:
-        conn.send(("fault", (repr(exc), out)))
-    except BaseException as exc:  # noqa: BLE001
         conn.send(("error", repr(exc)))
     finally:
         conn.close()
@@ -254,49 +227,14 @@ def _execute_round(
     return deaths, errors
 
 
-def _spawn_static(
-    ctx, fn, assignment: List[np.ndarray], plan, round: int
-) -> Tuple[List, List]:
-    from ...faults import WorkerFaultInjector
-
+def _spawn(ctx, fn, source: ClaimSource, plan, round: int) -> Tuple[List, List]:
+    """One unstarted worker process per ``source`` worker, with its pipe."""
     procs, conns = [], []
-    for w, indices in enumerate(assignment):
-        injector = (
-            WorkerFaultInjector(plan, w, round=round, hard=True)
-            if plan is not None
-            else None
-        )
+    for w in range(source.num_threads):
+        injector = WorkerFaultInjector(plan, w, round=round, hard=True)
         parent, child = ctx.Pipe(duplex=False)
         procs.append(
-            ctx.Process(
-                target=_worker_static,
-                args=(fn, indices.tolist(), child, injector),
-            )
-        )
-        conns.append(parent)
-    return procs, conns
-
-
-def _spawn_dynamic(
-    ctx, fn, n: int, num_threads: int, chunk: int, plan, round: int
-) -> Tuple[List, List]:
-    from ...faults import WorkerFaultInjector
-
-    counter = ctx.Value("l", 0, lock=False)
-    lock = ctx.Lock()
-    procs, conns = [], []
-    for w in range(num_threads):
-        injector = (
-            WorkerFaultInjector(plan, w, round=round, hard=True)
-            if plan is not None
-            else None
-        )
-        parent, child = ctx.Pipe(duplex=False)
-        procs.append(
-            ctx.Process(
-                target=_worker_dynamic,
-                args=(fn, counter, lock, n, chunk, child, injector),
-            )
+            ctx.Process(target=_worker, args=(fn, source, w, child, injector))
         )
         conns.append(parent)
     return procs, conns
@@ -334,39 +272,33 @@ def run_parallel_map(
     policy.  ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects
     deterministic faults into the workers — see :mod:`repro.faults`.
     """
-    if n < 0:
-        raise BackendError(f"iteration count must be >= 0, got {n}")
-    if chunk < 1:
-        raise ScheduleError(
-            f"chunk must be >= 1, got {chunk} (a non-positive chunk "
-            "would make dynamic workers spin forever)"
-        )
-    if on_worker_death not in ("retry", "raise"):
-        raise BackendError(
-            f"on_worker_death must be 'retry' or 'raise', "
-            f"got {on_worker_death!r}"
-        )
+    check_loop(n, num_threads, chunk, on_worker_death)
     if max_retries < 0:
         raise BackendError(f"max_retries must be >= 0, got {max_retries}")
     if timeout is not None and timeout <= 0:
         raise BackendError(f"timeout must be positive, got {timeout!r}")
     if n == 0:
         return []
-    if num_threads <= 1 or not fork_available():
-        return [fn(i) for i in range(n)]
+    if num_threads == 1 or not fork_available():
+        return _serial.map_through(
+            _serial.run_parallel_for,
+            n,
+            fn,
+            num_threads=num_threads,
+            schedule=schedule,
+            chunk=chunk,
+            fault_plan=fault_plan,
+            on_worker_death=on_worker_death,
+            on_retry=on_retry,
+        )
 
-    plan = fault_plan.bind(num_threads) if fault_plan is not None else None
+    plan = fault_plan.bind(num_threads) if fault_plan else None
     ctx = multiprocessing.get_context("fork")
     results: List[Any] = [None] * n
     have = bytearray(n)
 
-    if schedule is Schedule.DYNAMIC:
-        procs, conns = _spawn_dynamic(
-            ctx, fn, n, num_threads, chunk, plan, 0
-        )
-    else:
-        assignment = static_assignment(schedule, n, num_threads, chunk)
-        procs, conns = _spawn_static(ctx, fn, assignment, plan, 0)
+    source = ClaimSource(schedule, n, num_threads, chunk, ctx=ctx)
+    procs, conns = _spawn(ctx, fn, source, plan, 0)
     for proc in procs:
         proc.start()
     deaths, errors = _execute_round(procs, conns, results, have, timeout)
@@ -399,15 +331,10 @@ def run_parallel_map(
                 on_retry(list(missing))
             if retry_backoff > 0:
                 time.sleep(retry_backoff * (2 ** (rounds - 1)))
-            workers = min(num_threads, len(missing))
-            blocks = [
-                block
-                for block in np.array_split(
-                    np.asarray(missing, dtype=np.int64), workers
-                )
-                if block.size
-            ]
-            procs, conns = _spawn_static(ctx, fn, blocks, plan, rounds)
+            source = ClaimSource.recovery(
+                missing, min(num_threads, len(missing))
+            )
+            procs, conns = _spawn(ctx, fn, source, plan, rounds)
             for proc in procs:
                 proc.start()
             deaths, errors = _execute_round(

@@ -15,14 +15,16 @@ the crash-recovery property tests compare against.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, List, Optional, Tuple
 
 from ...exceptions import BackendError, FaultInjected
+from ...faults.inject import ThreadDeath, WorkerFaultInjector
 from ...obs import metrics as _obs
 from ...types import Schedule
-from ..schedule import DynamicCounter, static_assignment
+from ..schedule import ClaimSource
 
-__all__ = ["run_parallel_for"]
+__all__ = ["run_parallel_for", "map_through", "recover"]
 
 
 def run_parallel_for(
@@ -40,144 +42,62 @@ def run_parallel_for(
 
     Even though execution is serial, iterations are issued in the order a
     *real* run of the requested schedule would interleave them if every
-    iteration took equal time: block/static schedules round-robin through
-    the per-thread assignments, dynamic hands out indices in order to a
-    rotating thread.  Returns the executed ``(thread -> iterations)``
-    assignment for inspection.
+    iteration took equal time: virtual workers take turns round-robin,
+    a dynamic turn running one claimed chunk and a static turn one
+    iteration of the worker's assignment.  Returns the executed
+    ``(thread -> iterations)`` assignment for inspection.
     """
-    if on_worker_death not in ("retry", "raise"):
-        raise BackendError(
-            f"on_worker_death must be 'retry' or 'raise', "
-            f"got {on_worker_death!r}"
-        )
-    if fault_plan is not None:
-        return _run_with_faults(
-            n,
-            body,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            on_retry=on_retry,
-        )
-    executed: List[List[int]] = [[] for _ in range(num_threads)]
-    if schedule is Schedule.DYNAMIC:
-        counter = DynamicCounter(n, chunk)
-        t = 0
-        while True:
-            chunk_range = counter.next_chunk()
-            if not chunk_range:
-                break
-            for i in chunk_range:
-                body(i, t)
-                executed[t].append(i)
-            t = (t + 1) % num_threads
-        counter.publish()
-        return executed
-
-    assignment = static_assignment(schedule, n, num_threads, chunk)
-    cursors = [0] * num_threads
-    remaining = n
-    # interleave round-robin across threads to mimic lockstep progress
-    while remaining:
-        for t in range(num_threads):
-            if cursors[t] < len(assignment[t]):
-                i = int(assignment[t][cursors[t]])
-                body(i, t)
-                executed[t].append(i)
-                cursors[t] += 1
-                remaining -= 1
-    return executed
-
-
-def _run_with_faults(
-    n: int,
-    body: Callable[[int, int], None],
-    *,
-    num_threads: int,
-    schedule: Schedule,
-    chunk: int,
-    fault_plan,
-    on_worker_death: str,
-    on_retry: Optional[Callable[[List[int]], None]],
-) -> List[List[int]]:
-    """Fault-aware twin of the clean serial paths (kept separate so a
-    plan-free run executes byte-identical code to the seed)."""
-    from ...faults import ThreadDeath, WorkerFaultInjector
-
-    plan = fault_plan.bind(num_threads)
+    source = ClaimSource(schedule, n, num_threads, chunk, on_worker_death)
+    plan = fault_plan.bind(num_threads) if fault_plan else None
     injectors = [WorkerFaultInjector(plan, t) for t in range(num_threads)]
     executed: List[List[int]] = [[] for _ in range(num_threads)]
-    alive = [True] * num_threads
+    held: List[deque] = [deque() for _ in range(num_threads)]
     deaths: List[str] = []
     lost: List[Tuple[int, int]] = []  # (iteration, owning virtual worker)
 
-    if schedule is Schedule.DYNAMIC:
-        counter = DynamicCounter(n, chunk)
-        t = 0
-        while any(alive):
-            if not alive[t]:
-                t = (t + 1) % num_threads
-                continue
-            chunk_range = counter.next_chunk()
-            if not chunk_range:
-                break
-            done = 0
+    active = list(range(num_threads))
+    while active:
+        for t in list(active):
+            mine = held[t]
             try:
-                injectors[t].on_claim()
-                for i in chunk_range:
+                if not mine:
+                    mine.extend(source.claim(t))
+                    if not mine:
+                        active.remove(t)
+                        continue
+                    injectors[t].on_claim()
+                for _ in range(len(mine) if source.dynamic else 1):
+                    i = mine[0]
                     injectors[t].on_iteration(i)
                     body(i, t)
                     executed[t].append(i)
-                    done += 1
+                    mine.popleft()
             except (ThreadDeath, FaultInjected) as exc:
-                alive[t] = False
+                active.remove(t)
                 deaths.append(f"virtual worker {t} died: {exc!r}")
-                lost.extend((i, t) for i in list(chunk_range)[done:])
-            t = (t + 1) % num_threads
-        if not any(alive):
-            # nobody left to claim the tail of the queue
-            while True:
-                chunk_range = counter.next_chunk()
-                if not chunk_range:
-                    break
-                lost.extend((i, 0) for i in chunk_range)
-        counter.publish()
-    else:
-        assignment = static_assignment(schedule, n, num_threads, chunk)
-        for t in range(num_threads):
-            if len(assignment[t]) == 0:
-                continue
-            try:
-                injectors[t].on_claim()
-            except (ThreadDeath, FaultInjected) as exc:
-                alive[t] = False
-                deaths.append(f"virtual worker {t} died: {exc!r}")
-                lost.extend((int(i), t) for i in assignment[t])
-        cursors = [0] * num_threads
-        while True:
-            progressed = False
-            for t in range(num_threads):
-                if not alive[t] or cursors[t] >= len(assignment[t]):
-                    continue
-                i = int(assignment[t][cursors[t]])
-                cursors[t] += 1
-                progressed = True
-                try:
-                    injectors[t].on_iteration(i)
-                    body(i, t)
-                    executed[t].append(i)
-                except (ThreadDeath, FaultInjected) as exc:
-                    alive[t] = False
-                    deaths.append(f"virtual worker {t} died: {exc!r}")
-                    lost.append((i, t))
-                    lost.extend(
-                        (int(j), t) for j in assignment[t][cursors[t]:]
-                    )
-            if not progressed:
-                break
+                lost.extend((i, t) for i in mine)
+    # nobody lived to claim the tail of the queue
+    lost.extend((i, 0) for i in source.drain())
+    source.publish()
+    recover(deaths, lost, body, executed, on_worker_death, on_retry)
+    return executed
 
+
+def recover(
+    deaths: List[str],
+    lost: List[Tuple[int, int]],
+    body: Callable[[int, int], None],
+    executed: List[List[int]],
+    on_worker_death: str,
+    on_retry: Optional[Callable[[List[int]], None]],
+) -> None:
+    """The post-death tail shared by the in-process executors.
+
+    Counts the deaths, then raises under ``on_worker_death="raise"`` or
+    re-runs every ``(iteration, worker)`` in ``lost`` inline, in index
+    order, after ``on_retry`` has reset the state they may have
+    half-written.
+    """
     if deaths:
         _obs.counter_add("faults.worker_deaths", len(deaths))
         if on_worker_death == "raise":
@@ -195,4 +115,16 @@ def _run_with_faults(
             for i, t in lost:
                 body(i, t)
                 executed[t].append(i)
-    return executed
+
+
+def map_through(
+    run: Callable[..., List[List[int]]], n: int, fn: Callable[[int], Any], **kwargs
+) -> List[Any]:
+    """``fn(i)`` for every ``i``, in order, through the executor ``run``."""
+    results: List[Any] = [None] * n
+
+    def body(i: int, _thread_id: int) -> None:
+        results[i] = fn(i)
+
+    run(n, body, **kwargs)
+    return results

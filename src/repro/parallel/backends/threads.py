@@ -26,10 +26,12 @@ from __future__ import annotations
 import threading
 from typing import Callable, List, Optional, Tuple
 
-from ...exceptions import BackendError, FaultInjected
+from ...exceptions import FaultInjected
+from ...faults.inject import ThreadDeath, WorkerFaultInjector
 from ...obs import metrics as _obs
 from ...types import Schedule
-from ..schedule import DynamicCounter, static_assignment
+from ..schedule import ClaimSource
+from .serial import recover
 
 __all__ = ["run_parallel_for"]
 
@@ -53,14 +55,8 @@ def run_parallel_for(
     thread's list — the returned lists always cover every executed
     iteration exactly once.
     """
-    if on_worker_death not in ("retry", "raise"):
-        raise BackendError(
-            f"on_worker_death must be 'retry' or 'raise', "
-            f"got {on_worker_death!r}"
-        )
-    from ...faults import ThreadDeath
-
-    plan = fault_plan.bind(num_threads) if fault_plan is not None else None
+    source = ClaimSource(schedule, n, num_threads, chunk, on_worker_death)
+    plan = fault_plan.bind(num_threads) if fault_plan else None
     executed: List[List[int]] = [[] for _ in range(num_threads)]
     # indices each thread claimed (and therefore owes); claimed minus
     # executed is exactly the work a dead thread lost
@@ -69,73 +65,32 @@ def run_parallel_for(
     deaths: List[str] = []
     state_lock = threading.Lock()
 
-    def record_error(exc: BaseException) -> None:
-        with state_lock:
-            errors.append(exc)
-
-    def record_death(thread_id: int, exc: BaseException) -> None:
-        with state_lock:
-            deaths.append(f"worker thread {thread_id} died: {exc!r}")
-
-    def make_injector(thread_id: int):
-        if plan is None:
-            return None
-        from ...faults import WorkerFaultInjector
-
-        return WorkerFaultInjector(plan, thread_id)
-
-    if schedule is Schedule.DYNAMIC:
-        counter = DynamicCounter(n, chunk)
-
-        def worker(thread_id: int) -> None:
-            mine = executed[thread_id]
-            owed = claimed[thread_id]
-            injector = make_injector(thread_id)
-            try:
-                # one wall-clock span per worker lifetime: the trace
-                # recorder turns these into per-thread timeline tracks
-                with _obs.span("parallel.worker"):
-                    while not errors:
-                        chunk_range = counter.next_chunk()
-                        if not chunk_range:
-                            return
-                        owed.extend(chunk_range)
-                        if injector is not None:
-                            injector.on_claim()
-                        for i in chunk_range:
-                            if injector is not None:
-                                injector.on_iteration(i)
-                            body(i, thread_id)
-                            mine.append(i)
-            except (ThreadDeath, FaultInjected) as exc:
-                record_death(thread_id, exc)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                record_error(exc)
-
-    else:
-        assignment = static_assignment(schedule, n, num_threads, chunk)
-
-        def worker(thread_id: int) -> None:
-            mine = executed[thread_id]
-            owed = claimed[thread_id]
-            injector = make_injector(thread_id)
-            try:
-                with _obs.span("parallel.worker"):
-                    # a static assignment is one implicit claim
-                    owed.extend(int(i) for i in assignment[thread_id])
-                    if injector is not None and owed:
-                        injector.on_claim()
-                    for i in owed:
+    def worker(thread_id: int) -> None:
+        mine = executed[thread_id]
+        owed = claimed[thread_id]
+        injector = WorkerFaultInjector(plan, thread_id)
+        try:
+            # one wall-clock span per worker lifetime: the trace
+            # recorder turns these into per-thread timeline tracks
+            with _obs.span("parallel.worker"):
+                while not errors:
+                    items = source.claim(thread_id)
+                    if not items:
+                        return
+                    owed.extend(items)
+                    injector.on_claim()
+                    for i in items:
                         if errors:
                             return
-                        if injector is not None:
-                            injector.on_iteration(i)
+                        injector.on_iteration(i)
                         body(i, thread_id)
                         mine.append(i)
-            except (ThreadDeath, FaultInjected) as exc:
-                record_death(thread_id, exc)
-            except BaseException as exc:  # noqa: BLE001
-                record_error(exc)
+        except (ThreadDeath, FaultInjected) as exc:
+            with state_lock:
+                deaths.append(f"worker thread {thread_id} died: {exc!r}")
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            with state_lock:
+                errors.append(exc)
 
     threads = [
         threading.Thread(target=worker, args=(t,), name=f"repro-worker-{t}")
@@ -147,36 +102,16 @@ def run_parallel_for(
         t.join()
     if errors:
         raise errors[0]
+    lost: List[Tuple[int, int]] = []
     if deaths:
-        _obs.counter_add("faults.worker_deaths", len(deaths))
-        if on_worker_death == "raise":
-            raise BackendError(
-                f"{len(deaths)} worker thread(s) died: {deaths[0]} "
-                "(set on_worker_death='retry' to re-execute lost work)"
-            )
-        missing: List[Tuple[int, int]] = []
         for t in range(num_threads):
             done = set(executed[t])
-            missing.extend((i, t) for i in claimed[t] if i not in done)
+            lost.extend((i, t) for i in claimed[t] if i not in done)
         # when every worker died the dynamic counter still holds work
         # nobody ever claimed; drain it here or it would vanish silently
-        if schedule is Schedule.DYNAMIC:
-            while True:
-                chunk_range = counter.next_chunk()
-                if not chunk_range:
-                    break
-                missing.extend((i, 0) for i in chunk_range)
-        if missing:
-            _obs.counter_add("faults.recovered_indices", len(missing))
-            _obs.counter_add("faults.retry_rounds")
-            with _obs.span("faults.recovery"):
-                if on_retry is not None:
-                    on_retry(sorted(i for i, _ in missing))
-                # every thread is joined: re-running inline on the
-                # caller is race-free and needs no fresh workers
-                for i, t in missing:
-                    body(int(i), t)
-                    executed[t].append(int(i))
-    if schedule is Schedule.DYNAMIC:
-        counter.publish()
+        lost.extend((i, 0) for i in source.drain())
+    source.publish()
+    # every thread is joined: re-running inline on the caller is
+    # race-free and needs no fresh workers
+    recover(deaths, lost, body, executed, on_worker_death, on_retry)
     return executed

@@ -9,17 +9,20 @@ issuing SSSP sources in (approximately) descending-degree order.
 This module provides the *static* assignment math used by every backend
 and by the simulator.  Dynamic scheduling has no static assignment — the
 mapping from iterations to threads emerges at runtime — so it is
-expressed as a shared work counter (:class:`DynamicCounter`).
+expressed as a shared work counter (:class:`DynamicCounter`).  Every
+executor draws its work from one :class:`ClaimSource`, which also holds
+the one validation of a loop's shape (:func:`check_loop`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
-from ..exceptions import ScheduleError
+from ..exceptions import ConfigError, ScheduleError
 from ..obs import metrics as _obs
 from ..types import Schedule
 
@@ -27,17 +30,35 @@ __all__ = [
     "block_assignment",
     "static_cyclic_assignment",
     "static_assignment",
+    "check_loop",
+    "ClaimSource",
     "DynamicCounter",
 ]
 
 
-def _check(n: int, num_threads: int, chunk: int) -> None:
+def check_loop(
+    n: int, num_threads: int, chunk: int = 1, on_worker_death: str = "raise"
+) -> None:
+    """Validate a parallel loop before any executor runs it.
+
+    Raises :class:`~repro.exceptions.ConfigError`, which is both a
+    :class:`~repro.exceptions.ScheduleError` and a
+    :class:`~repro.exceptions.BackendError`.
+    """
     if n < 0:
-        raise ScheduleError(f"iteration count must be >= 0, got {n}")
+        raise ConfigError(f"iteration count must be >= 0, got {n}")
     if num_threads < 1:
-        raise ScheduleError(f"num_threads must be >= 1, got {num_threads}")
+        raise ConfigError(f"num_threads must be >= 1, got {num_threads}")
     if chunk < 1:
-        raise ScheduleError(f"chunk must be >= 1, got {chunk}")
+        raise ConfigError(
+            f"chunk must be >= 1, got {chunk} (a non-positive chunk "
+            "would make dynamic workers spin forever)"
+        )
+    if on_worker_death not in ("retry", "raise"):
+        raise ConfigError(
+            f"on_worker_death must be 'retry' or 'raise', "
+            f"got {on_worker_death!r}"
+        )
 
 
 def block_assignment(n: int, num_threads: int) -> List[np.ndarray]:
@@ -46,7 +67,7 @@ def block_assignment(n: int, num_threads: int) -> List[np.ndarray]:
 
     Returns one int64 index array per thread (possibly empty).
     """
-    _check(n, num_threads, 1)
+    check_loop(n, num_threads)
     base, extra = divmod(n, num_threads)
     out: List[np.ndarray] = []
     start = 0
@@ -65,7 +86,7 @@ def static_cyclic_assignment(
     With ``chunk=1`` thread ``t`` gets iterations ``t, t+T, t+2T, ...`` —
     the static-cyclic scheme of the paper.
     """
-    _check(n, num_threads, chunk)
+    check_loop(n, num_threads, chunk)
     out: List[List[int]] = [[] for _ in range(num_threads)]
     pos = 0
     t = 0
@@ -107,12 +128,18 @@ class DynamicCounter:
 
     __slots__ = ("_n", "_chunk", "_next", "_lock", "claims")
 
-    def __init__(self, n: int, chunk: int = 1) -> None:
-        _check(n, 1, chunk)
+    def __init__(self, n: int, chunk: int = 1, *, ctx=None) -> None:
+        check_loop(n, 1, chunk)
         self._n = n
         self._chunk = chunk
-        self._next = 0
-        self._lock = threading.Lock()
+        # a multiprocessing context puts the cursor and its lock in
+        # shared memory, so forked workers claim from one counter
+        if ctx is None:
+            self._next = ctypes.c_long(0)
+            self._lock = threading.Lock()
+        else:
+            self._next = ctx.RawValue("l", 0)
+            self._lock = ctx.Lock()
         #: successful (non-empty) chunk claims — the dynamic scheduler's
         #: dispatch count, published as ``schedule.dynamic.claims``
         self.claims = 0
@@ -128,11 +155,11 @@ class DynamicCounter:
     def next_chunk(self) -> range:
         """Claim the next chunk; empty range means the loop is drained."""
         with self._lock:
-            start = self._next
+            start = self._next.value
             if start >= self._n:
                 return range(self._n, self._n)
             end = min(start + self._chunk, self._n)
-            self._next = end
+            self._next.value = end
             self.claims += 1
         return range(start, end)
 
@@ -145,4 +172,66 @@ class DynamicCounter:
 
     def remaining(self) -> int:
         with self._lock:
-            return max(0, self._n - self._next)
+            return max(0, self._n - self._next.value)
+
+
+class ClaimSource:
+    """Where every executor's workers get their work.
+
+    A static schedule's whole per-worker assignment is one claim; the
+    dynamic schedule hands out :class:`DynamicCounter` chunks in index
+    order.  An empty claim means the worker is drained.  Construction
+    runs :func:`check_loop`; ``ctx`` (a multiprocessing context) shares
+    the dynamic counter with forked workers.
+    """
+
+    __slots__ = ("num_threads", "dynamic", "_counter", "_static")
+
+    def __init__(
+        self,
+        schedule: "Schedule | str",
+        n: int,
+        num_threads: int,
+        chunk: int = 1,
+        on_worker_death: str = "raise",
+        *,
+        ctx=None,
+    ) -> None:
+        check_loop(n, num_threads, chunk, on_worker_death)
+        schedule = Schedule.coerce(schedule)
+        self.num_threads = num_threads
+        self.dynamic = schedule is Schedule.DYNAMIC
+        self._counter = None
+        self._static: List[List[int]] = []
+        if self.dynamic:
+            self._counter = DynamicCounter(n, chunk, ctx=ctx)
+        else:
+            assignment = static_assignment(schedule, n, num_threads, chunk)
+            self._static = [a.tolist() for a in assignment]
+
+    @classmethod
+    def recovery(cls, lost: Sequence[int], num_threads: int) -> "ClaimSource":
+        """Block claims over the ``lost`` indices (a process retry round)."""
+        source = cls(Schedule.BLOCK, len(lost), num_threads)
+        source._static = [[lost[p] for p in a] for a in source._static]
+        return source
+
+    def claim(self, worker: int) -> Sequence[int]:
+        """The next indices ``worker`` owes; empty when it is drained."""
+        if self._counter is not None:
+            return self._counter.next_chunk()
+        mine, self._static[worker] = self._static[worker], []
+        return mine
+
+    def drain(self) -> List[int]:
+        """Claim everything still unclaimed (work no worker lived to take)."""
+        out: List[int] = []
+        for worker in range(self.num_threads):
+            while items := self.claim(worker):
+                out.extend(items)
+        return out
+
+    def publish(self) -> None:
+        """Report dynamic claim statistics (static claims report none)."""
+        if self._counter is not None:
+            self._counter.publish()

@@ -68,6 +68,14 @@ class ThreadClockQueue:
         self.advances += 1
         heapq.heappush(self._heap, (new_time, thread))
 
+    def wake(self, thread: int, time: float) -> None:
+        """Requeue a thread parked at ``+inf`` (see :meth:`advance`) at ``time``."""
+        if self._clocks[thread] != float("inf"):
+            raise SimulationError(f"thread {thread} is not parked")
+        self._clocks[thread] = time
+        self.advances += 1
+        heapq.heappush(self._heap, (time, thread))
+
     def clock(self, thread: int) -> float:
         return self._clocks[thread]
 

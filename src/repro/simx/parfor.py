@@ -11,7 +11,7 @@ Scheduling semantics match the real backends exactly:
 
 * ``BLOCK`` / ``STATIC_CYCLIC`` — fixed assignments from
   :func:`repro.parallel.schedule.static_assignment`; each thread walks
-  its list in order.
+  its list in order, one iteration per scheduler step.
 * ``DYNAMIC`` — whenever a thread becomes free it claims the globally
   next unissued iteration (chunk 1 preserves issue order, the property
   ParAlg2 needs), paying ``dispatch_overhead`` per claim.
@@ -25,9 +25,11 @@ from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
-from ..exceptions import SimulationError
+from ..exceptions import FaultInjected, SimulationError
+from ..faults.inject import ThreadDeath, WorkerFaultInjector
+from ..faults.plan import RAISE
 from ..obs import metrics as _obs
-from ..parallel.schedule import static_assignment
+from ..parallel.schedule import ClaimSource, check_loop
 from ..types import Schedule
 from .engine import ThreadClockQueue
 from .machine import MachineSpec
@@ -37,6 +39,8 @@ __all__ = ["ParForOutcome", "simulate_parallel_for"]
 
 #: cost callback signature: (iteration, dispatch_time, thread) -> cost
 CostFn = Callable[[int, float, int], float]
+
+INF = float("inf")
 
 
 @dataclass
@@ -93,168 +97,34 @@ def simulate_parallel_for(
     ``cost_multiplier`` scales every iteration cost (pass
     ``machine.memory_cost_multiplier(T)`` for memory-bound phases).
 
+    The globally earliest live thread acts next.  Dynamic and recovery
+    claims run back to back within one action, paying
+    ``dispatch_overhead`` per claim; a static assignment is one claim
+    dispatched one iteration per action, in virtual-time order.  A
+    drained thread parks at ``+inf``.
+
     ``fault_plan`` (a :class:`repro.faults.FaultPlan`) replays worker
-    misbehaviour as virtual-time events: a killed thread stops acting
-    and its claimed-but-unexecuted iterations re-enter the work queue,
-    re-issued to survivors as ``recovery``-labelled iterations; a stall
-    is virtual overhead time.  The fault-free path is untouched — its
-    timings and scheduler-op counts stay bit-identical to the seed.
+    misbehaviour through each thread's
+    :class:`~repro.faults.WorkerFaultInjector`: a stall is virtual
+    overhead, and a death stops the thread at the current virtual
+    instant.  Its claimed-but-unexecuted iterations re-enter the work
+    queue, waking parked threads, and are re-issued to survivors as
+    ``recovery``-labelled iterations.  Each iteration's cost callback
+    still runs exactly once, so history-dependent cost models stay
+    valid.  An empty plan is the plan-free run.
     """
     schedule = Schedule.coerce(schedule)
-    if n < 0:
-        raise SimulationError(f"iteration count must be >= 0, got {n}")
+    check_loop(n, num_threads, chunk)
     if cost_multiplier <= 0:
         raise SimulationError("cost multiplier must be positive")
     T = machine.clamp_threads(num_threads)
     cost_fn = _as_cost_fn(costs)
-    if fault_plan is not None:
-        return _simulate_with_faults(
-            n, cost_fn, machine, T, schedule, chunk, cost_multiplier,
-            trace, fault_plan,
-        )
-
-    start_times = np.zeros(n, dtype=np.float64)
-    end_times = np.zeros(n, dtype=np.float64)
-    thread_of = np.zeros(n, dtype=np.int64)
-    issue_order: List[int] = []
-    busy = np.zeros(T, dtype=np.float64)
-    region_cost = machine.region_overhead(T)
-    overhead = np.full(T, region_cost, dtype=np.float64)
-    events: List[TraceEvent] = []
-    if trace and region_cost:
-        events.extend(
-            TraceEvent(-1, t, 0.0, region_cost, kind="overhead",
-                       label="fork-join")
-            for t in range(T)
-        )
-
-    queue = ThreadClockQueue(T, start_time=region_cost)
-
-    if schedule is Schedule.DYNAMIC:
-        # each thread claims a chunk when free; within a chunk it runs
-        # iterations back to back without re-dispatching
-        cursor = 0
-        while cursor < n:
-            time, thread = queue.pop_earliest()
-            end = min(cursor + chunk, n)
-            my_chunk = range(cursor, end)
-            cursor = end
-            t_clock = time + machine.dispatch_overhead
-            overhead[thread] += machine.dispatch_overhead
-            if trace and machine.dispatch_overhead:
-                events.append(
-                    TraceEvent(-1, thread, time, t_clock, kind="overhead",
-                               label="dispatch")
-                )
-            for i in my_chunk:
-                duration = cost_fn(i, t_clock, thread) * cost_multiplier
-                if not duration >= 0:  # also rejects NaN
-                    raise SimulationError(
-                        f"invalid cost for iteration {i}: {duration!r}"
-                    )
-                start_times[i] = t_clock
-                end_times[i] = t_clock + duration
-                thread_of[i] = thread
-                issue_order.append(i)
-                busy[thread] += duration
-                if trace:
-                    events.append(
-                        TraceEvent(i, thread, t_clock, t_clock + duration)
-                    )
-                t_clock += duration
-            queue.advance(thread, t_clock)
-        makespan = queue.latest
-    else:
-        assignment = static_assignment(schedule, n, T, chunk)
-        cursors = [0] * T
-        remaining = n
-        while remaining:
-            time, thread = queue.pop_earliest()
-            mine = assignment[thread]
-            if cursors[thread] >= len(mine):
-                # thread drained; park it at +inf so it never pops again
-                queue.advance(thread, float("inf"))
-                continue
-            i = int(mine[cursors[thread]])
-            cursors[thread] += 1
-            duration = cost_fn(i, time, thread) * cost_multiplier
-            if not duration >= 0:  # also rejects NaN
-                raise SimulationError(
-                    f"invalid cost for iteration {i}: {duration!r}"
-                )
-            start_times[i] = time
-            end_times[i] = time + duration
-            thread_of[i] = thread
-            issue_order.append(i)
-            busy[thread] += duration
-            if trace:
-                events.append(TraceEvent(i, thread, time, time + duration))
-            queue.advance(thread, time + duration)
-            remaining -= 1
-        finite = [c for c in queue.clocks() if c != float("inf")]
-        makespan = max(finite) if finite else region_cost
-        if n:
-            makespan = max(makespan, float(end_times.max()))
-        else:
-            makespan = region_cost
-
-    if n == 0:
-        makespan = region_cost
-
-    result = SimResult(
-        num_threads=T,
-        makespan=float(makespan),
-        busy=busy,
-        overhead=overhead,
-        events=events,
-        meta={"schedule": schedule.value, "chunk": str(chunk)},
-    )
-    reg = _obs._current
-    if reg is not None:
-        reg.add("sim.parfor.regions", 1)
-        reg.add("sim.parfor.iterations", n)
-        reg.add("sim.clock.pops", queue.pops)
-        reg.add("sim.clock.advances", queue.advances)
-        reg.add("sim.clock.stale_skips", queue.stale_skips)
-    return ParForOutcome(
-        result=result,
-        start_times=start_times,
-        end_times=end_times,
-        thread_of=thread_of,
-        issue_order=np.asarray(issue_order, dtype=np.int64),
-        schedule=schedule.value,
-        chunk=chunk,
-    )
-
-
-def _simulate_with_faults(
-    n: int,
-    cost_fn: CostFn,
-    machine: MachineSpec,
-    T: int,
-    schedule: Schedule,
-    chunk: int,
-    cost_multiplier: float,
-    trace: bool,
-    fault_plan,
-) -> ParForOutcome:
-    """Fault-replaying twin of the clean simulation loops.
-
-    Kept separate so plan-free simulations execute exactly the seed's
-    code (the ``sim.clock.*`` op counters are exact-gated in committed
-    bench baselines).  Model: faults fire at claim/iteration boundaries
-    in deterministic claim/iteration counts, a dead thread leaves the
-    event rotation with its clock frozen at the death time, and its
-    lost iterations re-enter a recovery queue that any surviving thread
-    drains dynamic-style (paying dispatch overhead, events labelled
-    ``recovery``).  Each iteration's cost callback still runs exactly
-    once — history-dependent cost models stay valid.
-    """
-    from ..faults.plan import RAISE, STALL
-
-    bound = fault_plan.bind(T)
-    specs: List[List] = [list(bound.for_worker(t)) for t in range(T)]
-    claims = [0] * T
+    source = ClaimSource(schedule, n, T, chunk)
+    plan = fault_plan.bind(T) if fault_plan else None
+    stalls_due: List[float] = []
+    injectors = [
+        WorkerFaultInjector(plan, t, sleep=stalls_due.append) for t in range(T)
+    ]
 
     start_times = np.zeros(n, dtype=np.float64)
     end_times = np.zeros(n, dtype=np.float64)
@@ -272,71 +142,33 @@ def _simulate_with_faults(
         )
     queue = ThreadClockQueue(T, start_time=region_cost)
 
+    #: static claim items not yet dispatched, per thread
+    held: List[deque] = [deque() for _ in range(T)]
     dead = [False] * T
-    #: live threads that popped with nothing to claim; woken on requeue
-    idle_waiting: List[int] = []
+    parked: List[int] = []
     requeued: "deque[List[int]]" = deque()
-    deaths = stalls = requeued_iters = 0
-    executed = 0
-    cursor = 0  # dynamic issue cursor
-    dynamic = schedule is Schedule.DYNAMIC
-    if dynamic:
-        assignment: List[List[int]] = []
-        cursors: List[int] = []
-    else:
-        assignment = [
-            [int(i) for i in a]
-            for a in static_assignment(schedule, n, T, chunk)
-        ]
-        cursors = [0] * T
+    deaths = stalls = requeued_iters = executed = 0
 
-    def claim_faults(t: int):
-        """Advance t's claim count; return (stall_time, fatal_spec)."""
-        nonlocal stalls
-        claims[t] += 1
-        stall = 0.0
-        fatal = None
-        keep = []
-        for s in specs[t]:
-            if s.kind == RAISE or claims[t] < s.after_claims:
-                keep.append(s)
-            elif s.kind == STALL:
-                stall += s.seconds
-                stalls += 1
-            elif fatal is None:
-                fatal = s
-            else:
-                keep.append(s)
-        specs[t] = keep
-        return stall, fatal
-
-    def iteration_fault(t: int, i: int):
-        for s in specs[t]:
-            if s.kind == RAISE and s.iteration == i:
-                specs[t] = [x for x in specs[t] if x is not s]
-                return s
-        return None
-
-    def kill(t: int, time: float, spec, lost: List[int]) -> None:
+    def kill(t: int, time: float, kind: str, lost: List[int]) -> None:
         nonlocal deaths, requeued_iters
         deaths += 1
         dead[t] = True
+        held[t].clear()
         if trace:
             events.append(
                 TraceEvent(-1, t, time, time, kind="fault",
-                           label=f"death({spec.kind})")
+                           label=f"death({kind})")
             )
         if lost:
-            requeued.append(list(lost))
+            requeued.append(lost)
             requeued_iters += len(lost)
-            # the lost work exists again as of the death time: wake any
-            # survivor that parked because nothing was claimable
-            while idle_waiting:
-                w = idle_waiting.pop()
-                queue.advance(w, max(queue.clock(w), time))
+            # the lost work exists again as of the death time: wake
+            # every thread that parked because nothing was claimable
+            while parked:
+                queue.wake(parked.pop(), time)
 
     while executed < n:
-        if len(queue) == 0:
+        if deaths == T:
             raise SimulationError(
                 "fault plan killed every simulated thread with "
                 f"{n - executed} iteration(s) still unexecuted"
@@ -344,52 +176,53 @@ def _simulate_with_faults(
         time, thread = queue.pop_earliest()
         if dead[thread]:
             continue  # removed from the rotation
-        recovery = False
-        if requeued:
-            items = requeued.popleft()
-            recovery = True
-        elif dynamic and cursor < n:
-            end = min(cursor + chunk, n)
-            items = list(range(cursor, end))
-            cursor = end
-        elif not dynamic and cursors[thread] < len(assignment[thread]):
-            # the whole static assignment is one implicit claim
-            items = assignment[thread][cursors[thread]:]
-            cursors[thread] = len(assignment[thread])
-        else:
-            # nothing claimable now; work may reappear if a peer dies
-            idle_waiting.append(thread)
-            continue
-
+        mine = held[thread]
         t_clock = time
-        if (recovery or dynamic) and machine.dispatch_overhead:
-            overhead[thread] += machine.dispatch_overhead
-            if trace:
-                events.append(
-                    TraceEvent(-1, thread, t_clock,
-                               t_clock + machine.dispatch_overhead,
-                               kind="overhead", label="dispatch")
-                )
-            t_clock += machine.dispatch_overhead
-        stall, fatal = claim_faults(thread)
-        if stall:
-            overhead[thread] += stall
-            if trace:
-                events.append(
-                    TraceEvent(-1, thread, t_clock, t_clock + stall,
-                               kind="fault", label="stall")
-                )
-            t_clock += stall
-        if fatal is not None:
-            kill(thread, t_clock, fatal, items)
-            queue.advance(thread, t_clock)  # freeze clock at death time
-            continue
-        died = False
-        for pos, i in enumerate(items):
-            spec = iteration_fault(thread, i)
-            if spec is not None:
-                kill(thread, t_clock, spec, items[pos:])
-                died = True
+        recovery = batch = False
+        if not mine:
+            recovery = bool(requeued)
+            items = requeued.popleft() if recovery else source.claim(thread)
+            if not items:
+                queue.advance(thread, INF)
+                parked.append(thread)
+                continue
+            batch = recovery or source.dynamic
+            if batch and machine.dispatch_overhead:
+                overhead[thread] += machine.dispatch_overhead
+                if trace:
+                    events.append(
+                        TraceEvent(-1, thread, t_clock,
+                                   t_clock + machine.dispatch_overhead,
+                                   kind="overhead", label="dispatch")
+                    )
+                t_clock += machine.dispatch_overhead
+            death = None
+            try:
+                injectors[thread].on_claim()
+            except ThreadDeath as exc:
+                death = exc
+            if stalls_due:
+                stall = sum(stalls_due)
+                stalls += len(stalls_due)
+                stalls_due.clear()
+                overhead[thread] += stall
+                if trace:
+                    events.append(
+                        TraceEvent(-1, thread, t_clock, t_clock + stall,
+                                   kind="fault", label="stall")
+                    )
+                t_clock += stall
+            if death is not None:
+                kill(thread, t_clock, death.spec.kind, list(items))
+                queue.advance(thread, t_clock)  # freeze clock at death time
+                continue
+            mine.extend(items)
+        for _ in range(len(mine) if batch else 1):
+            i = mine[0]
+            try:
+                injectors[thread].on_iteration(i)
+            except FaultInjected:
+                kill(thread, t_clock, RAISE, list(mine))
                 break
             duration = cost_fn(i, t_clock, thread) * cost_multiplier
             if not duration >= 0:  # also rejects NaN
@@ -407,29 +240,25 @@ def _simulate_with_faults(
                                label="recovery" if recovery else "")
                 )
             t_clock += duration
+            mine.popleft()
             executed += 1
         queue.advance(thread, t_clock)
-        if died:
-            continue
 
-    makespan = float(queue.latest)
+    makespan = region_cost
     if n:
-        makespan = max(makespan, float(end_times.max()))
-    else:
-        makespan = region_cost
+        finite = [c for c in queue.clocks() if c != INF]
+        makespan = max(max(finite), float(end_times.max()))
 
+    meta = {"schedule": schedule.value, "chunk": str(chunk)}
+    if plan is not None:
+        meta.update(fault_deaths=str(deaths), fault_stalls=str(stalls))
     result = SimResult(
         num_threads=T,
-        makespan=makespan,
+        makespan=float(makespan),
         busy=busy,
         overhead=overhead,
         events=events,
-        meta={
-            "schedule": schedule.value,
-            "chunk": str(chunk),
-            "fault_deaths": str(deaths),
-            "fault_stalls": str(stalls),
-        },
+        meta=meta,
     )
     reg = _obs._current
     if reg is not None:
@@ -438,9 +267,10 @@ def _simulate_with_faults(
         reg.add("sim.clock.pops", queue.pops)
         reg.add("sim.clock.advances", queue.advances)
         reg.add("sim.clock.stale_skips", queue.stale_skips)
-        reg.add("faults.sim.deaths", deaths)
-        reg.add("faults.sim.stalls", stalls)
-        reg.add("faults.sim.requeued_iterations", requeued_iters)
+        if plan is not None:
+            reg.add("faults.sim.deaths", deaths)
+            reg.add("faults.sim.stalls", stalls)
+            reg.add("faults.sim.requeued_iterations", requeued_iters)
     return ParForOutcome(
         result=result,
         start_times=start_times,

@@ -10,7 +10,7 @@ import pytest
 from repro.exceptions import BackendError
 from repro.faults import KILL, RAISE, STALL, FaultPlan
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.parallel import parallel_for
+from repro.parallel import parallel_for, parallel_map
 from repro.types import Schedule
 
 
@@ -78,13 +78,47 @@ class TestSerialFaults:
         assert counters["faults.worker_deaths"] == 1
         assert counters["faults.recovered_indices"] >= 1
 
-    def test_plan_free_path_untouched(self):
-        # no plan → the historical behaviour, bit for bit
-        got = parallel_for(
-            10,
-            lambda i, t: None,
-            num_threads=2,
-            schedule=Schedule.DYNAMIC,
-            backend="serial",
-        )
-        assert sorted(i for lst in got for i in lst) == list(range(10))
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize(
+        "schedule",
+        [Schedule.BLOCK, Schedule.STATIC_CYCLIC, Schedule.DYNAMIC],
+    )
+    def test_empty_plan_is_plan_free(self, backend, schedule):
+        def run(plan):
+            return parallel_for(
+                23,
+                lambda i, t: None,
+                num_threads=3,
+                schedule=schedule,
+                chunk=2,
+                backend=backend,
+                fault_plan=plan,
+            )
+
+        clean, empty = run(None), run(FaultPlan(faults=()))
+        if backend == "threads" and schedule is Schedule.DYNAMIC:
+            # which thread wins a dynamic claim is up to the OS
+            clean = [sorted(i for part in clean for i in part)]
+            empty = [sorted(i for part in empty for i in part)]
+        assert empty == clean
+        assert sorted(i for part in clean for i in part) == list(range(23))
+
+    def test_serial_map_honours_the_plan(self):
+        plan = FaultPlan.single(KILL, worker=0, after_claims=1)
+        kwargs = dict(num_threads=2, backend="serial", fault_plan=plan)
+        with pytest.raises(BackendError, match="retry"):
+            parallel_map(6, lambda i: i * i, on_worker_death="raise", **kwargs)
+        got = parallel_map(6, lambda i: i * i, on_worker_death="retry", **kwargs)
+        assert got == [i * i for i in range(6)]
+
+    def test_one_worker_process_map_honours_the_plan(self):
+        plan = FaultPlan.single(KILL, worker=0, after_claims=1)
+        with pytest.raises(BackendError, match="retry"):
+            parallel_map(
+                6,
+                lambda i: i * i,
+                num_threads=1,
+                backend="process",
+                fault_plan=plan,
+                on_worker_death="raise",
+            )

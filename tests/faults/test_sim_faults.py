@@ -174,3 +174,95 @@ class TestSimCounters:
         counters = registry.snapshot()["counters"]
         assert counters["faults.sim.deaths"] == 1
         assert counters["faults.sim.requeued_iterations"] >= 1
+
+
+def _counted(**kwargs):
+    from repro.obs.metrics import MetricsRegistry, use_registry
+
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        out = simulate_parallel_for(**kwargs)
+    return out, registry.snapshot()["counters"]
+
+
+class TestEmptyPlanIsPlanFree:
+    @pytest.mark.parametrize("schedule", ["block", "static-cyclic", "dynamic"])
+    def test_every_outcome_field_and_clock_counter(self, schedule):
+        from repro.simx import default_machine
+
+        costs = np.random.default_rng(3).uniform(1.0, 9.0, 37)
+        kwargs = dict(
+            n=37,
+            costs=costs,
+            machine=default_machine(4),
+            num_threads=4,
+            schedule=schedule,
+            chunk=2,
+            trace=True,
+        )
+        clean, clean_counters = _counted(**kwargs)
+        empty, empty_counters = _counted(fault_plan=FaultPlan(faults=()), **kwargs)
+        for field in ("start_times", "end_times", "thread_of", "issue_order"):
+            assert getattr(empty, field).tolist() == getattr(clean, field).tolist()
+        assert (empty.schedule, empty.chunk) == (clean.schedule, clean.chunk)
+        for field in ("num_threads", "makespan", "events", "meta"):
+            assert getattr(empty.result, field) == getattr(clean.result, field)
+        assert empty.result.busy.tolist() == clean.result.busy.tolist()
+        assert empty.result.overhead.tolist() == clean.result.overhead.tolist()
+        assert empty_counters == clean_counters
+        assert clean_counters["sim.clock.pops"] > 0
+
+    def test_static_cyclic_sweep_on_rmat(self):
+        from repro.core import simulate_sweep
+        from repro.graphs.rmat import rmat
+        from repro.simx import default_machine
+
+        g = rmat(7, 8, seed=5)
+        order = np.argsort(-np.diff(g.indptr), kind="stable")
+        runs = [
+            simulate_sweep(
+                g,
+                order,
+                default_machine(8),
+                num_threads=8,
+                schedule="static-cyclic",
+                fault_plan=plan,
+            )
+            for plan in (None, FaultPlan(faults=()))
+        ]
+        assert runs[1].makespan == runs[0].makespan
+        assert runs[1].dist.tobytes() == runs[0].dist.tobytes()
+
+
+class TestStaticClaims:
+    def test_kill_after_one_claim_requeues_the_whole_assignment(self):
+        out = simulate_parallel_for(
+            12,
+            np.ones(12),
+            BARE,
+            num_threads=3,
+            schedule="block",
+            fault_plan=FaultPlan.single(KILL, worker=1, after_claims=1),
+            trace=True,
+        )
+        assert 1 not in out.thread_of.tolist()
+        recovered = sorted(
+            e.item for e in out.result.events if e.label == "recovery"
+        )
+        assert recovered == [4, 5, 6, 7]
+        # survivors dispatch their own blocks one per step, then wake
+        # from their park to run the requeued block back to back
+        assert out.result.makespan == 8.0
+
+    def test_static_dispatch_stays_in_virtual_time_order(self):
+        costs = np.array([5.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+        out = simulate_parallel_for(
+            6,
+            costs,
+            BARE,
+            num_threads=2,
+            schedule="static-cyclic",
+            fault_plan=FaultPlan.single(STALL, worker=1, seconds=0.5),
+        )
+        starts = out.start_times[out.issue_order]
+        assert np.all(np.diff(starts) >= 0)

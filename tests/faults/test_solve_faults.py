@@ -208,6 +208,20 @@ class TestValidation:
         with pytest.raises(AlgorithmError, match="chunk"):
             solve_apsp(graph, num_threads=2, chunk=-3)
 
+    @pytest.mark.parametrize("chunk", [0, -3])
+    def test_simulator_rejects_bad_chunk(self, graph, chunk):
+        from repro.core import simulate_sweep
+        from repro.simx import default_machine
+
+        with pytest.raises(AlgorithmError, match="chunk"):
+            simulate_sweep(
+                graph,
+                np.arange(N),
+                default_machine(2),
+                num_threads=2,
+                chunk=chunk,
+            )
+
     def test_bad_policy_rejected(self, graph):
         with pytest.raises(AlgorithmError, match="on_worker_death"):
             solve_apsp(graph, num_threads=2, on_worker_death="shrug")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import BackendError
+from repro.exceptions import BackendError, ScheduleError
 from repro.parallel import Backend, Schedule, parallel_for, parallel_map
 
 
@@ -117,3 +117,46 @@ class TestParallelMap:
     def test_backend_coercion_error(self):
         with pytest.raises(BackendError, match="unknown backend"):
             parallel_map(3, lambda i: i, backend="gpu")
+
+
+class TestLoopCheck:
+    """Every executor draws its claims from one checked ClaimSource."""
+
+    @staticmethod
+    def _run(backend, num_threads=2, chunk=1):
+        if backend == "sim":
+            from repro.simx import default_machine, simulate_parallel_for
+
+            return simulate_parallel_for(
+                5, np.ones(5), default_machine(2), num_threads=num_threads,
+                chunk=chunk,
+            )
+        return parallel_map(
+            4,
+            lambda i: i,
+            num_threads=num_threads,
+            schedule="dynamic",
+            chunk=chunk,
+            backend=backend,
+        )
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "process", "sim"])
+    @pytest.mark.parametrize("num_threads", [0, -2])
+    def test_no_threads_rejected(self, backend, num_threads):
+        with pytest.raises(ScheduleError, match="num_threads"):
+            self._run(backend, num_threads=num_threads)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "process", "sim"])
+    def test_zero_chunk_rejected(self, backend):
+        with pytest.raises(ScheduleError, match="chunk"):
+            self._run(backend, chunk=0)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "process"])
+    def test_sweep_with_no_threads_rejected(self, backend):
+        from repro.core.sweep import run_sweep
+        from repro.graphs.rmat import rmat
+
+        with pytest.raises(ScheduleError, match="num_threads"):
+            run_sweep(
+                rmat(5, 4, seed=1), np.arange(32), backend=backend, num_threads=0
+            )
