@@ -11,8 +11,8 @@ import pytest
 
 from repro.baselines import floyd_warshall, repeated_dijkstra
 from repro.core import (
-    merge_block,
     modified_dijkstra_sssp,
+    native,
     new_state,
     run_sweep,
     solve_apsp,
@@ -107,7 +107,16 @@ def test_multilists_ordering_real(benchmark, big_degrees):
 
 
 def test_one_worker_sweep(benchmark, graph):
-    """One worker: the lockstep engine in blocks of 64 sources."""
+    """One worker: one native kernel call per source."""
+    n = graph.num_vertices
+    benchmark.pedantic(
+        lambda: run_sweep(graph, np.arange(n)), rounds=1, iterations=1
+    )
+
+
+def test_one_worker_python_sweep(benchmark, graph, monkeypatch):
+    """The same sweep on the Python fallback kernel."""
+    monkeypatch.setattr(native, "_loaded", (None, "python (bench)"))
     n = graph.num_vertices
     benchmark.pedantic(
         lambda: run_sweep(graph, np.arange(n)), rounds=1, iterations=1
@@ -122,15 +131,6 @@ def test_per_source_sweep(benchmark, graph):
         rounds=1,
         iterations=1,
     )
-
-
-@pytest.mark.parametrize("block", [16, 64, 256])
-def test_merge_block_kernel(benchmark, block):
-    rng = np.random.default_rng(0)
-    dist = rng.uniform(1.0, 100.0, size=(2 * block, 2048))
-    rows = np.arange(block, dtype=np.int64)
-    hubs = rows + block
-    benchmark(lambda: merge_block(dist, rows, hubs % 2048))
 
 
 def _opcounts_workload():

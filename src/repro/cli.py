@@ -543,6 +543,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"ordering     : {result.ordering_method} "
           f"[{result.phase_times.ordering:.6g} {unit}]")
     print(f"dijkstra     : {result.phase_times.dijkstra:.6g} {unit}")
+    if result.sweep_kernel is not None:
+        print(f"sweep kernel : {result.sweep_kernel}")
     print(f"total        : {result.total_time:.6g} {unit}")
     if cfg.faults.plan is not None:
         print(f"fault plan   : {len(cfg.faults.plan)} fault(s), "

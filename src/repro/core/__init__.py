@@ -1,11 +1,10 @@
 """The paper's core contribution: modified-Dijkstra APSP, sequential
 and parallel, on real backends and on the simulated machine."""
 
-from .batch import BLOCK, run_block
 from .calibrate import CalibrationSample, fit_cost_model, measure_sweeps
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .dijkstra import dijkstra_rows, dijkstra_sssp
-from .kernels import merge_block, merge_row, relax_block, relax_edges
+from .kernels import merge_row, relax_edges
 from .modified_dijkstra import modified_dijkstra_sssp
 from .registry import (
     ShardHooks,
@@ -40,8 +39,6 @@ from .sweep import SweepOutcome, run_sweep
 from .verify import verify_apsp
 
 __all__ = [
-    "BLOCK",
-    "run_block",
     "CalibrationSample",
     "fit_cost_model",
     "measure_sweeps",
@@ -49,9 +46,7 @@ __all__ = [
     "DijkstraCostModel",
     "dijkstra_rows",
     "dijkstra_sssp",
-    "merge_block",
     "merge_row",
-    "relax_block",
     "relax_edges",
     "modified_dijkstra_sssp",
     "seq_adaptive",

@@ -1,0 +1,229 @@
+/* Algorithm 1 (modified Dijkstra with flag reuse) as one native sweep.
+ *
+ * repro_sweep() runs the sweep from one source over the shared n x n
+ * distance matrix, exactly as repro.core.modified_dijkstra does in
+ * Python: same queue disciplines, same float operations in the same
+ * order, same operation counts.  It holds no interpreter state, so
+ * ctypes drops the interpreter lock for the call and several threads
+ * can sweep at once.
+ *
+ * Concurrency: a sweep writes only its own row.  It reads another row
+ * t only after loading flag[t] with acquire semantics, and it raises
+ * its own flag with release semantics after the row's last write, so a
+ * reader that sees the flag also sees the final row.
+ */
+#include <stdint.h>
+#include <stdlib.h>
+
+/* per-source count slots: the OpCounts fields first, in their order */
+enum { C_POPS, C_EDGE_RELAXATIONS, C_EDGE_IMPROVEMENTS, C_ROW_MERGES,
+       C_MERGE_COMPARISONS, C_FLAG_HITS, C_MERGE_IMPROVED, C_MERGE_NOOP,
+       C_RELAX_CALLS, C_RELAX_EMPTY, C_PEAK_QUEUE, C_NCOUNTS };
+
+typedef struct {
+    const int64_t *indptr;
+    const int64_t *indices;
+    const double *weights;
+    double *dist;               /* n x n, row-major */
+    uint8_t *flag;
+    const double *completed_at; /* NULL: every raised flag may be used */
+    int64_t *counts;            /* n x C_NCOUNTS */
+    int64_t n;
+    int32_t heap;
+    int32_t use_flags;
+} repro_sweep_ctx;
+
+typedef struct {
+    int64_t *ring;       /* FIFO: n slots, enough with in-queue dedup */
+    uint8_t *in_queue;
+    double *heap_d;      /* heap entries (d, v), ordered like heapq */
+    int64_t *heap_v;
+    int64_t heap_cap;
+} repro_sweep_scratch;
+
+void repro_sweep_scratch_free(repro_sweep_scratch *s)
+{
+    if (!s)
+        return;
+    free(s->ring);
+    free(s->in_queue);
+    free(s->heap_d);
+    free(s->heap_v);
+    free(s);
+}
+
+repro_sweep_scratch *repro_sweep_scratch_new(int64_t n)
+{
+    repro_sweep_scratch *s = calloc(1, sizeof *s);
+    size_t slots = n > 0 ? (size_t)n : 1;
+    if (!s)
+        return NULL;
+    s->ring = malloc(slots * sizeof *s->ring);
+    s->in_queue = calloc(slots, 1);
+    s->heap_cap = (int64_t)slots;
+    s->heap_d = malloc(slots * sizeof *s->heap_d);
+    s->heap_v = malloc(slots * sizeof *s->heap_v);
+    if (!s->ring || !s->in_queue || !s->heap_d || !s->heap_v) {
+        repro_sweep_scratch_free(s);
+        return NULL;
+    }
+    return s;
+}
+
+static int usable(const repro_sweep_ctx *c, int64_t t, int64_t source,
+                  double dispatch_time)
+{
+    return c->use_flags && t != source
+        && __atomic_load_n(&c->flag[t], __ATOMIC_ACQUIRE)
+        && (!c->completed_at || c->completed_at[t] <= dispatch_time);
+}
+
+/* ds[v] = min(ds[v], ds_t + dt[v]), counted like kernels.merge_row */
+static void merge(double *ds, const double *dt, double ds_t, int64_t n,
+                  int64_t *k)
+{
+    int64_t improved = 0;
+    for (int64_t v = 0; v < n; v++) {
+        double cand = ds_t + dt[v];
+        if (cand < ds[v]) {
+            ds[v] = cand;
+            improved++;
+        }
+    }
+    k[C_ROW_MERGES]++;
+    k[C_MERGE_COMPARISONS] += n;
+    k[C_FLAG_HITS]++;
+    k[C_MERGE_IMPROVED] += improved;
+    if (!improved)
+        k[C_MERGE_NOOP]++;
+}
+
+static int heap_less(double da, int64_t va, double db, int64_t vb)
+{
+    return da < db || (da == db && va < vb);
+}
+
+static int heap_push(repro_sweep_scratch *s, int64_t *size, double d,
+                     int64_t v)
+{
+    int64_t i = (*size)++;
+    if (i >= s->heap_cap) {
+        int64_t cap = 2 * s->heap_cap;
+        double *nd = realloc(s->heap_d, (size_t)cap * sizeof *nd);
+        if (!nd)
+            return -1;
+        s->heap_d = nd;
+        int64_t *nv = realloc(s->heap_v, (size_t)cap * sizeof *nv);
+        if (!nv)
+            return -1;
+        s->heap_v = nv;
+        s->heap_cap = cap;
+    }
+    while (i > 0) {
+        int64_t parent = (i - 1) / 2;
+        if (!heap_less(d, v, s->heap_d[parent], s->heap_v[parent]))
+            break;
+        s->heap_d[i] = s->heap_d[parent];
+        s->heap_v[i] = s->heap_v[parent];
+        i = parent;
+    }
+    s->heap_d[i] = d;
+    s->heap_v[i] = v;
+    return 0;
+}
+
+static void heap_pop(repro_sweep_scratch *s, int64_t *size, double *d,
+                     int64_t *v)
+{
+    *d = s->heap_d[0];
+    *v = s->heap_v[0];
+    int64_t last = --(*size);
+    double ld = s->heap_d[last];
+    int64_t lv = s->heap_v[last];
+    int64_t i = 0;
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= last)
+            break;
+        if (child + 1 < last
+            && heap_less(s->heap_d[child + 1], s->heap_v[child + 1],
+                         s->heap_d[child], s->heap_v[child]))
+            child++;
+        if (!heap_less(s->heap_d[child], s->heap_v[child], ld, lv))
+            break;
+        s->heap_d[i] = s->heap_d[child];
+        s->heap_v[i] = s->heap_v[child];
+        i = child;
+    }
+    s->heap_d[i] = ld;
+    s->heap_v[i] = lv;
+}
+
+/* One sweep from `source`; 0 on success, -1 if the heap cannot grow. */
+int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
+                int64_t source, double dispatch_time)
+{
+    const int64_t n = c->n;
+    double *ds = c->dist + source * n;
+    int64_t *k = c->counts + source * C_NCOUNTS;
+    int64_t size = 1, head = 0, peak = 1;
+
+    for (int i = 0; i < C_NCOUNTS; i++)
+        k[i] = 0;
+    ds[source] = 0.0;
+    if (c->heap) {
+        s->heap_d[0] = 0.0;
+        s->heap_v[0] = source;
+    } else {
+        s->ring[0] = source;
+        s->in_queue[source] = 1;
+    }
+    while (size > 0) {
+        int64_t t;
+        if (size > peak)
+            peak = size;
+        if (c->heap) {
+            double d;
+            heap_pop(s, &size, &d, &t);
+            k[C_POPS]++;
+            if (d > ds[t])
+                continue; /* stale entry (lazy deletion) */
+        } else {
+            t = s->ring[head];
+            head = head + 1 == n ? 0 : head + 1;
+            size--;
+            s->in_queue[t] = 0;
+            k[C_POPS]++;
+        }
+        const double ds_t = ds[t];
+        if (usable(c, t, source, dispatch_time)) {
+            merge(ds, c->dist + t * n, ds_t, n, k);
+            continue; /* prune: the final row covers every continuation */
+        }
+        const int64_t lo = c->indptr[t], hi = c->indptr[t + 1];
+        k[C_RELAX_CALLS]++;
+        k[C_EDGE_RELAXATIONS] += hi - lo;
+        if (lo == hi)
+            k[C_RELAX_EMPTY]++;
+        for (int64_t e = lo; e < hi; e++) {
+            const int64_t v = c->indices[e];
+            const double cand = ds_t + c->weights[e];
+            if (!(cand < ds[v]))
+                continue;
+            ds[v] = cand;
+            k[C_EDGE_IMPROVEMENTS]++;
+            if (c->heap) {
+                if (heap_push(s, &size, cand, v))
+                    return -1;
+            } else if (!s->in_queue[v]) {
+                s->in_queue[v] = 1;
+                int64_t tail = head + size;
+                s->ring[tail >= n ? tail - n : tail] = v;
+                size++;
+            }
+        }
+    }
+    k[C_PEAK_QUEUE] = peak;
+    __atomic_store_n(&c->flag[source], 1, __ATOMIC_RELEASE);
+    return 0;
+}

@@ -11,7 +11,7 @@ improvement on the n-th pass) and raises
 :class:`~repro.exceptions.NegativeCycleError`.
 
 The APSP phase is *exactly* the paper's sweep pipeline run on the inner
-graph: every source is independent, so the batched lockstep engine, the
+graph: every source is independent, so the native sweep kernel, the
 process backend, the SIM machine model and the fault-injection retry
 paths all ride along unchanged, and Algorithm 1's flag reuse stays
 valid (rows of the reweighted graph merge in reweighted space; the
@@ -169,7 +169,7 @@ def _solve_johnson(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
 
     The inner APSP delegates to the sweep family's solve path with this
     spec, so ``johnson`` honours every pipeline knob (ordering,
-    schedule, backend, batching, faults) exactly like ``parapsp`` does.
+    schedule, backend, faults) exactly like ``parapsp`` does.
     """
     from .runner import _solve_sweep_family
 

@@ -1,0 +1,218 @@
+"""The native sweep kernel: ``_sweep.c`` built on first use, via ctypes.
+
+:func:`bind` returns a :class:`NativeSweep` for one sweep phase, or
+``None`` when the kernel cannot load, in which case the caller runs
+:func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` instead.
+Both compute the same rows and the same per-source ``OpCounts``.
+
+The library is compiled with the system ``cc`` the first time a sweep
+asks for it — never at ``import repro`` — into
+``$XDG_CACHE_HOME/repro-apsp/`` (``~/.cache`` by default; the system
+temp directory if that is not writable), keyed by the sha256 of the
+source and the compiler flags.  A build writes a private temporary
+file and renames it into place, so concurrent first loads, in threads
+or processes, end with one complete library.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import tempfile
+import threading
+from pathlib import Path
+from typing import List, Optional, Tuple
+
+import numpy as np
+
+from ..exceptions import AlgorithmError
+from ..obs import metrics as _obs
+from ..types import OpCounts
+
+__all__ = ["NativeSweep", "bind", "kernel_name", "load"]
+
+SOURCE = Path(__file__).with_name("_sweep.c")
+CFLAGS = ("-O2", "-shared", "-fPIC")
+#: per-source count slots, in ``_sweep.c``'s order: the six
+#: ``OpCounts`` fields, then merge improved/noop, relax calls/empty and
+#: the queue peak (the source hash keys the build, so they cannot drift)
+NCOUNTS = 11
+
+_lock = threading.Lock()
+#: ``(library, reason)`` once the first load has been tried
+_loaded: Optional[Tuple[Optional[ctypes.CDLL], str]] = None
+
+
+class _Ctx(ctypes.Structure):
+    _fields_ = [
+        ("indptr", ctypes.c_void_p),
+        ("indices", ctypes.c_void_p),
+        ("weights", ctypes.c_void_p),
+        ("dist", ctypes.c_void_p),
+        ("flag", ctypes.c_void_p),
+        ("completed_at", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p),
+        ("n", ctypes.c_int64),
+        ("heap", ctypes.c_int32),
+        ("use_flags", ctypes.c_int32),
+    ]
+
+
+def _cache_dirs() -> List[Path]:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")
+    return [Path(base) / "repro-apsp", Path(tempfile.gettempdir()) / "repro-apsp"]
+
+
+def _build(directory: Path, compiler: str) -> Path:
+    """Compile into ``directory`` unless the keyed library is there."""
+    import subprocess
+
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(CFLAGS).encode()).hexdigest()[:16]
+    target = directory / f"_sweep-{key}.so"
+    if target.exists():
+        return target
+    directory.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *CFLAGS, "-o", tmp, str(SOURCE)],
+            check=True, capture_output=True, timeout=300,
+        )
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _open(path: Path) -> ctypes.CDLL:
+    lib = ctypes.CDLL(str(path))
+    lib.repro_sweep.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+    ]
+    lib.repro_sweep.restype = ctypes.c_int
+    lib.repro_sweep_scratch_new.argtypes = [ctypes.c_int64]
+    lib.repro_sweep_scratch_new.restype = ctypes.c_void_p
+    lib.repro_sweep_scratch_free.argtypes = [ctypes.c_void_p]
+    lib.repro_sweep_scratch_free.restype = None
+    return lib
+
+
+def _compiler() -> Optional[str]:
+    return shutil.which("cc")
+
+
+def _try_load() -> Tuple[Optional[ctypes.CDLL], str]:
+    compiler = _compiler()
+    if compiler is None:
+        return None, "python (no C compiler)"
+    failure = "python (kernel build failed)"
+    for directory in _cache_dirs():
+        try:
+            return _open(_build(directory, compiler)), "native"
+        except Exception as exc:  # noqa: BLE001 — any failure falls back
+            failure = f"python (kernel build failed: {type(exc).__name__})"
+    return None, failure
+
+
+def load() -> Tuple[Optional[ctypes.CDLL], str]:
+    """The kernel library (or ``None``) and the sweep kernel's name."""
+    global _loaded
+    with _lock:
+        if _loaded is None:
+            _loaded = _try_load()
+        return _loaded
+
+
+def kernel_name() -> str:
+    """``"native"``, or ``"python (<why the kernel did not load>)"``."""
+    return load()[1]
+
+
+class NativeSweep:
+    """One sweep phase bound to the kernel: pointers and per-worker
+    scratch are set up once, so each source costs one foreign call with
+    three scalar arguments.  Each worker index must be used by one
+    thread at a time."""
+
+    def __init__(self, lib, graph, state, *, queue: str, use_flags: bool,
+                 workers: int = 1, completed_at: Optional[np.ndarray] = None):
+        if queue not in ("fifo", "heap"):
+            raise AlgorithmError(f"unknown queue discipline {queue!r}")
+        n = state.n
+        self.queue = queue
+        self.counts = np.zeros((n, NCOUNTS), dtype=np.int64)
+        # C-contiguous by construction (CSRGraph, new_state); kept
+        # alive as long as the binding
+        self._arrays = (graph.indptr, graph.indices, graph.weights,
+                        state.dist, state.flag, completed_at, self.counts)
+        self._ctx = _Ctx(
+            *(a.ctypes.data if a is not None else None for a in self._arrays),
+            n, queue == "heap", bool(use_flags),
+        )
+        self._ctx_ref = ctypes.byref(self._ctx)
+        self._lib = lib
+        self._fn = lib.repro_sweep
+        self._scratch = []
+        for _ in range(workers):
+            scratch = lib.repro_sweep_scratch_new(n)
+            if not scratch:
+                self.close()
+                raise MemoryError("native sweep scratch")
+            self._scratch.append(scratch)
+
+    def __call__(self, source: int, worker: int = 0,
+                 dispatch_time: float = 0.0) -> None:
+        if self._fn(self._ctx_ref, self._scratch[worker], source,
+                    dispatch_time):
+            raise MemoryError("native sweep heap")
+
+    def op_counts(self, source: int) -> OpCounts:
+        return OpCounts(*self.counts[source, :6].tolist())
+
+    def per_source(self) -> List[OpCounts]:
+        return [OpCounts(*row) for row in self.counts[:, :6].tolist()]
+
+    def publish(self) -> None:
+        """Report what the Python sweep reports per call, from the
+        count vector: ``sweep.count``, ``ops.*``, the row kernels'
+        ``kernel.*`` counters and the queue-occupancy gauge."""
+        reg = _obs._current
+        ran = self.counts[self.counts[:, 0] > 0]
+        if reg is None or not len(ran):
+            return
+        (pops, relaxed, improved, merges, compared, hits, merge_improved,
+         noops, relax_calls, empties, _) = ran.sum(axis=0).tolist()
+        reg.add("sweep.count", len(ran))
+        reg.add_many(OpCounts(pops, relaxed, improved, merges, compared,
+                              hits).as_dict(), prefix="ops")
+        if merges:
+            reg.add("kernel.merge_row.calls", merges)
+            reg.add("kernel.merge_row.improved", merge_improved)
+            if noops:
+                reg.add("kernel.merge_row.noop", noops)
+        if relax_calls:
+            reg.add("kernel.relax.calls", relax_calls)
+            if relax_calls > empties:
+                reg.add("kernel.relax.attempted", relaxed)
+                reg.add("kernel.relax.improved", improved)
+            if empties:
+                reg.add("kernel.relax.empty_frontier", empties)
+        reg.gauge_max(f"sweep.{self.queue}.peak_queue_occupancy",
+                      int(ran[:, -1].max()))
+
+    def close(self) -> None:
+        for scratch in self._scratch:
+            self._lib.repro_sweep_scratch_free(scratch)
+        self._scratch = []
+
+
+def bind(graph, state, **kwargs) -> Optional[NativeSweep]:
+    """A :class:`NativeSweep` over ``state``, or ``None`` when the
+    kernel is unavailable (see :func:`kernel_name` for why)."""
+    lib, _ = load()
+    return None if lib is None else NativeSweep(lib, graph, state, **kwargs)

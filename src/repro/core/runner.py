@@ -174,11 +174,10 @@ def solve_apsp(graph: CSRGraph, **options) -> APSPResult:
     the exact APSP matrix regardless of algorithm, backend, schedule or
     thread count.
 
-    On a real backend with one worker the sweep phase runs the lockstep
-    engine of :mod:`repro.core.batch`, with two or more the per-source
-    sweep (see :func:`repro.core.sweep.run_sweep`).  The SIM backend
-    models per-operation costs, which batching does not change
-    (``OpCounts`` are identical by construction).
+    On a real backend every worker count claims single sources, swept
+    by the native kernel where it loads (see
+    :func:`repro.core.sweep.run_sweep`); ``APSPResult.sweep_kernel``
+    names the kernel that ran.
 
     ``trace=True`` (SIM backend) makes both phases record per-event
     virtual timelines on ``sim_ordering`` / ``sim_dijkstra``, the input
@@ -287,6 +286,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
                 ordering=ordering_time, dijkstra=sweep.makespan
             ),
             ops=sweep.total_ops(),
+            sweep_kernel=sweep.kernel,
             per_source_work=np.asarray(
                 [cost_model.sweep_cost(c) for c in sweep.per_source]
             ),
@@ -346,6 +346,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
             ordering=ordering_seconds, dijkstra=sweep.elapsed_seconds
         ),
         ops=sweep.total_ops(),
+        sweep_kernel=sweep.kernel,
         per_source_work=sweep.work_vector(cost_model),
     )
 

@@ -13,6 +13,8 @@ dynamic-programming argument — is what distinguishes this from a plain
 thread on the real machine (approximation: flags that arrive mid-sweep
 are not used; they only add reuse, so the simulated work is a slight
 over-estimate of the real machine's).
+The gate is the native kernel's ``completed_at`` array
+(:mod:`repro.core.native`), or a ``flag_gate`` on the Python fallback.
 
 The memory-hierarchy effects (aggregate LLC growth across sockets vs.
 bandwidth contention) enter through
@@ -24,14 +26,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import AlgorithmError
 from ..graphs.csr import CSRGraph
 from ..simx.machine import MachineSpec
 from ..simx.parfor import ParForOutcome, simulate_parallel_for
 from ..types import OpCounts, Schedule
+from . import native
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .modified_dijkstra import modified_dijkstra_sssp
 from .state import new_state
+from .sweep import issue_order
 
 __all__ = ["SimulatedSweep", "simulate_sweep"]
 
@@ -39,17 +42,20 @@ __all__ = ["SimulatedSweep", "simulate_sweep"]
 class SimulatedSweep:
     """Result bundle of a simulated sweep phase."""
 
-    __slots__ = ("dist", "per_source", "outcome")
+    __slots__ = ("dist", "per_source", "outcome", "kernel")
 
     def __init__(
         self,
         dist: np.ndarray,
         per_source: list,
         outcome: ParForOutcome,
+        kernel: str,
     ) -> None:
         self.dist = dist
         self.per_source = per_source
         self.outcome = outcome
+        #: which sweep kernel ran: ``"native"`` or ``"python (<why>)"``
+        self.kernel = kernel
 
     @property
     def makespan(self) -> float:
@@ -88,25 +94,27 @@ def simulate_sweep(
     recover from.
     """
     schedule = Schedule.coerce(schedule)
-    order = np.asarray(order, dtype=np.int64)
     n = graph.num_vertices
-    if order.shape != (n,):
-        raise AlgorithmError(
-            f"order must list all {n} sources, got shape {order.shape}"
-        )
+    order = issue_order(order, n)
     state = new_state(n)
     per_source: list = [OpCounts() for _ in range(n)]
     #: completion virtual time per vertex id; +inf = not finished yet
     completed_at = np.full(n, np.inf)
     multiplier = machine.memory_cost_multiplier(num_threads)
+    kernel = native.bind(
+        graph, state, queue=queue, use_flags=use_flags,
+        completed_at=completed_at,
+    )
 
-    def cost_fn(i: int, dispatch_time: float, _thread: int) -> float:
-        s = int(order[i])
+    def sweep(s: int, dispatch_time: float) -> OpCounts:
+        if kernel is not None:
+            kernel(s, 0, dispatch_time)
+            return kernel.op_counts(s)
 
         def gate(t: int) -> bool:
             return completed_at[t] <= dispatch_time
 
-        counts = modified_dijkstra_sssp(
+        return modified_dijkstra_sssp(
             graph,
             s,
             state,
@@ -114,22 +122,31 @@ def simulate_sweep(
             use_flags=use_flags,
             flag_gate=gate,
         )
-        per_source[s] = counts
+
+    def cost_fn(i: int, dispatch_time: float, _thread: int) -> float:
+        s = int(order[i])
+        counts = per_source[s] = sweep(s, dispatch_time)
         duration = cost_model.sweep_cost(counts)
         # the parfor applies cost_multiplier after this returns; record
         # the completion time in final (multiplied) units
         completed_at[s] = dispatch_time + duration * multiplier
         return duration
 
-    outcome = simulate_parallel_for(
-        n,
-        cost_fn,
-        machine,
-        num_threads=num_threads,
-        schedule=schedule,
-        chunk=chunk,
-        cost_multiplier=multiplier,
-        trace=trace,
-        fault_plan=fault_plan,
-    )
-    return SimulatedSweep(state.dist, per_source, outcome)
+    try:
+        outcome = simulate_parallel_for(
+            n,
+            cost_fn,
+            machine,
+            num_threads=num_threads,
+            schedule=schedule,
+            chunk=chunk,
+            cost_multiplier=multiplier,
+            trace=trace,
+            fault_plan=fault_plan,
+        )
+    finally:
+        if kernel is not None:
+            kernel.publish()
+            kernel.close()
+    name = "native" if kernel is not None else native.kernel_name()
+    return SimulatedSweep(state.dist, per_source, outcome, name)

@@ -124,6 +124,9 @@ class APSPResult:
     phase_times: PhaseTimes = field(default_factory=PhaseTimes)
     #: aggregated operation counters over all SSSP sweeps
     ops: OpCounts = field(default_factory=OpCounts)
+    #: which sweep kernel ran: ``"native"``, ``"python (<why>)"``, or
+    #: ``None`` for solvers that run no modified-Dijkstra sweep phase
+    sweep_kernel: Optional[str] = None
     #: per-source total work (cost-model units), aligned with vertex id
     per_source_work: Optional[np.ndarray] = None
     sim_ordering: Optional[SimResult] = None

@@ -236,8 +236,14 @@ def artifact_from_apsp_result(
         for key, value in result.ops.as_dict().items()
     }
     counters["result.reachable_pairs"] = int(result.reachable_pairs())
+    env = env_fingerprint()
+    if getattr(result, "sweep_kernel", None) is not None:
+        # the kernel explains wall time, not workload identity, so it
+        # rides in ``env`` (never gated) rather than ``params``
+        env["sweep_kernel"] = result.sweep_kernel
     return build_artifact(
         name,
+        env=env,
         params=params,
         counters=counters,
         timings=timings,

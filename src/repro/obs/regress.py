@@ -100,27 +100,26 @@ def check_kernel_consistency(
 ) -> List[str]:
     """Cross-check ``kernel.*`` call accounting against ``ops.*`` totals.
 
-    The row kernels and the blocked kernels instrument the *same
-    logical operations* that the per-source ``OpCounts`` record, so on
-    any artifact that carries both families the following must hold:
+    The row kernels (or the native sweep, which counts under the same
+    names) instrument the *same logical operations* that the
+    per-source ``OpCounts`` record, so on any artifact that carries
+    both families the following must hold:
 
     * every row merge went through exactly one kernel call::
 
-        kernel.merge_row.calls + kernel.batch.merge.rows
-            == ops.row_merges
+        kernel.merge_row.calls == ops.row_merges
 
-    * every attempted arc relaxation was issued by exactly one kernel::
+    * every attempted arc relaxation was issued by exactly one kernel
+      call::
 
-        kernel.relax.attempted + kernel.batch.relax.attempted
-            == ops.edge_relaxations
+        kernel.relax.attempted == ops.edge_relaxations
 
       and likewise for the improved counts vs
       ``ops.edge_improvements``;
 
     * every relax event corresponds to one non-merge pop::
 
-        kernel.relax.calls + kernel.batch.relax.segments
-            <= ops.pops - ops.row_merges
+        kernel.relax.calls <= ops.pops - ops.row_merges
 
       (equality for the FIFO discipline; the heap's lazy deletion pops
       stale entries that trigger no kernel call, hence ``<=``).
@@ -148,29 +147,24 @@ def check_kernel_consistency(
             )
 
     require(
-        "kernel.merge_row.calls + kernel.batch.merge.rows",
-        got("kernel.merge_row.calls") + got("kernel.batch.merge.rows"),
+        "kernel.merge_row.calls", got("kernel.merge_row.calls"),
         "ops.row_merges",
     )
     require(
-        "kernel.relax.attempted + kernel.batch.relax.attempted",
-        got("kernel.relax.attempted") + got("kernel.batch.relax.attempted"),
+        "kernel.relax.attempted", got("kernel.relax.attempted"),
         "ops.edge_relaxations",
     )
     require(
-        "kernel.relax.improved + kernel.batch.relax.improved",
-        got("kernel.relax.improved") + got("kernel.batch.relax.improved"),
+        "kernel.relax.improved", got("kernel.relax.improved"),
         "ops.edge_improvements",
     )
     if "ops.pops" in counters and "ops.row_merges" in counters:
-        relax_events = got("kernel.relax.calls") + got(
-            "kernel.batch.relax.segments"
-        )
+        relax_events = got("kernel.relax.calls")
         budget = counters["ops.pops"] - counters["ops.row_merges"]
         if relax_events > budget:
             problems.append(
-                "kernel consistency: kernel.relax.calls + "
-                f"kernel.batch.relax.segments = {relax_events:g} exceeds "
+                "kernel consistency: kernel.relax.calls = "
+                f"{relax_events:g} exceeds "
                 f"ops.pops - ops.row_merges = {budget:g}"
             )
     return problems

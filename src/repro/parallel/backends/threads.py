@@ -1,11 +1,13 @@
 """Real ``threading`` backend.
 
-CPython's GIL serialises the bytecode of the loop bodies, so this backend
-cannot show wall-clock speedup for pure-Python work — but it executes the
-*true* concurrent code paths (shared distance matrix, per-bucket locks,
-dynamic work-stealing counter), which is what the correctness claims are
-about.  Numpy kernels inside the body do release the GIL for large
-arrays, so some overlap is real.
+CPython's GIL serialises the bytecode of the loop bodies, so pure-Python
+work shows no wall-clock speedup here; bodies that call native code do.
+The APSP sweep's body is one call of the native kernel
+(:mod:`repro.core.native`), which ctypes runs without the GIL, so
+workers sweep in parallel; the kernel orders its shared-state accesses
+itself (a flag is loaded with acquire and stored with release
+semantics) rather than relying on the GIL.  Numpy kernels inside a body
+also release the GIL for large arrays.
 
 Exceptions raised inside worker threads are captured and re-raised in the
 calling thread (first one wins), so failures never vanish silently.

@@ -38,7 +38,7 @@ COMBOS = [
         ("serial-default", {}),
         ("serial-seq-opt", {"algorithm": "seq-opt", "ratio": 0.5}),
         ("serial-heap-noflags", {"queue": "heap", "use_flags": False}),
-        # one worker runs the lockstep engine (blocks of 64 sources)
+        # one worker, heap queue
         ("serial-batched", {"num_threads": 1, "queue": "heap"}),
         (
             "sim-8t",

@@ -124,7 +124,7 @@ class TestSolve:
         assert sim.phase_times.other > 0
 
     def test_batched_matches_unbatched(self, negative_graph):
-        """One worker (lockstep) against two virtual workers (per-source)."""
+        """One worker against two serial virtual workers."""
         a = solve_apsp(negative_graph, algorithm="johnson")
         b = solve_apsp(negative_graph, algorithm="johnson", num_threads=2)
         assert np.array_equal(

@@ -318,15 +318,23 @@ def test_rmat_rows_match_the_sweep(directed):
 
 
 def test_import_stays_numpy_only():
-    """scipy loads on the first kernel call, not on ``import repro``."""
+    """scipy loads on the first kernel call, not on ``import repro``; the
+    native sweep kernel is neither compiled nor loaded by the import."""
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parents[2] / "src"
     code = (
-        "import sys, repro, repro.core, repro.serve; "
-        "assert 'scipy' not in sys.modules, 'scipy imported eagerly'"
+        "import os, subprocess, sys\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('import started a process')\n"
+        "subprocess.Popen = refuse\n"
+        "import repro, repro.core, repro.serve\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported eagerly'\n"
+        "assert repro.core.native._loaded is None, 'kernel loaded eagerly'\n"
+        "if os.path.exists('/proc/self/maps'):\n"
+        "    assert '_sweep-' not in open('/proc/self/maps').read()\n"
     )
     subprocess.run(
         [sys.executable, "-c", code],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS, algorithm_names, solve_apsp
+from repro.core import ALGORITHMS, algorithm_names, native, solve_apsp
 from repro.exceptions import AlgorithmError
 from repro.obs import MetricsRegistry, use_registry
 from repro.simx import MACHINE_I
@@ -107,13 +107,14 @@ class TestResultContents:
             seq_optimized(toy_graph, ratio=-1.0)
 
     def test_worker_count_picks_the_sweep_engine(self, small_weighted):
-        """One worker runs the lockstep engine, two serial virtual
-        workers the per-source sweep; both issue sources in order, so
-        the results agree bitwise and no option is recorded."""
+        """One worker and two serial virtual workers both claim single
+        sources in order, so the results agree bitwise and no option is
+        recorded; the result names the sweep kernel that ran."""
         registry = MetricsRegistry()
         with use_registry(registry):
             one = solve_apsp(small_weighted, algorithm="parapsp")
-        assert registry.counters()["kernel.batch.blocks"] >= 1
+        assert registry.counters()["sweep.count"] == len(small_weighted)
+        assert one.sweep_kernel == native.kernel_name()
         two = solve_apsp(small_weighted, algorithm="parapsp", num_threads=2)
         assert one.dist.tobytes() == two.dist.tobytes()
         assert one.ops == two.ops

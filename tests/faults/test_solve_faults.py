@@ -56,7 +56,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def three_blocks():
-    """150 vertices: three one-worker claims of 64, 64 and 22 sources."""
+    """150 vertices: 150 one-worker claims of one source each."""
     g = erdos_renyi(150, 0.05, seed=12, name="er-faults-blocks")
     return attach_random_weights(g, seed=12)
 
@@ -88,7 +88,7 @@ class TestProcessAcceptance:
 
     def test_batched_process_recovers_exact(self, three_blocks):
         """One process worker falls back to the in-process one-worker
-        sweep: lockstep blocks, recovered bitwise."""
+        sweep, recovered bitwise."""
         _one_worker_kill_drill(three_blocks, "process")
 
     def test_raise_policy_surfaces_backend_error(self, graph):
@@ -105,10 +105,10 @@ class TestProcessAcceptance:
 
 
 def _one_worker_kill_drill(graph, backend):
-    """One worker claims a block of 64 sources at a time (the lockstep
-    engine's unit), so a fault plan counts blocks there, not sources.
-    A kill on the second claim loses every block after the first; the
-    retry re-runs them in order, bitwise equal to the fault-free run."""
+    """One worker claims one source at a time, so a fault plan counts
+    sources.  A kill on the second claim loses every source after the
+    first; the retry re-runs them in order, bitwise equal to the
+    fault-free run."""
     clean = solve_apsp(graph, algorithm="parapsp", num_threads=1)
     registry = MetricsRegistry()
     with use_registry(registry):
@@ -124,10 +124,10 @@ def _one_worker_kill_drill(graph, backend):
     assert result.ops == clean.ops
     counters = registry.snapshot()["counters"]
     assert counters["faults.worker_deaths"] == 1
-    # the kill fires as block 1 of ceil(150 / 64) = 3 is claimed:
-    # blocks 1 and 2 are lost, and each block still runs once
-    assert counters["faults.recovered_indices"] == 2
-    assert counters["kernel.batch.blocks"] == 3
+    # the kill fires as source 1 of 150 is claimed: sources 1..149 are
+    # lost, and each source still runs once
+    assert counters["faults.recovered_indices"] == 149
+    assert counters["sweep.count"] == 150
 
 
 class TestOneWorkerAcceptance:

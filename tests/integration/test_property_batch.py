@@ -1,17 +1,16 @@
-"""Property-based one-worker sweep equivalence.
+"""Property-based one-worker sweep equivalence through ``run_sweep``.
 
-The lockstep engine's contract: a sweep on one worker (serial or
-threads backend, ``num_threads=1``) is *bitwise-identical* to a plain
-in-order loop of ``modified_dijkstra_sssp`` — the distance matrix AND
-every per-source ``OpCounts`` — for every graph, issue order and queue
-discipline, flags on or off.  With several workers each source is its
-own task and flags are read opportunistically, so the op counts may
-differ (forgone reuse opportunities) but the distances stay exact.
+A sweep on one worker (serial or threads backend, ``num_threads=1``)
+is *bitwise-identical* to a plain in-order loop of
+``modified_dijkstra_sssp`` — the distance matrix AND every per-source
+``OpCounts`` — for every graph, issue order and queue discipline,
+flags on or off.  With several real threads flags are read
+opportunistically, so the op counts may differ (forgone reuse
+opportunities) but the distances stay exact.  The kernel-level
+contract lives in ``tests/core/test_native_sweep.py``.
 
-Hypothesis drives the graph space.  Vertex counts run from 1 past two
-blocks of :data:`~repro.core.batch.BLOCK`, so single-source, sub-block,
-exact-block and ragged-tail sweeps are all drawn, exercising both the
-engine's lockstep rounds and its sequential sprint tail.
+Hypothesis drives the graph space: vertex counts from 1 to 138, with
+sizes either side of 64 drawn often.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BLOCK
 from repro.core.modified_dijkstra import modified_dijkstra_sssp
 from repro.core.state import new_state
 from repro.core.sweep import run_sweep
@@ -34,18 +32,20 @@ SETTINGS = dict(
 )
 
 QUEUES = st.sampled_from(["fifo", "heap"])
+#: sizes either side of this are drawn often
+WIDTH = 64
 
 
 @st.composite
-def blocky_graph(draw, max_n=2 * BLOCK + 10):
-    """A seeded random graph whose size straddles the block boundaries.
+def blocky_graph(draw, max_n=2 * WIDTH + 10):
+    """A seeded random graph, often sized either side of ``WIDTH``.
 
     Small integer weights make equal-length paths (ties) common, which
     is where a different merge order would show in the last bit.
     """
     n = draw(
         st.one_of(
-            st.sampled_from([1, 2, BLOCK - 1, BLOCK, BLOCK + 1]),
+            st.sampled_from([1, 2, WIDTH - 1, WIDTH, WIDTH + 1]),
             st.integers(1, max_n),
         )
     )
@@ -111,8 +111,7 @@ class TestStrictBitwise:
                 graph, order, queue=queue, use_flags=use_flags
             )
         _assert_bitwise(outcome, reference)
-        blocks = registry.counters()["kernel.batch.blocks"]
-        assert blocks == -(-graph.num_vertices // BLOCK)
+        assert registry.counters()["sweep.count"] == graph.num_vertices
 
     @given(
         graph=blocky_graph(),
@@ -136,9 +135,9 @@ class TestStrictBitwise:
         _assert_bitwise(outcome, reference)
 
     @pytest.mark.parametrize("queue", ["fifo", "heap"])
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("n", [1, WIDTH - 1, WIDTH, 2 * WIDTH + 3])
     def test_block_boundaries(self, n, queue):
-        """Sizes pinned on either side of the block boundaries."""
+        """Sizes pinned: one vertex, either side of 64, and ragged."""
         rng = np.random.default_rng(n)
         m = 4 * n
         src, dst = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
@@ -193,9 +192,9 @@ class TestConcurrentExact:
     def test_serial_virtual_workers_per_source(
         self, graph, threads, queue, use_flags
     ):
-        """Serial virtual workers run one task per source — no lockstep.
-        Dynamic claims still execute in index order there, so the run
-        stays bitwise the in-order sweep."""
+        """Serial virtual workers run one task per source.  Dynamic
+        claims still execute in index order there, so the run stays
+        bitwise the in-order sweep."""
         order = np.arange(graph.num_vertices)
         reference = in_order_sweep(
             graph, order, queue=queue, use_flags=use_flags
@@ -206,7 +205,5 @@ class TestConcurrentExact:
                 graph, order, num_threads=threads, queue=queue,
                 use_flags=use_flags,
             )
-        assert not any(
-            key.startswith("kernel.batch.") for key in registry.counters()
-        )
+        assert registry.counters()["sweep.count"] == graph.num_vertices
         _assert_bitwise(outcome, reference)

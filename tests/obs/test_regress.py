@@ -217,22 +217,18 @@ class TestTraceSummaryGate:
 def consistent_kernel_counters(**overrides):
     """A counter set satisfying every cross-layer invariant.
 
-    12 pops: 4 merges (3 row calls + 1 batched row) and 8 relax events
-    (5 row calls + 3 batched segments), 40 attempted arcs, 9 improved.
+    12 pops: 4 merges and 8 relax events, 40 attempted arcs, 9
+    improved.
     """
     counters = {
         "ops.pops": 12,
         "ops.row_merges": 4,
         "ops.edge_relaxations": 40,
         "ops.edge_improvements": 9,
-        "kernel.merge_row.calls": 3,
-        "kernel.batch.merge.rows": 1,
-        "kernel.relax.calls": 5,
-        "kernel.batch.relax.segments": 3,
-        "kernel.relax.attempted": 25,
-        "kernel.batch.relax.attempted": 15,
-        "kernel.relax.improved": 6,
-        "kernel.batch.relax.improved": 3,
+        "kernel.merge_row.calls": 4,
+        "kernel.relax.calls": 8,
+        "kernel.relax.attempted": 40,
+        "kernel.relax.improved": 9,
     }
     counters.update(overrides)
     return counters
@@ -259,7 +255,7 @@ class TestKernelConsistency:
 
     def test_improved_mismatch_detected(self):
         problems = check_kernel_consistency(
-            consistent_kernel_counters(**{"kernel.batch.relax.improved": 4})
+            consistent_kernel_counters(**{"kernel.relax.improved": 10})
         )
         assert any("ops.edge_improvements" in p for p in problems)
 
@@ -292,7 +288,7 @@ class TestKernelConsistency:
         assert regressions == []
 
     def test_real_sweep_counters_are_consistent(self, small_weighted):
-        """End to end: a real one-worker (lockstep) run satisfies the
+        """End to end: a real one-worker run satisfies the
         invariants."""
         import numpy as np
 

@@ -109,9 +109,10 @@ class TestCommands:
     def test_solve_batched_emits_kernel_batch_metrics(
         self, tmp_path, capsys
     ):
-        """One worker runs the lockstep engine: --metrics records
-        kernel.batch.* counters, kernel-consistent with ops.*; two
-        threads run the per-source sweep and record none."""
+        """One worker and two threads both record the row-kernel
+        counters, kernel-consistent with ops.*, and the artifact's env
+        names the sweep kernel that ran."""
+        from repro.core import native
         from repro.obs import load_artifact
         from repro.obs.regress import check_kernel_consistency
 
@@ -120,16 +121,21 @@ class TestCommands:
             argv = ["solve", "--rmat", "6", "--seed", "3", *flags,
                     "--metrics", str(target)]
             assert main(argv) == 0
-            found = load_artifact(str(target))["counters"]
+            art = load_artifact(str(target))
+            assert art["env"]["sweep_kernel"] == native.kernel_name()
+            assert "sweep_kernel" not in art["params"]
+            found = art["counters"]
             assert check_kernel_consistency(found) == []
             return found
 
         one = counters("BENCH_1w.json", "--threads", "1")
         two = counters("BENCH_2w.json", "--backend", "threads",
                        "--threads", "2")
-        assert "block size" not in capsys.readouterr().out
-        assert any(k.startswith("kernel.batch.") for k in one)
-        assert not any(k.startswith("kernel.batch.") for k in two)
+        out = capsys.readouterr().out
+        assert f"sweep kernel : {native.kernel_name()}" in out
+        for found in (one, two):
+            assert found["kernel.relax.calls"] > 0
+            assert not any(k.startswith("kernel.batch.") for k in found)
         assert one["ops.pops"] > 0 and two["ops.pops"] > 0
 
     def test_order_command(self, capsys):
