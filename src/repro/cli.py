@@ -545,6 +545,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"dijkstra     : {result.phase_times.dijkstra:.6g} {unit}")
     if result.sweep_kernel is not None:
         print(f"sweep kernel : {result.sweep_kernel}")
+    if result.sweep_simd is not None:
+        print(f"sweep merge  : {result.sweep_simd}")
     print(f"total        : {result.total_time:.6g} {unit}")
     if cfg.faults.plan is not None:
         print(f"fault plan   : {len(cfg.faults.plan)} fault(s), "

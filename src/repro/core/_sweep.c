@@ -11,9 +11,20 @@
  * t only after loading flag[t] with acquire semantics, and it raises
  * its own flag with release semantics after the row's last write, so a
  * reader that sees the flag also sees the final row.
+ *
+ * Row merges are most of a flagged sweep's work, so merge() is written
+ * branch-free for the vectorizer.  On x86-64 glibc it is also built as
+ * an AVX2 clone beside the default one, and the loader picks the clone
+ * this CPU runs (no -march flag: the cached library may move hosts).
  */
 #include <stdint.h>
 #include <stdlib.h>
+
+#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define REPRO_MERGE_CLONES 1
+#endif
+#endif
 
 /* per-source count slots: the OpCounts fields first, in their order */
 enum { C_POPS, C_EDGE_RELAXATIONS, C_EDGE_IMPROVEMENTS, C_ROW_MERGES,
@@ -78,17 +89,21 @@ static int usable(const repro_sweep_ctx *c, int64_t t, int64_t source,
         && (!c->completed_at || c->completed_at[t] <= dispatch_time);
 }
 
-/* ds[v] = min(ds[v], ds_t + dt[v]), counted like kernels.merge_row */
-static void merge(double *ds, const double *dt, double ds_t, int64_t n,
-                  int64_t *k)
+/* ds[v] = min(ds[v], ds_t + dt[v]), counted like kernels.merge_row.
+ * The rows never alias (t != source), and the store is unconditional:
+ * ds is this sweep's own row, unpublished until its flag is raised. */
+#ifdef REPRO_MERGE_CLONES
+__attribute__((target_clones("avx2", "default")))
+#endif
+static void merge(double *restrict ds, const double *restrict dt,
+                  double ds_t, int64_t n, int64_t *k)
 {
     int64_t improved = 0;
     for (int64_t v = 0; v < n; v++) {
-        double cand = ds_t + dt[v];
-        if (cand < ds[v]) {
-            ds[v] = cand;
-            improved++;
-        }
+        const double cand = ds_t + dt[v];
+        const int lt = cand < ds[v];
+        improved += lt;
+        ds[v] = lt ? cand : ds[v];
     }
     k[C_ROW_MERGES]++;
     k[C_MERGE_COMPARISONS] += n;
@@ -96,6 +111,17 @@ static void merge(double *ds, const double *dt, double ds_t, int64_t n,
     k[C_MERGE_IMPROVED] += improved;
     if (!improved)
         k[C_MERGE_NOOP]++;
+}
+
+/* Which merge() the loader dispatched to: "avx2" or "scalar". */
+const char *repro_sweep_simd(void)
+{
+#ifdef REPRO_MERGE_CLONES
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2"))
+        return "avx2";
+#endif
+    return "scalar";
 }
 
 static int heap_less(double da, int64_t va, double db, int64_t vb)

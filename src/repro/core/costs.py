@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..types import OpCounts
 
 __all__ = ["DijkstraCostModel", "DEFAULT_COST_MODEL"]
@@ -39,6 +41,19 @@ class DijkstraCostModel:
             + self.edge_relaxation * counts.edge_relaxations
             + self.merge_comparison * counts.merge_comparisons
             + self.row_merge * counts.row_merges
+        )
+
+    def sweep_costs(self, counts: np.ndarray) -> np.ndarray:
+        """:meth:`sweep_cost` of every row of an ``(n, 6)`` count matrix
+        (columns in ``OpCounts`` field order), summed in the same order,
+        so each entry equals :meth:`sweep_cost` of that row bitwise."""
+        return np.asarray(
+            self.call
+            + self.pop * counts[:, 0]
+            + self.edge_relaxation * counts[:, 1]
+            + self.merge_comparison * counts[:, 4]
+            + self.row_merge * counts[:, 3],
+            dtype=np.float64,
         )
 
 

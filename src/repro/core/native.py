@@ -31,10 +31,10 @@ from ..exceptions import AlgorithmError
 from ..obs import metrics as _obs
 from ..types import OpCounts
 
-__all__ = ["NativeSweep", "bind", "kernel_name", "load"]
+__all__ = ["NativeSweep", "bind", "kernel_name", "load", "simd_name"]
 
 SOURCE = Path(__file__).with_name("_sweep.c")
-CFLAGS = ("-O2", "-shared", "-fPIC")
+CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
 #: per-source count slots, in ``_sweep.c``'s order: the six
 #: ``OpCounts`` fields, then merge improved/noop, relax calls/empty and
 #: the queue peak (the source hash keys the build, so they cannot drift)
@@ -99,6 +99,8 @@ def _open(path: Path) -> ctypes.CDLL:
     lib.repro_sweep_scratch_new.restype = ctypes.c_void_p
     lib.repro_sweep_scratch_free.argtypes = [ctypes.c_void_p]
     lib.repro_sweep_scratch_free.restype = None
+    lib.repro_sweep_simd.argtypes = []
+    lib.repro_sweep_simd.restype = ctypes.c_char_p
     return lib
 
 
@@ -131,6 +133,14 @@ def load() -> Tuple[Optional[ctypes.CDLL], str]:
 def kernel_name() -> str:
     """``"native"``, or ``"python (<why the kernel did not load>)"``."""
     return load()[1]
+
+
+def simd_name() -> Optional[str]:
+    """The row merge's instruction set in the loaded kernel: ``"avx2"``
+    where this CPU runs the AVX2 clone, else ``"scalar"``; ``None`` when
+    the kernel did not load."""
+    lib, _ = load()
+    return None if lib is None else lib.repro_sweep_simd().decode()
 
 
 class NativeSweep:
@@ -173,9 +183,6 @@ class NativeSweep:
 
     def op_counts(self, source: int) -> OpCounts:
         return OpCounts(*self.counts[source, :6].tolist())
-
-    def per_source(self) -> List[OpCounts]:
-        return [OpCounts(*row) for row in self.counts[:, :6].tolist()]
 
     def publish(self) -> None:
         """Report what the Python sweep reports per call, from the

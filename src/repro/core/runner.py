@@ -37,6 +37,7 @@ from ..obs import metrics as _obs
 from ..order import compute_order, simulate_order
 from ..simx.machine import default_machine
 from ..types import INF, Backend, PhaseTimes, Schedule
+from . import native
 from .registry import (
     ShardHooks,
     SolverSpec,
@@ -190,6 +191,11 @@ def solve_apsp(graph: CSRGraph, **options) -> APSPResult:
     return _solve_with_config(graph, SolverConfig.from_kwargs(**options))
 
 
+def _simd(kernel: str):
+    """The native row merge's instruction set, if the native kernel ran."""
+    return native.simd_name() if kernel == "native" else None
+
+
 def _solve_with_config(graph: CSRGraph, cfg) -> APSPResult:
     """The dispatch path behind :func:`solve_apsp`.
 
@@ -287,6 +293,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
             ),
             ops=sweep.total_ops(),
             sweep_kernel=sweep.kernel,
+            sweep_simd=_simd(sweep.kernel),
             per_source_work=np.asarray(
                 [cost_model.sweep_cost(c) for c in sweep.per_source]
             ),
@@ -307,15 +314,16 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
         return result
 
     # ---- real backends -------------------------------------------------
+    # the ordering runs on the serial executor at every backend: Python
+    # threads only add a fork/join per degree to its loops, and the
+    # real MultiLists order does not depend on the executor
     t0 = time.perf_counter()
     with _obs.span("apsp.ordering"):
         order_result = compute_order(
             ordering_name,
             degrees,
             num_threads=num_threads,
-            backend=(
-                backend if backend is not Backend.PROCESS else Backend.SERIAL
-            ),
+            backend=Backend.SERIAL,
             **ordering_kwargs,
         )
     ordering_seconds = time.perf_counter() - t0
@@ -347,6 +355,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
         ),
         ops=sweep.total_ops(),
         sweep_kernel=sweep.kernel,
+        sweep_simd=_simd(sweep.kernel),
         per_source_work=sweep.work_vector(cost_model),
     )
 

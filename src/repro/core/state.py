@@ -127,6 +127,9 @@ class APSPResult:
     #: which sweep kernel ran: ``"native"``, ``"python (<why>)"``, or
     #: ``None`` for solvers that run no modified-Dijkstra sweep phase
     sweep_kernel: Optional[str] = None
+    #: the native row merge's instruction set (``"avx2"`` or
+    #: ``"scalar"``), ``None`` unless ``sweep_kernel == "native"``
+    sweep_simd: Optional[str] = None
     #: per-source total work (cost-model units), aligned with vertex id
     per_source_work: Optional[np.ndarray] = None
     sim_ordering: Optional[SimResult] = None

@@ -32,6 +32,7 @@ synchronisation) preserve the row-then-flag write order.
 from __future__ import annotations
 
 import time
+from dataclasses import astuple
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -69,32 +70,50 @@ def issue_order(order, n: int) -> np.ndarray:
 
 
 class SweepOutcome:
-    """Distance matrix + per-source op accounting of one sweep phase."""
+    """Distance matrix + per-source op accounting of one sweep phase.
 
-    __slots__ = ("dist", "per_source", "elapsed_seconds", "kernel")
+    ``counts`` is an ``(n, 6)`` int64 matrix indexed by vertex id whose
+    columns are the ``OpCounts`` fields in order; the whole-phase totals
+    and the work vector are column reductions of it, and the
+    per-source ``OpCounts`` list is built only when it is read.
+    """
+
+    __slots__ = ("dist", "counts", "elapsed_seconds", "kernel", "_per_source")
 
     def __init__(
         self,
         dist: np.ndarray,
-        per_source: List[OpCounts],
+        counts: np.ndarray,
         elapsed_seconds: float,
         kernel: str,
     ) -> None:
         self.dist = dist
-        self.per_source = per_source
+        self.counts = counts
         self.elapsed_seconds = elapsed_seconds
         #: which sweep kernel ran: ``"native"`` or ``"python (<why>)"``
         self.kernel = kernel
+        self._per_source: Optional[List[OpCounts]] = None
+
+    @property
+    def per_source(self) -> List[OpCounts]:
+        if self._per_source is None:
+            self._per_source = [OpCounts(*row) for row in self.counts.tolist()]
+        return self._per_source
 
     def total_ops(self) -> OpCounts:
-        return OpCounts.sum(self.per_source)
+        return OpCounts(*self.counts.sum(axis=0).tolist())
 
     def work_vector(
         self, model: DijkstraCostModel = DEFAULT_COST_MODEL
     ) -> np.ndarray:
-        return np.asarray(
-            [model.sweep_cost(c) for c in self.per_source], dtype=np.float64
-        )
+        return model.sweep_costs(self.counts)
+
+
+def _count_matrix(per_source: List[Optional[OpCounts]]) -> np.ndarray:
+    """The ``(n, 6)`` count matrix of a per-source list (``None``: a
+    source that never ran)."""
+    rows = [astuple(c) if c is not None else (0,) * 6 for c in per_source]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), 6)
 
 
 def run_sweep(
@@ -198,9 +217,9 @@ def run_sweep(
             kernel.close()
     elapsed = time.perf_counter() - t0
     if kernel is None:
-        counts = [c if c is not None else OpCounts() for c in per_source]
-        return SweepOutcome(state.dist, counts, elapsed, native.kernel_name())
-    return SweepOutcome(state.dist, kernel.per_source(), elapsed, "native")
+        return SweepOutcome(state.dist, _count_matrix(per_source), elapsed,
+                            native.kernel_name())
+    return SweepOutcome(state.dist, kernel.counts[:, :6], elapsed, "native")
 
 
 def _row_resetter(state: APSPState, order: np.ndarray, forget=None):
@@ -275,8 +294,9 @@ def _sweep_process(
             on_retry=_row_resetter(state, order),
         )
         elapsed = time.perf_counter() - t0
-        per_source: List[OpCounts] = [OpCounts() for _ in range(n)]
+        per_source: List[Optional[OpCounts]] = [None] * n
         for s, counts in results:
             per_source[s] = counts
         dist = shared_dist.array.copy()  # segment dies with the context
-    return SweepOutcome(dist, per_source, elapsed, "python (process backend)")
+    return SweepOutcome(dist, _count_matrix(per_source), elapsed,
+                        "python (process backend)")

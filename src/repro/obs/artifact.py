@@ -241,6 +241,9 @@ def artifact_from_apsp_result(
         # the kernel explains wall time, not workload identity, so it
         # rides in ``env`` (never gated) rather than ``params``
         env["sweep_kernel"] = result.sweep_kernel
+    if getattr(result, "sweep_simd", None) is not None:
+        # the merge ISA the host dispatched to, for the same reason
+        env["sweep_simd"] = result.sweep_simd
     return build_artifact(
         name,
         env=env,

@@ -4,15 +4,19 @@ Contract: for any graph (disconnected, one vertex, float or dyadic
 weights, zero weights), issue order, queue discipline, flag setting and
 ``completed_at`` gate, in-order calls of the native kernel leave the
 distance matrix and the flags bitwise as an in-order loop of
-``modified_dijkstra_sssp`` does, with equal per-source ``OpCounts``.
+``modified_dijkstra_sssp`` does, with equal per-source ``OpCounts``
+and ``kernel.merge_row.*`` counters.  Fixed graphs of 65–67 vertices
+take the vectorised row merge through its tail elements.
 With two real threads the distances are bitwise on dyadic weights
 (every sum is exact) and within float tolerance otherwise.
 
 Also here: the loader (one library from racing first loads, the Python
-fallback without a compiler), counter parity with the Python sweep,
-kernel provenance, and the issue-order check.
+fallback without a compiler), the portable build flags, counter
+parity with the Python sweep, kernel and merge-ISA provenance, and the
+issue-order check.
 """
 
+import platform
 import sys
 import threading
 
@@ -31,9 +35,11 @@ from repro.core import (
 )
 from repro.core.state import new_state
 from repro.exceptions import AlgorithmError
+from repro.graphs import CSRGraph, from_arc_arrays
 from repro.graphs.rmat import rmat
 from repro.obs import MetricsRegistry, use_registry
 from repro.simx import default_machine
+from repro.types import OpCounts
 from tests.conftest import assert_same_apsp
 from tests.core.test_native_rows import graphs
 
@@ -76,9 +82,37 @@ def native_sweeps(graph, order, *, queue, use_flags, completed_at, dispatch):
     try:
         for s in order.tolist():
             kernel(s, 0, float(dispatch[s]))
+        kernel.publish()
     finally:
         kernel.close()
-    return state, kernel.per_source()
+    return state, [OpCounts(*row) for row in kernel.counts[:, :6].tolist()]
+
+
+def wide_graph(n, weights):
+    """``n`` vertices, at least 64, so a row merge runs whole vector
+    steps and then its ``n mod 4`` tail: a random part on the first
+    ``n - 5`` ids beside a 5-vertex path, so rows of each part stay INF
+    on the other.  ``"float"`` weights round in every sum; ``"zeros"``
+    makes about a third of the arcs weigh exactly 0 (directed), so
+    merge candidates tie with the row they would replace."""
+    rng = np.random.default_rng(n)
+    core = n - 5
+    src = np.concatenate([rng.integers(0, core, 3 * core),
+                          np.arange(core, n - 1)])
+    dst = np.concatenate([rng.integers(0, core, 3 * core),
+                          np.arange(core + 1, n)])
+    keep = src != dst
+    w = rng.uniform(0.01, 10.0, keep.sum())
+    graph = from_arc_arrays(src[keep], dst[keep], w, num_vertices=n,
+                            directed=weights == "zeros")
+    if weights == "float":
+        return graph
+    return CSRGraph(
+        graph.indptr, graph.indices,
+        np.where(rng.random(graph.num_arcs) < 0.35, 0.0,
+                 np.round(graph.weights)),
+        directed=True, allow_negative=True,
+    )
 
 
 @needs_kernel
@@ -99,11 +133,23 @@ class TestContract:
             queue=queue, use_flags=use_flags, completed_at=completed_at,
             dispatch=dispatch,
         )
-        ref_state, ref_counts = python_sweeps(graph, order, **kwargs)
-        state, counts = native_sweeps(graph, order, **kwargs)
+        runs, merges = [], []
+        for sweeps in (python_sweeps, native_sweeps):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                runs.append(sweeps(graph, order, **kwargs))
+            # the native kernel keeps no all_inf_row diagnostic
+            merges.append({
+                key: value for key, value in registry.counters().items()
+                if key.startswith("kernel.merge_row.")
+                and key != "kernel.merge_row.all_inf_row"
+            })
+        (ref_state, ref_counts), (state, counts) = runs
         assert state.dist.tobytes() == ref_state.dist.tobytes()
         assert state.flag.tobytes() == ref_state.flag.tobytes()
         assert counts == ref_counts
+        assert merges[0] == merges[1]
+        return merges[0]
 
     @given(
         graph=graphs(max_n=24),
@@ -124,6 +170,20 @@ class TestContract:
         """Unit weights tie everywhere: the heap's ``(d, v)`` pop order
         shows in the counts."""
         self.check(rmat(8, 8, seed=5), queue, True, gated, seed=1)
+
+    @pytest.mark.parametrize("n", [65, 66, 67])
+    @pytest.mark.parametrize("weights", ["float", "zeros"])
+    @pytest.mark.parametrize("queue", ["fifo", "heap"])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_merge_tails(self, n, weights, queue, gated):
+        """The vectorised merge's tail elements, INF rows and ties:
+        bitwise rows and counts, and the merge counters the Python
+        sweep reports call by call."""
+        merges = self.check(wide_graph(n, weights), queue, True, gated,
+                            seed=n)
+        assert merges["kernel.merge_row.calls"] > 0
+        assert merges["kernel.merge_row.improved"] > 0
+        assert merges["kernel.merge_row.noop"] > 0
 
     @given(
         graph=graphs(max_n=24, weights=st.sampled_from(["dyadic", "float"])),
@@ -234,10 +294,12 @@ class TestLoader:
         monkeypatch.setattr(native, "_compiler", lambda: None)
         got = run_sweep(small_weighted, order, queue="heap")
         assert got.kernel == "python (no C compiler)"
+        assert native.simd_name() is None
         assert got.dist.tobytes() == expected.dist.tobytes()
         assert got.per_source == expected.per_source
         result = solve_apsp(small_weighted, backend="sim", num_threads=2)
         assert result.sweep_kernel == "python (no C compiler)"
+        assert result.sweep_simd is None
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib")
     def test_package_data_ships_the_source(self):
@@ -259,6 +321,37 @@ def test_results_name_the_kernel(small_weighted):
         small_weighted, backend="process", num_threads=2
     ).sweep_kernel == "python (process backend)"
     assert seq_adaptive(small_weighted).sweep_kernel is None
+
+
+def test_build_targets_no_host_isa():
+    """The cached library may be loaded on another CPU, so no
+    ``-march``/``-m<isa>`` flag: the merge's clones dispatch at load."""
+    assert [flag for flag in native.CFLAGS if flag.startswith("-m")] == []
+
+
+def _host_has_avx2() -> bool:
+    if platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc":
+        return False
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return any(line.startswith("flags") and " avx2" in line
+                       for line in fh)
+    except OSError:
+        return False
+
+
+@needs_kernel
+def test_results_name_the_merge_isa(small_weighted):
+    name = native.simd_name()
+    assert name in ("avx2", "scalar")
+    if _host_has_avx2():
+        assert name == "avx2"
+    assert solve_apsp(small_weighted).sweep_simd == name
+    assert solve_apsp(small_weighted, backend="sim").sweep_simd == name
+    assert solve_apsp(
+        small_weighted, backend="process", num_threads=2
+    ).sweep_simd is None
+    assert seq_adaptive(small_weighted).sweep_simd is None
 
 
 @pytest.mark.parametrize("backend", ["serial", "threads", "process", "sim"])

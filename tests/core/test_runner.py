@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS, algorithm_names, native, solve_apsp
+from repro.core import ALGORITHMS, algorithm_names, native, runner, solve_apsp
 from repro.exceptions import AlgorithmError
+from repro.graphs.degree import degree_array
+from repro.graphs.rmat import rmat
 from repro.obs import MetricsRegistry, use_registry
+from repro.order import compute_order
 from repro.simx import MACHINE_I
+from repro.types import Backend
 from tests.conftest import assert_same_apsp
 
 
@@ -119,6 +123,33 @@ class TestResultContents:
         assert one.dist.tobytes() == two.dist.tobytes()
         assert one.ops == two.ops
         assert one.extra == two.extra == {}
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_real_backends_order_on_the_serial_executor(
+        self, monkeypatch, threads
+    ):
+        """The threads backend orders on the serial executor at the
+        same thread count, and the MultiLists order and method are the
+        ones the threads executor gives."""
+        graph = rmat(8, 8, seed=2)
+        expected = compute_order(
+            "multilists", degree_array(graph), num_threads=threads,
+            backend="threads",
+        )
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append((kwargs["backend"], kwargs["num_threads"]))
+            return compute_order(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "compute_order", spy)
+        result = solve_apsp(
+            graph, algorithm="parapsp", backend="threads",
+            num_threads=threads,
+        )
+        assert seen == [(Backend.SERIAL, threads)]
+        assert result.ordering_method == expected.method
+        assert result.order.tobytes() == expected.order.tobytes()
 
     def test_degree_kind_forwarded(self, directed_weighted, reference):
         r = solve_apsp(

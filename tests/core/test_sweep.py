@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import run_sweep
-from repro.core.runner import solve_apsp
+from repro.core import native, run_sweep
+from repro.core.costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from repro.exceptions import AlgorithmError, BackendError
+from repro.graphs.rmat import rmat
 from repro.types import OpCounts
 from tests.conftest import assert_same_apsp
 
@@ -73,6 +74,37 @@ class TestRunSweep:
         out = run_sweep(toy_graph, np.arange(5))
         total = out.total_ops()
         assert total.pops == sum(c.pops for c in out.per_source)
+
+    @pytest.mark.parametrize("kernel", ["native", "python", "process"])
+    def test_totals_and_work_vector_match_the_op_counts_path(
+        self, monkeypatch, kernel
+    ):
+        """The count-matrix reductions equal ``OpCounts.sum`` and a
+        per-source ``sweep_cost`` loop bitwise, under a cost model whose
+        sums round."""
+        if kernel == "native" and native.kernel_name() != "native":
+            pytest.skip(native.kernel_name())
+        if kernel == "python":
+            monkeypatch.setattr(native, "_loaded", (None, "python (test)"))
+        graph = rmat(7, 8, seed=3)
+        order = np.argsort(-graph.out_degrees(), kind="stable")
+        out = run_sweep(
+            graph, order,
+            backend="process" if kernel == "process" else "serial",
+            num_threads=2 if kernel == "process" else 1,
+        )
+        assert out.total_ops() == OpCounts.sum(out.per_source)
+        assert out.total_ops().row_merges > 0
+        odd = DijkstraCostModel(
+            pop=0.1, edge_relaxation=0.7, merge_comparison=0.3,
+            row_merge=1.3, call=0.9,
+        )
+        for model in (DEFAULT_COST_MODEL, odd):
+            expected = np.asarray(
+                [model.sweep_cost(c) for c in out.per_source],
+                dtype=np.float64,
+            )
+            assert out.work_vector(model).tobytes() == expected.tobytes()
 
     def test_use_flags_false(self, small_weighted, reference):
         n = small_weighted.num_vertices

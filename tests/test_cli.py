@@ -123,7 +123,9 @@ class TestCommands:
             assert main(argv) == 0
             art = load_artifact(str(target))
             assert art["env"]["sweep_kernel"] == native.kernel_name()
+            assert art["env"].get("sweep_simd") == native.simd_name()
             assert "sweep_kernel" not in art["params"]
+            assert "sweep_simd" not in art["params"]
             found = art["counters"]
             assert check_kernel_consistency(found) == []
             return found
@@ -133,6 +135,8 @@ class TestCommands:
                        "--threads", "2")
         out = capsys.readouterr().out
         assert f"sweep kernel : {native.kernel_name()}" in out
+        if native.simd_name() is not None:
+            assert f"sweep merge  : {native.simd_name()}" in out
         for found in (one, two):
             assert found["kernel.relax.calls"] > 0
             assert not any(k.startswith("kernel.batch.") for k in found)
