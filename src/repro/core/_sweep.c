@@ -5,7 +5,9 @@
  * Python: same queue disciplines, same float operations in the same
  * order, same operation counts.  It holds no interpreter state, so
  * ctypes drops the interpreter lock for the call and several threads
- * can sweep at once.
+ * can sweep at once.  repro_sweep_claims() is a worker's whole claim
+ * loop: sources come from an atomic cursor, so a sweep phase costs one
+ * foreign call per worker, not one per source.
  *
  * Concurrency: a sweep writes only its own row.  It reads another row
  * t only after loading flag[t] with acquire semantics, and it raises
@@ -252,4 +254,31 @@ int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
     k[C_PEAK_QUEUE] = peak;
     __atomic_store_n(&c->flag[source], 1, __ATOMIC_RELEASE);
     return 0;
+}
+
+/* A worker's claim loop, the native schedule(dynamic, chunk): claim
+ * `chunk` positions at a time from `*cursor` with one fetch-and-add and
+ * sweep order[positions[p]] (order[p] when positions is NULL) for each,
+ * until the cursor passes `count`.  Workers that share a cursor split
+ * the positions between them; a private cursor sweeps them all in
+ * turn.  Returns the number of claims, or -1 if a heap cannot grow.
+ * `chunk` must be in [1, count] so the cursor cannot overflow. */
+int64_t repro_sweep_claims(const repro_sweep_ctx *c, repro_sweep_scratch *s,
+                           const int64_t *order, const int64_t *positions,
+                           int64_t count, int64_t *cursor, int64_t chunk)
+{
+    int64_t claims = 0;
+    for (;;) {
+        const int64_t start = __atomic_fetch_add(cursor, chunk,
+                                                 __ATOMIC_RELAXED);
+        if (start >= count)
+            return claims;
+        const int64_t end = count - start < chunk ? count : start + chunk;
+        claims++;
+        for (int64_t p = start; p < end; p++) {
+            const int64_t i = positions ? positions[p] : p;
+            if (repro_sweep(c, s, order[i], 0.0))
+                return -1;
+        }
+    }
 }

@@ -95,6 +95,11 @@ def _open(path: Path) -> ctypes.CDLL:
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
     ]
     lib.repro_sweep.restype = ctypes.c_int
+    lib.repro_sweep_claims.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+    ]
+    lib.repro_sweep_claims.restype = ctypes.c_int64
     lib.repro_sweep_scratch_new.argtypes = [ctypes.c_int64]
     lib.repro_sweep_scratch_new.restype = ctypes.c_void_p
     lib.repro_sweep_scratch_free.argtypes = [ctypes.c_void_p]
@@ -145,9 +150,9 @@ def simd_name() -> Optional[str]:
 
 class NativeSweep:
     """One sweep phase bound to the kernel: pointers and per-worker
-    scratch are set up once, so each source costs one foreign call with
-    three scalar arguments.  Each worker index must be used by one
-    thread at a time."""
+    scratch are set up once.  Calling it sweeps one source;
+    :meth:`sweep_claims` runs a worker's whole claim loop in one foreign
+    call.  Each worker index must be used by one thread at a time."""
 
     def __init__(self, lib, graph, state, *, queue: str, use_flags: bool,
                  workers: int = 1, completed_at: Optional[np.ndarray] = None):
@@ -167,6 +172,7 @@ class NativeSweep:
         self._ctx_ref = ctypes.byref(self._ctx)
         self._lib = lib
         self._fn = lib.repro_sweep
+        self._claims = lib.repro_sweep_claims
         self._scratch = []
         for _ in range(workers):
             scratch = lib.repro_sweep_scratch_new(n)
@@ -180,6 +186,34 @@ class NativeSweep:
         if self._fn(self._ctx_ref, self._scratch[worker], source,
                     dispatch_time):
             raise MemoryError("native sweep heap")
+
+    def sweep_claims(self, order: np.ndarray, positions: Optional[np.ndarray],
+                     cursor: ctypes.c_int64, chunk: int,
+                     worker: int = 0) -> int:
+        """Sweep ``order[positions[p]]`` (``order[p]`` when ``positions``
+        is ``None``) for every position ``p`` this worker claims from
+        ``cursor``, ``chunk`` positions per claim, until the positions
+        run out; workers sharing ``cursor`` split them.  Returns the
+        number of claims."""
+        order = np.ascontiguousarray(order, dtype=np.int64)
+        if len(order) and (order.min() < 0 or order.max() >= self._ctx.n):
+            raise AlgorithmError("sweep sources must be vertex ids")
+        if positions is None:
+            count = len(order)
+        else:
+            positions = np.ascontiguousarray(positions, dtype=np.int64)
+            count = len(positions)
+            if count and (positions.min() < 0
+                          or positions.max() >= len(order)):
+                raise AlgorithmError("claim positions must index the order")
+        claims = self._claims(
+            self._ctx_ref, self._scratch[worker], order.ctypes.data,
+            None if positions is None else positions.ctypes.data,
+            count, ctypes.addressof(cursor), max(1, min(chunk, count)),
+        )
+        if claims < 0:
+            raise MemoryError("native sweep heap")
+        return claims
 
     def op_counts(self, source: int) -> OpCounts:
         return OpCounts(*self.counts[source, :6].tolist())

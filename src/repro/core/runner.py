@@ -294,9 +294,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
             ops=sweep.total_ops(),
             sweep_kernel=sweep.kernel,
             sweep_simd=_simd(sweep.kernel),
-            per_source_work=np.asarray(
-                [cost_model.sweep_cost(c) for c in sweep.per_source]
-            ),
+            per_source_work=sweep.work_vector(cost_model),
             sim_ordering=order_result.sim,
             sim_dijkstra=sweep.outcome.result,
         )
@@ -314,15 +312,16 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
         return result
 
     # ---- real backends -------------------------------------------------
-    # the ordering runs on the serial executor at every backend: Python
-    # threads only add a fork/join per degree to its loops, and the
-    # real MultiLists order does not depend on the executor
+    # the ordering runs on one serial lane at every backend: the serial
+    # executor runs T lanes one after another, so T > 1 only adds
+    # Python overhead, and the real MultiLists order does not depend on
+    # the executor or on T
     t0 = time.perf_counter()
     with _obs.span("apsp.ordering"):
         order_result = compute_order(
             ordering_name,
             degrees,
-            num_threads=num_threads,
+            num_threads=1,
             backend=Backend.SERIAL,
             **ordering_kwargs,
         )

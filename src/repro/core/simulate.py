@@ -24,6 +24,8 @@ mechanism behind the hyper-linear speedups of Figures 9–10.
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 
 from ..graphs.csr import CSRGraph
@@ -34,35 +36,29 @@ from . import native
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from .modified_dijkstra import modified_dijkstra_sssp
 from .state import new_state
-from .sweep import issue_order
+from .sweep import CountedSweep, issue_order
 
 __all__ = ["SimulatedSweep", "simulate_sweep"]
 
 
-class SimulatedSweep:
-    """Result bundle of a simulated sweep phase."""
+class SimulatedSweep(CountedSweep):
+    """A simulated sweep phase: the counted sweep and its schedule."""
 
-    __slots__ = ("dist", "per_source", "outcome", "kernel")
+    __slots__ = ("outcome",)
 
     def __init__(
         self,
         dist: np.ndarray,
-        per_source: list,
+        counts: np.ndarray,
         outcome: ParForOutcome,
         kernel: str,
     ) -> None:
-        self.dist = dist
-        self.per_source = per_source
+        super().__init__(dist, counts, kernel)
         self.outcome = outcome
-        #: which sweep kernel ran: ``"native"`` or ``"python (<why>)"``
-        self.kernel = kernel
 
     @property
     def makespan(self) -> float:
         return self.outcome.result.makespan
-
-    def total_ops(self) -> OpCounts:
-        return OpCounts.sum(self.per_source)
 
 
 def simulate_sweep(
@@ -97,7 +93,7 @@ def simulate_sweep(
     n = graph.num_vertices
     order = issue_order(order, n)
     state = new_state(n)
-    per_source: list = [OpCounts() for _ in range(n)]
+    counts = np.zeros((n, 6), dtype=np.int64)
     #: completion virtual time per vertex id; +inf = not finished yet
     completed_at = np.full(n, np.inf)
     multiplier = machine.memory_cost_multiplier(num_threads)
@@ -114,7 +110,7 @@ def simulate_sweep(
         def gate(t: int) -> bool:
             return completed_at[t] <= dispatch_time
 
-        return modified_dijkstra_sssp(
+        ops = modified_dijkstra_sssp(
             graph,
             s,
             state,
@@ -122,11 +118,12 @@ def simulate_sweep(
             use_flags=use_flags,
             flag_gate=gate,
         )
+        counts[s] = astuple(ops)
+        return ops
 
     def cost_fn(i: int, dispatch_time: float, _thread: int) -> float:
         s = int(order[i])
-        counts = per_source[s] = sweep(s, dispatch_time)
-        duration = cost_model.sweep_cost(counts)
+        duration = cost_model.sweep_cost(sweep(s, dispatch_time))
         # the parfor applies cost_multiplier after this returns; record
         # the completion time in final (multiplied) units
         completed_at[s] = dispatch_time + duration * multiplier
@@ -148,5 +145,6 @@ def simulate_sweep(
         if kernel is not None:
             kernel.publish()
             kernel.close()
-    name = "native" if kernel is not None else native.kernel_name()
-    return SimulatedSweep(state.dist, per_source, outcome, name)
+    if kernel is None:
+        return SimulatedSweep(state.dist, counts, outcome, native.kernel_name())
+    return SimulatedSweep(state.dist, kernel.counts[:, :6], outcome, "native")

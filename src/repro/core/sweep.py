@@ -4,13 +4,18 @@ This module is the engine behind ParAlg1/ParAlg2/ParAPSP's main loop
 (Algorithm 4 / Algorithm 8 lines 4–8) on the *real* execution backends.
 The simulated counterpart lives in :mod:`repro.core.simulate`.
 
-Every worker count claims single sources.  On the serial and threads
-backends each source is one call of the native kernel
-(:mod:`repro.core.native`), which drops the interpreter lock, so
-threads sweep in parallel; without a C compiler the same loop calls
-:func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp`.  Both
-give the rows and per-source ``OpCounts`` of an in-order loop of
-``modified_dijkstra_sssp`` on one worker.
+On the serial and threads backends the native kernel
+(:mod:`repro.core.native`) sweeps, and it also claims: each worker is
+one ``parallel_for`` task making one foreign call, which takes sources
+from an atomic cursor (the shared one of ``schedule(dynamic, chunk)``,
+or the worker's own static assignment) and drops the interpreter lock
+throughout, so threads sweep in parallel.  On the serial executor that
+call walks the executor's own issue order.  Two runs still claim one
+source per task in Python: the fallback without a C compiler, which
+calls :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp`,
+and every run with a fault plan, whose claim and iteration hooks fire
+per source.  All of them give the rows and per-source ``OpCounts`` of
+an in-order loop of ``modified_dijkstra_sssp`` on one worker.
 
 Concurrency notes (threads backend): every sweep writes only its own
 row of the distance matrix; rows of *other* sources are only read after
@@ -31,6 +36,7 @@ synchronisation) preserve the row-then-flag write order.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import astuple
 from typing import List, Optional, Tuple
@@ -39,9 +45,11 @@ import numpy as np
 
 from ..exceptions import AlgorithmError, BackendError
 from ..graphs.csr import CSRGraph
+from ..obs import metrics as _obs
 from ..parallel import Backend, Schedule, parallel_for
 from ..parallel.backends.process import SharedArray, fork_available, run_parallel_map
-from ..obs import metrics as _obs
+from ..parallel.backends.serial import issue_sequence
+from ..parallel.schedule import check_loop, publish_dynamic, static_assignment
 from ..types import INF, OpCounts
 from . import native
 from .costs import DEFAULT_COST_MODEL, DijkstraCostModel
@@ -69,7 +77,7 @@ def issue_order(order, n: int) -> np.ndarray:
     return order
 
 
-class SweepOutcome:
+class CountedSweep:
     """Distance matrix + per-source op accounting of one sweep phase.
 
     ``counts`` is an ``(n, 6)`` int64 matrix indexed by vertex id whose
@@ -78,18 +86,11 @@ class SweepOutcome:
     per-source ``OpCounts`` list is built only when it is read.
     """
 
-    __slots__ = ("dist", "counts", "elapsed_seconds", "kernel", "_per_source")
+    __slots__ = ("dist", "counts", "kernel", "_per_source")
 
-    def __init__(
-        self,
-        dist: np.ndarray,
-        counts: np.ndarray,
-        elapsed_seconds: float,
-        kernel: str,
-    ) -> None:
+    def __init__(self, dist: np.ndarray, counts: np.ndarray, kernel: str) -> None:
         self.dist = dist
         self.counts = counts
-        self.elapsed_seconds = elapsed_seconds
         #: which sweep kernel ran: ``"native"`` or ``"python (<why>)"``
         self.kernel = kernel
         self._per_source: Optional[List[OpCounts]] = None
@@ -109,11 +110,20 @@ class SweepOutcome:
         return model.sweep_costs(self.counts)
 
 
-def _count_matrix(per_source: List[Optional[OpCounts]]) -> np.ndarray:
-    """The ``(n, 6)`` count matrix of a per-source list (``None``: a
-    source that never ran)."""
-    rows = [astuple(c) if c is not None else (0,) * 6 for c in per_source]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), 6)
+class SweepOutcome(CountedSweep):
+    """A real sweep phase: the counted sweep and its wall time."""
+
+    __slots__ = ("elapsed_seconds",)
+
+    def __init__(
+        self,
+        dist: np.ndarray,
+        counts: np.ndarray,
+        elapsed_seconds: float,
+        kernel: str,
+    ) -> None:
+        super().__init__(dist, counts, kernel)
+        self.elapsed_seconds = elapsed_seconds
 
 
 def run_sweep(
@@ -135,9 +145,10 @@ def run_sweep(
 
     ``order[i]`` is the i-th source to issue (Algorithm 8 line 6–7);
     it must be a permutation of the vertex ids.  Returns per-source
-    counts indexed by *vertex id* (not position).  Each source is one
-    task, swept by the native kernel where it loads (see the module
-    docstring).
+    counts indexed by *vertex id* (not position).  Where the native
+    kernel loads and no ``fault_plan`` is set, each worker claims and
+    sweeps its sources in one native call; otherwise each source is one
+    task (see the module docstring).
 
     Crash recovery: under ``on_worker_death="retry"`` a lost source has
     its distance row reset to the fresh-sweep state — INF everywhere, 0
@@ -170,56 +181,126 @@ def run_sweep(
             )
         # one worker, or no fork: the same sweep in this process
         backend, num_threads = Backend.SERIAL, 1
+    check_loop(n, num_threads, chunk, on_worker_death)
 
     state = new_state(n)
-    sources = order.tolist()
     kernel = native.bind(
         graph, state, queue=queue, use_flags=use_flags,
-        workers=max(num_threads, 1),
+        workers=num_threads,
     )
-    if kernel is None:
-        per_source: List[Optional[OpCounts]] = [None] * n
-
-        def body(i: int, _thread: int) -> None:
-            s = sources[i]
-            with _obs.span("sweep.source"):
-                per_source[s] = modified_dijkstra_sssp(
-                    graph, s, state, queue=queue, use_flags=use_flags
-                )
-
-        def forget(s: int) -> None:
-            per_source[s] = None
-    else:
-
-        def body(i: int, thread: int) -> None:
-            with _obs.span("sweep.source"):
-                kernel(sources[i], thread)
-
-        def forget(s: int) -> None:
-            kernel.counts[s] = 0
-
     t0 = time.perf_counter()
     try:
-        parallel_for(
-            n,
-            body,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            backend=backend,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            on_retry=_row_resetter(state, order, forget),
-        )
+        if kernel is not None and fault_plan is None:
+            _sweep_claims(kernel, order, backend, num_threads, schedule, chunk)
+            counts = kernel.counts[:, :6]
+        else:
+            counts = _sweep_sources(
+                graph, order, state, kernel, backend=backend,
+                num_threads=num_threads, schedule=schedule, chunk=chunk,
+                queue=queue, use_flags=use_flags, fault_plan=fault_plan,
+                on_worker_death=on_worker_death,
+            )
     finally:
         if kernel is not None:
             kernel.publish()
             kernel.close()
     elapsed = time.perf_counter() - t0
+    name = "native" if kernel is not None else native.kernel_name()
+    return SweepOutcome(state.dist, counts, elapsed, name)
+
+
+def _sweep_claims(
+    kernel: native.NativeSweep,
+    order: np.ndarray,
+    backend: Backend,
+    num_threads: int,
+    schedule: Schedule,
+    chunk: int,
+) -> None:
+    """The fault-free native sweep: one task per worker, each one
+    foreign call that claims and sweeps its sources in C.
+
+    The serial executor's issue order is one call over its
+    :func:`~repro.parallel.backends.serial.issue_sequence`, so serial
+    rows and counts equal the per-source loop's bitwise.  Threads share
+    one cursor under the dynamic schedule and sweep their own static
+    assignment otherwise.
+    """
+    n = len(order)
+    if backend is Backend.SERIAL or num_threads == 1:
+        lanes = [issue_sequence(schedule, n, num_threads, chunk)]
+        cursors = [ctypes.c_int64(0)]
+    elif schedule is Schedule.DYNAMIC:
+        lanes = [None] * num_threads
+        cursors = [ctypes.c_int64(0)] * num_threads
+    else:
+        lanes = static_assignment(schedule, n, num_threads, chunk)
+        cursors = [ctypes.c_int64(0) for _ in lanes]
+    claims = [0] * len(lanes)
+
+    def body(w: int, _thread: int) -> None:
+        with _obs.span("sweep.block"):
+            claims[w] = kernel.sweep_claims(
+                order, lanes[w], cursors[w], chunk, worker=w
+            )
+
+    parallel_for(
+        len(lanes), body, num_threads=len(lanes), schedule=Schedule.BLOCK,
+        backend=backend,
+    )
+    if schedule is Schedule.DYNAMIC:
+        publish_dynamic(sum(claims), n)
+
+
+def _sweep_sources(
+    graph: CSRGraph,
+    order: np.ndarray,
+    state: APSPState,
+    kernel: Optional[native.NativeSweep],
+    *,
+    backend: Backend,
+    num_threads: int,
+    schedule: Schedule,
+    chunk: int,
+    queue: str,
+    use_flags: bool,
+    fault_plan,
+    on_worker_death: str,
+) -> np.ndarray:
+    """One ``parallel_for`` task per source: the Python fallback, and
+    every fault-plan run, whose claim and iteration hooks fire per
+    source.  Returns the ``(n, 6)`` count matrix."""
+    n = graph.num_vertices
+    sources = order.tolist()
     if kernel is None:
-        return SweepOutcome(state.dist, _count_matrix(per_source), elapsed,
-                            native.kernel_name())
-    return SweepOutcome(state.dist, kernel.counts[:, :6], elapsed, "native")
+        counts = np.zeros((n, 6), dtype=np.int64)
+
+        def sweep(s: int, _thread: int) -> None:
+            counts[s] = astuple(modified_dijkstra_sssp(
+                graph, s, state, queue=queue, use_flags=use_flags
+            ))
+    else:
+        counts, sweep = kernel.counts[:, :6], kernel
+
+    def body(i: int, thread: int) -> None:
+        with _obs.span("sweep.source"):
+            sweep(sources[i], thread)
+
+    def forget(s: int) -> None:
+        counts[s] = 0
+
+    parallel_for(
+        n,
+        body,
+        num_threads=num_threads,
+        schedule=schedule,
+        chunk=chunk,
+        backend=backend,
+        fault_plan=fault_plan,
+        on_worker_death=on_worker_death,
+        on_retry=_row_resetter(state, order, forget),
+    )
+    return counts
 
 
 def _row_resetter(state: APSPState, order: np.ndarray, forget=None):
@@ -294,9 +375,8 @@ def _sweep_process(
             on_retry=_row_resetter(state, order),
         )
         elapsed = time.perf_counter() - t0
-        per_source: List[Optional[OpCounts]] = [None] * n
-        for s, counts in results:
-            per_source[s] = counts
+        counts = np.zeros((n, 6), dtype=np.int64)
+        for s, ops in results:
+            counts[s] = astuple(ops)
         dist = shared_dist.array.copy()  # segment dies with the context
-    return SweepOutcome(dist, _count_matrix(per_source), elapsed,
-                        "python (process backend)")
+    return SweepOutcome(dist, counts, elapsed, "python (process backend)")

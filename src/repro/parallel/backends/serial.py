@@ -18,13 +18,32 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as np
+
 from ...exceptions import BackendError, FaultInjected
 from ...faults.inject import ThreadDeath, WorkerFaultInjector
 from ...obs import metrics as _obs
 from ...types import Schedule
-from ..schedule import ClaimSource
+from ..schedule import ClaimSource, static_assignment
 
-__all__ = ["run_parallel_for", "map_through", "recover"]
+__all__ = ["run_parallel_for", "map_through", "recover", "issue_sequence"]
+
+
+def issue_sequence(
+    schedule: Schedule, n: int, num_threads: int, chunk: int = 1
+) -> Optional[np.ndarray]:
+    """The iterations in the order a fault-free :func:`run_parallel_for`
+    issues them, or ``None`` for plain index order (the dynamic
+    schedule, or one worker).  A static schedule interleaves the
+    workers' assignments one iteration per turn."""
+    if schedule is Schedule.DYNAMIC or num_threads == 1:
+        return None
+    lanes = static_assignment(schedule, n, num_threads, chunk)
+    turns = np.full((max(map(len, lanes)), num_threads), -1, dtype=np.int64)
+    for t, lane in enumerate(lanes):
+        turns[: len(lane), t] = lane
+    sequence = turns.ravel()
+    return sequence[sequence >= 0]
 
 
 def run_parallel_for(

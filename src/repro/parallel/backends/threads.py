@@ -2,12 +2,14 @@
 
 CPython's GIL serialises the bytecode of the loop bodies, so pure-Python
 work shows no wall-clock speedup here; bodies that call native code do.
-The APSP sweep's body is one call of the native kernel
-(:mod:`repro.core.native`), which ctypes runs without the GIL, so
-workers sweep in parallel; the kernel orders its shared-state accesses
-itself (a flag is loaded with acquire and stored with release
-semantics) rather than relying on the GIL.  Numpy kernels inside a body
-also release the GIL for large arrays.
+The fault-free APSP sweep runs one task per thread, and that task is
+one call of the native kernel's claim loop (:mod:`repro.core.native`):
+ctypes runs it without the GIL, and the threads claim sources from an
+atomic cursor in C, so workers sweep in parallel and no claim passes
+through Python.  The kernel orders its shared-state accesses itself (a
+flag is loaded with acquire and stored with release semantics) rather
+than relying on the GIL.  Numpy kernels inside a body also release the
+GIL for large arrays.
 
 Exceptions raised inside worker threads are captured and re-raised in the
 calling thread (first one wins), so failures never vanish silently.

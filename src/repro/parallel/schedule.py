@@ -33,6 +33,7 @@ __all__ = [
     "check_loop",
     "ClaimSource",
     "DynamicCounter",
+    "publish_dynamic",
 ]
 
 
@@ -117,6 +118,17 @@ def static_assignment(
     )
 
 
+def publish_dynamic(
+    claims: int, iterations: int, prefix: str = "schedule.dynamic"
+) -> None:
+    """Report a dynamic loop's claim statistics to the installed
+    metrics registry: non-empty chunk claims and iterations."""
+    reg = _obs._current
+    if reg is not None:
+        reg.add(f"{prefix}.claims", claims)
+        reg.add(f"{prefix}.iterations", iterations)
+
+
 class DynamicCounter:
     """Shared fetch-and-add work counter for ``schedule(dynamic, chunk)``.
 
@@ -165,10 +177,7 @@ class DynamicCounter:
 
     def publish(self, prefix: str = "schedule.dynamic") -> None:
         """Report claim statistics to the installed metrics registry."""
-        reg = _obs._current
-        if reg is not None:
-            reg.add(f"{prefix}.claims", self.claims)
-            reg.add(f"{prefix}.iterations", self._n)
+        publish_dynamic(self.claims, self._n, prefix)
 
     def remaining(self) -> int:
         with self._lock:

@@ -4,9 +4,11 @@ A :class:`TraceRecorder` *is* a :class:`~repro.obs.metrics.MetricsRegistry`
 — install it with :func:`repro.obs.use_registry` and every
 :func:`repro.obs.span` section the instrumented code already emits
 (``apsp.ordering``, ``apsp.dijkstra``, ``parallel.worker``,
-``sweep.source``, ...) is additionally captured with the OS thread it
-ran on.  Because the hook is the existing no-op-by-default one, hot
-paths pay nothing unless a recorder is installed.
+``sweep.block`` for one native claim loop, ``sweep.source`` for one
+source of the Python fallback or of a fault-plan run, ...) is
+additionally captured with the OS thread it ran on.  Because the hook
+is the existing no-op-by-default one, hot paths pay nothing unless a
+recorder is installed.
 
 :meth:`TraceRecorder.to_trace` lays the captured sections out as a
 unified :class:`~repro.trace.model.Trace` on the wall clock, one track

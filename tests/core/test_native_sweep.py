@@ -10,12 +10,19 @@ take the vectorised row merge through its tail elements.
 With two real threads the distances are bitwise on dyadic weights
 (every sum is exact) and within float tolerance otherwise.
 
+The native claim loop (one C call per worker) sweeps in the serial
+executor's issue order for every schedule, worker count and chunk, so
+serial rows and counts equal the per-source Python loop's bitwise;
+fault-plan runs keep claiming per source and recover to the same
+matrix.
+
 Also here: the loader (one library from racing first loads, the Python
 fallback without a compiler), the portable build flags, counter
 parity with the Python sweep, kernel and merge-ISA provenance, and the
 issue-order check.
 """
 
+import ctypes
 import platform
 import sys
 import threading
@@ -33,13 +40,15 @@ from repro.core import (
     simulate_sweep,
     solve_apsp,
 )
+from repro.core.costs import DijkstraCostModel
 from repro.core.state import new_state
 from repro.exceptions import AlgorithmError
+from repro.faults import KILL, FaultPlan
 from repro.graphs import CSRGraph, from_arc_arrays
 from repro.graphs.rmat import rmat
 from repro.obs import MetricsRegistry, use_registry
 from repro.simx import default_machine
-from repro.types import OpCounts
+from repro.types import OpCounts, Schedule
 from tests.conftest import assert_same_apsp
 from tests.core.test_native_rows import graphs
 
@@ -49,6 +58,7 @@ SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 QUEUES = st.sampled_from(["fifo", "heap"])
+SCHEDULES = st.sampled_from(list(Schedule))
 
 needs_kernel = pytest.mark.skipif(
     native.kernel_name() != "native", reason=native.kernel_name()
@@ -188,9 +198,11 @@ class TestContract:
     @given(
         graph=graphs(max_n=24, weights=st.sampled_from(["dyadic", "float"])),
         queue=QUEUES,
+        schedule=SCHEDULES,
+        chunk=st.sampled_from([1, 4]),
     )
     @settings(**SETTINGS)
-    def test_two_threads_are_exact(self, graph, queue):
+    def test_two_threads_are_exact(self, graph, queue, schedule, chunk):
         n = graph.num_vertices
         order = np.arange(n)
         ref, _ = python_sweeps(
@@ -198,7 +210,8 @@ class TestContract:
             dispatch=np.zeros(n),
         )
         out = run_sweep(
-            graph, order, backend="threads", num_threads=2, queue=queue
+            graph, order, backend="threads", num_threads=2, queue=queue,
+            schedule=schedule, chunk=chunk,
         )
         assert out.kernel == "native"
         if np.all(graph.weights * 4 == np.round(graph.weights * 4)):
@@ -212,6 +225,185 @@ class TestContract:
         one = run_sweep(graph, order)
         two = run_sweep(graph, order, backend="threads", num_threads=2)
         assert one.dist.tobytes() == two.dist.tobytes()
+
+
+def oracle_sweep(graph, order, **kwargs):
+    """``run_sweep`` through the per-source Python loop (the kernel
+    unloaded): the outcome and the registry's counters."""
+    registry = MetricsRegistry()
+    with pytest.MonkeyPatch.context() as mp, use_registry(registry):
+        mp.setattr(native, "_loaded", (None, "python (test)"))
+        out = run_sweep(graph, order, **kwargs)
+    return out, registry
+
+
+def native_sweep(graph, order, **kwargs):
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        out = run_sweep(graph, order, **kwargs)
+    assert out.kernel == "native"
+    return out, registry
+
+
+def comparable(registry):
+    # the native kernel keeps no all_inf_row diagnostic
+    return {key: value for key, value in registry.counters().items()
+            if key != "kernel.merge_row.all_inf_row"}
+
+
+def span_paths(registry):
+    return [rec.path for rec in registry.spans]
+
+
+@needs_kernel
+class TestClaimLoop:
+    """One native call per worker claims and sweeps its sources."""
+
+    @staticmethod
+    def check_serial(graph, order, queue, threads, schedule, chunk):
+        kwargs = dict(queue=queue, num_threads=threads, schedule=schedule,
+                      chunk=chunk)
+        ref, ref_reg = oracle_sweep(graph, order, **kwargs)
+        out, reg = native_sweep(graph, order, **kwargs)
+        assert out.dist.tobytes() == ref.dist.tobytes()
+        assert out.counts.tobytes() == ref.counts.tobytes()
+        assert comparable(reg) == comparable(ref_reg)
+        n = graph.num_vertices
+        if Schedule.coerce(schedule) is Schedule.DYNAMIC and n:
+            counters = reg.counters()
+            assert counters["schedule.dynamic.claims"] == -(-n // chunk)
+            assert counters["schedule.dynamic.iterations"] == n
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("schedule", list(Schedule))
+    @pytest.mark.parametrize("chunk", [1, 4])
+    @pytest.mark.parametrize("queue", ["fifo", "heap"])
+    def test_serial_issue_order_is_the_per_source_loops(
+        self, threads, schedule, chunk, queue
+    ):
+        """Bitwise rows, counts and counters against the per-source
+        loop, whose static schedules interleave the virtual workers."""
+        graph = rmat(7, 8, seed=6)
+        order = np.argsort(-graph.out_degrees(), kind="stable")
+        self.check_serial(graph, order, queue, threads, schedule, chunk)
+
+    @given(
+        graph=graphs(max_n=24),
+        queue=QUEUES,
+        threads=st.sampled_from([1, 2, 3]),
+        schedule=SCHEDULES,
+        chunk=st.sampled_from([1, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(**SETTINGS)
+    def test_serial_matches_per_source_loop_on_any_graph(
+        self, graph, queue, threads, schedule, chunk, seed
+    ):
+        order = np.random.default_rng(seed).permutation(graph.num_vertices)
+        self.check_serial(graph, order, queue, threads, schedule, chunk)
+
+    @pytest.mark.parametrize(
+        "backend, threads", [("serial", 1), ("serial", 3), ("threads", 2)]
+    )
+    @pytest.mark.parametrize("schedule", list(Schedule))
+    def test_one_block_span_per_worker_call(self, backend, threads, schedule):
+        graph = rmat(6, 8, seed=3)
+        out, reg = native_sweep(
+            graph, np.arange(graph.num_vertices), backend=backend,
+            num_threads=threads, schedule=schedule,
+        )
+        paths = span_paths(reg)
+        calls = threads if backend == "threads" else 1
+        assert sum(p.endswith("sweep.block") for p in paths) == calls
+        assert not any(p.endswith("sweep.source") for p in paths)
+        if backend == "threads":
+            assert paths.count("parallel.worker.sweep.block") == threads
+
+    @pytest.mark.parametrize("backend", ["serial", "threads"])
+    @pytest.mark.parametrize("schedule", list(Schedule))
+    def test_fault_plan_claims_per_source_and_recovers(
+        self, backend, schedule
+    ):
+        """Every worker dies after its first claim; the lost sources
+        re-run inline, per source, to the fault-free native matrix."""
+        graph = rmat(7, 8, seed=4)
+        order = np.argsort(-graph.out_degrees(), kind="stable")
+        plan = FaultPlan.from_dict({"faults": [
+            dict(kind=KILL, worker=w, after_claims=1) for w in range(2)
+        ]})
+        clean, _ = native_sweep(graph, order, backend=backend,
+                                num_threads=2, schedule=schedule)
+        out, reg = native_sweep(
+            graph, order, backend=backend, num_threads=2, schedule=schedule,
+            fault_plan=plan, on_worker_death="retry",
+        )
+        assert reg.counters()["faults.worker_deaths"] >= 1
+        paths = span_paths(reg)
+        assert not any(p.endswith("sweep.block") for p in paths)
+        assert sum(p.endswith("sweep.source") for p in paths) >= len(order)
+        assert out.dist.tobytes() == clean.dist.tobytes()
+
+    def test_shared_cursor_under_thread_switching(self):
+        """More workers than cores on one cursor, switching every few
+        bytecodes: every source is claimed exactly once and the rows
+        are the serial ones."""
+        graph = rmat(8, 8, seed=2)
+        order = np.argsort(-graph.out_degrees(), kind="stable")
+        serial = run_sweep(graph, order)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                out, reg = native_sweep(graph, order, backend="threads",
+                                        num_threads=5)
+                assert reg.counters()["schedule.dynamic.claims"] == len(order)
+                assert reg.counters()["sweep.count"] == len(order)
+                assert out.dist.tobytes() == serial.dist.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_claims_check_their_positions(self, small_weighted):
+        n = small_weighted.num_vertices
+        state = new_state(n)
+        kernel = native.bind(small_weighted, state, queue="fifo",
+                             use_flags=True)
+        try:
+            order = np.arange(n)
+            cursor = ctypes.c_int64(0)
+            with pytest.raises(AlgorithmError, match="positions"):
+                kernel.sweep_claims(order, np.array([0, n]), cursor, 1)
+            with pytest.raises(AlgorithmError, match="vertex ids"):
+                kernel.sweep_claims(order + 1, None, cursor, 1)
+            assert cursor.value == 0
+            assert kernel.sweep_claims(order, order[::-1], cursor, 3) == (
+                -(-n // 3)
+            )
+        finally:
+            kernel.close()
+        assert state.flag.all()
+
+    @pytest.mark.parametrize(
+        "backend, threads", [("serial", 1), ("serial", 2), ("threads", 2)]
+    )
+    def test_a_failed_call_raises_memory_error(
+        self, monkeypatch, backend, threads
+    ):
+        """A claim loop returning -1 surfaces as ``MemoryError`` in the
+        caller, from a worker thread too.  The kernel's own -1 (a heap
+        that cannot grow) is not provoked here: it takes an allocation
+        failure."""
+        bind = native.bind
+
+        def failing_bind(*args, **kwargs):
+            kernel = bind(*args, **kwargs)
+            kernel._claims = lambda *_: -1
+            return kernel
+
+        monkeypatch.setattr(native, "bind", failing_bind)
+        graph = rmat(5, 4, seed=1)
+        with pytest.raises(MemoryError, match="native sweep heap"):
+            run_sweep(graph, np.arange(graph.num_vertices), backend=backend,
+                      num_threads=threads)
 
 
 @pytest.mark.parametrize("queue", ["fifo", "heap"])
@@ -241,6 +433,45 @@ def test_counters_match_the_python_sweep(monkeypatch, queue):
     assert real.per_source == py_real.per_source
     assert sim.dist.tobytes() == py_sim.dist.tobytes()
     assert sim.makespan == py_sim.makespan
+
+
+@pytest.mark.parametrize("queue", ["fifo", "heap"])
+def test_simulated_totals_and_work_vector_match_across_kernels(
+    monkeypatch, queue
+):
+    """The simulated sweep's count matrix gives the same totals and work
+    vector from either kernel, equal bitwise to the per-source
+    ``OpCounts`` reductions, and the SIM solve's ``per_source_work`` is
+    that work vector, under a cost model whose sums round."""
+    graph = rmat(7, 8, seed=3)
+    odd = DijkstraCostModel(
+        pop=0.1, edge_relaxation=0.7, merge_comparison=0.3,
+        row_merge=1.3, call=0.9,
+    )
+
+    def simulated():
+        result = solve_apsp(graph, algorithm="parapsp", backend="sim",
+                            num_threads=4, queue=queue, cost_model=odd)
+        sweep = simulate_sweep(graph, result.order, default_machine(4),
+                               num_threads=4, queue=queue, cost_model=odd)
+        return sweep, result
+
+    runs = [simulated()]
+    monkeypatch.setattr(native, "_loaded", (None, "python (test)"))
+    runs.append(simulated())
+    for sweep, result in runs:
+        assert sweep.total_ops() == OpCounts.sum(sweep.per_source)
+        assert sweep.total_ops() == result.ops
+        expected = np.asarray([odd.sweep_cost(c) for c in sweep.per_source])
+        assert sweep.work_vector(odd).tobytes() == expected.tobytes()
+        assert result.per_source_work.tobytes() == expected.tobytes()
+    (ours, ours_result), (py, py_result) = runs
+    assert py.kernel == py_result.sweep_kernel == "python (test)"
+    assert ours.counts.tobytes() == py.counts.tobytes()
+    assert ours.total_ops() == py.total_ops()
+    assert ours_result.per_source_work.tobytes() == (
+        py_result.per_source_work.tobytes()
+    )
 
 
 class TestLoader:

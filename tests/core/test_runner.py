@@ -128,9 +128,9 @@ class TestResultContents:
     def test_real_backends_order_on_the_serial_executor(
         self, monkeypatch, threads
     ):
-        """The threads backend orders on the serial executor at the
-        same thread count, and the MultiLists order and method are the
-        ones the threads executor gives."""
+        """The threads backend orders on one serial lane, and the
+        MultiLists order and method are the ones the threads executor
+        gives at the solve's thread count."""
         graph = rmat(8, 8, seed=2)
         expected = compute_order(
             "multilists", degree_array(graph), num_threads=threads,
@@ -147,7 +147,7 @@ class TestResultContents:
             graph, algorithm="parapsp", backend="threads",
             num_threads=threads,
         )
-        assert seen == [(Backend.SERIAL, threads)]
+        assert seen == [(Backend.SERIAL, 1)]
         assert result.ordering_method == expected.method
         assert result.order.tobytes() == expected.order.tobytes()
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import BackendError, ScheduleError
 from repro.parallel import Backend, Schedule, parallel_for, parallel_map
+from repro.parallel.backends.serial import issue_sequence
 
 
 class TestParallelFor:
@@ -78,6 +79,25 @@ class TestParallelFor:
             backend="threads",
         )
         assert order == list(range(6))
+
+    @pytest.mark.parametrize("schedule", list(Schedule))
+    @pytest.mark.parametrize("num_threads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7, 10])
+    def test_serial_issue_sequence(self, schedule, num_threads, chunk, n):
+        """``issue_sequence`` is the order the serial executor issues
+        iterations in: static lanes interleave one iteration per turn,
+        the dynamic schedule and one worker run in index order."""
+        order = []
+        parallel_for(
+            n, lambda i, t: order.append(i), num_threads=num_threads,
+            schedule=schedule, chunk=chunk, backend="serial",
+        )
+        sequence = issue_sequence(schedule, n, num_threads, chunk)
+        if sequence is None:
+            assert order == list(range(n))
+        else:
+            assert sequence.tolist() == order
 
 
 class TestParallelMap:
