@@ -7,7 +7,9 @@
  * ctypes drops the interpreter lock for the call and several threads
  * can sweep at once.  repro_sweep_claims() is a worker's whole claim
  * loop: sources come from an atomic cursor, so a sweep phase costs one
- * foreign call per worker, not one per source.
+ * foreign call per worker, not one per source.  repro_sweep_rows() runs
+ * flagless sweeps into a block of rows, one row per source: the exact
+ * rows of store builds, repairs and update re-solves.
  *
  * Concurrency: a sweep writes only its own row.  It reads another row
  * t only after loading flag[t] with acquire semantics, and it raises
@@ -19,6 +21,7 @@
  * an AVX2 clone beside the default one, and the loader picks the clone
  * this CPU runs (no -march flag: the cached library may move hosts).
  */
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -37,10 +40,11 @@ typedef struct {
     const int64_t *indptr;
     const int64_t *indices;
     const double *weights;
-    double *dist;               /* n x n, row-major */
-    uint8_t *flag;
+    double *dist;               /* n x n, row-major; a block of rows
+                                   for repro_sweep_rows() */
+    uint8_t *flag;              /* NULL: flagless rows */
     const double *completed_at; /* NULL: every raised flag may be used */
-    int64_t *counts;            /* n x C_NCOUNTS */
+    int64_t *counts;            /* one C_NCOUNTS row per row of dist */
     int64_t n;
     int32_t heap;
     int32_t use_flags;
@@ -187,13 +191,13 @@ static void heap_pop(repro_sweep_scratch *s, int64_t *size, double *d,
     s->heap_v[i] = lv;
 }
 
-/* One sweep from `source`; 0 on success, -1 if the heap cannot grow. */
-int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
-                int64_t source, double dispatch_time)
+/* One sweep from `source` into row `ds` with count slots `k`; 0 on
+ * success, -1 if the heap cannot grow. */
+static int sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
+                 int64_t source, double *ds, int64_t *k,
+                 double dispatch_time)
 {
     const int64_t n = c->n;
-    double *ds = c->dist + source * n;
-    int64_t *k = c->counts + source * C_NCOUNTS;
     int64_t size = 1, head = 0, peak = 1;
 
     for (int i = 0; i < C_NCOUNTS; i++)
@@ -252,7 +256,34 @@ int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
         }
     }
     k[C_PEAK_QUEUE] = peak;
-    __atomic_store_n(&c->flag[source], 1, __ATOMIC_RELEASE);
+    if (c->flag)
+        __atomic_store_n(&c->flag[source], 1, __ATOMIC_RELEASE);
+    return 0;
+}
+
+/* One sweep from `source` into its own row of the n x n matrix. */
+int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
+                int64_t source, double dispatch_time)
+{
+    return sweep(c, s, source, c->dist + source * c->n,
+                 c->counts + source * C_NCOUNTS, dispatch_time);
+}
+
+/* Flagless rows: row p of c->dist and of c->counts, a block of `count`
+ * rows, is the sweep from sources[p].  A flags-off sweep reads no other
+ * row, so the block holds only the rows asked for; c->use_flags must be
+ * 0 and c->flag may be NULL.  Returns 0, or -1 if a heap cannot grow. */
+int repro_sweep_rows(const repro_sweep_ctx *c, repro_sweep_scratch *s,
+                     const int64_t *sources, int64_t count)
+{
+    const int64_t n = c->n;
+    for (int64_t p = 0; p < count; p++) {
+        double *ds = c->dist + p * n;
+        for (int64_t v = 0; v < n; v++)
+            ds[v] = INFINITY;
+        if (sweep(c, s, sources[p], ds, c->counts + p * C_NCOUNTS, 0.0))
+            return -1;
+    }
     return 0;
 }
 

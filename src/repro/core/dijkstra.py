@@ -4,14 +4,18 @@
 repeated-Dijkstra baseline and by ablations that measure how much the
 flag shortcut saves.  Binary heap with lazy deletion; O((n + m) log n).
 
-:func:`dijkstra_rows` is the compiled kernel behind every flagless
-exact-row path (store builds, repair, update re-solves):
-``scipy.sparse.csgraph.dijkstra`` over many sources in one call.  With
-non-negative weights every Dijkstra variant converges to the same float
+:func:`dijkstra_rows` is the kernel behind every flagless exact-row
+path (store builds, repair, update re-solves, Johnson's inner solve):
+the paper's Algorithm 1 sweep in ``_sweep.c`` with a FIFO queue and
+flags off, one foreign call per block of rows that drops the
+interpreter lock.  With non-negative weights every Dijkstra variant,
+label-setting or label-correcting, converges to the same float
 fixpoint, the minimum over paths of the left-to-right float sum
-(``fl(a + w)`` is monotone in ``a`` and never below it), so its rows are
-bitwise-identical to the per-vertex sweeps'.  scipy is imported on
-first use, so importing :mod:`repro` needs numpy only.
+(``fl(a + w)`` is monotone in ``a`` and never below it), so its rows
+are bitwise-identical to the per-vertex sweeps' and to
+``scipy.sparse.csgraph.dijkstra``.  scipy is the fallback when the
+kernel does not load, imported on that first call, so importing
+:mod:`repro` needs numpy only.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ import heapq
 
 import numpy as np
 
-from ..exceptions import AlgorithmError
+from ..exceptions import AlgorithmError, NegativeWeightError
 from ..graphs.csr import CSRGraph
 from ..types import INF, OpCounts
+from . import native
 
 __all__ = ["dijkstra_sssp", "dijkstra_rows"]
 
@@ -67,20 +72,43 @@ def dijkstra_sssp(
     return dist, counts
 
 
-def dijkstra_rows(graph, sources) -> np.ndarray:
+def dijkstra_rows(
+    graph: CSRGraph, sources, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Shortest-distance rows ``(len(sources), n)``, one per source.
 
-    ``graph`` is a :class:`CSRGraph` (zero weights allowed, negative
-    ones not) or the matrix :func:`repro.graphs.build.to_scipy_csr`
-    made of one; pass the matrix to reuse it across calls.  scipy holds
-    the interpreter lock for the whole call, so callers that share the
-    process with readers keep ``sources`` to one shard's worth.
+    Row ``p`` is the distances from ``sources[p]``; sources may repeat
+    and come in any order.  ``out``, a C-contiguous float64 block of
+    that shape, receives the rows (a shard buffer, so a store build
+    never allocates n × n); the rows are returned either way.  Zero
+    weights are allowed; negative ones raise
+    :class:`~repro.exceptions.NegativeWeightError` on either path (a
+    FIFO sweep could otherwise loop on a negative cycle).
     """
+    n = graph.num_vertices
+    sources = np.ascontiguousarray(sources, dtype=np.int64).reshape(-1)
+    if graph.has_negative_weights:
+        raise NegativeWeightError(
+            f"graph {graph.name or 'anonymous'!r} has negative arc "
+            "weights; exact rows need non-negative ones"
+        )
+    if len(sources) and (sources.min() < 0 or sources.max() >= n):
+        raise AlgorithmError(f"sources must be vertex ids in [0, {n})")
+    shape = (len(sources), n)
+    if out is None:
+        out = np.empty(shape)
+    elif (out.shape != shape or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise AlgorithmError(
+            f"out must be a C-contiguous float64 block of shape {shape}"
+        )
+    lib, _ = native.load()
+    if lib is not None:
+        native.sweep_rows(lib, graph, sources, out)
+        return out
     from scipy.sparse.csgraph import dijkstra
 
     from ..graphs.build import to_scipy_csr
 
-    csr = to_scipy_csr(graph) if isinstance(graph, CSRGraph) else graph
-    return dijkstra(
-        csr, directed=True, indices=np.asarray(sources, dtype=np.int64)
-    )
+    out[...] = dijkstra(to_scipy_csr(graph), directed=True, indices=sources)
+    return out

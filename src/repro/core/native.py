@@ -4,6 +4,8 @@
 ``None`` when the kernel cannot load, in which case the caller runs
 :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` instead.
 Both compute the same rows and the same per-source ``OpCounts``.
+:func:`sweep_rows` runs flagless FIFO sweeps into a block of rows, the
+kernel behind :func:`~repro.core.dijkstra.dijkstra_rows`.
 
 The library is compiled with the system ``cc`` the first time a sweep
 asks for it — never at ``import repro`` — into
@@ -31,7 +33,9 @@ from ..exceptions import AlgorithmError
 from ..obs import metrics as _obs
 from ..types import OpCounts
 
-__all__ = ["NativeSweep", "bind", "kernel_name", "load", "simd_name"]
+__all__ = [
+    "NativeSweep", "bind", "kernel_name", "load", "simd_name", "sweep_rows",
+]
 
 SOURCE = Path(__file__).with_name("_sweep.c")
 CFLAGS = ("-O2", "-ftree-vectorize", "-shared", "-fPIC")
@@ -100,6 +104,10 @@ def _open(path: Path) -> ctypes.CDLL:
         ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
     ]
     lib.repro_sweep_claims.restype = ctypes.c_int64
+    lib.repro_sweep_rows.argtypes = [
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
+    ]
+    lib.repro_sweep_rows.restype = ctypes.c_int
     lib.repro_sweep_scratch_new.argtypes = [ctypes.c_int64]
     lib.repro_sweep_scratch_new.restype = ctypes.c_void_p
     lib.repro_sweep_scratch_free.argtypes = [ctypes.c_void_p]
@@ -250,6 +258,32 @@ class NativeSweep:
         for scratch in self._scratch:
             self._lib.repro_sweep_scratch_free(scratch)
         self._scratch = []
+
+
+def sweep_rows(lib, graph, sources: np.ndarray, out: np.ndarray) -> None:
+    """Row ``p`` of ``out`` ← the flagless FIFO sweep from
+    ``sources[p]``, in one foreign call without the interpreter lock.
+
+    ``sources`` is a C-contiguous int64 vector of vertex ids and ``out``
+    a C-contiguous float64 ``(len(sources), n)`` block; the caller
+    checks both, and that no weight is negative.  Scratch and counts are
+    sized to the block, never to n × n.
+    """
+    n = graph.num_vertices
+    counts = np.empty((len(sources), NCOUNTS), dtype=np.int64)
+    ctx = _Ctx(graph.indptr.ctypes.data, graph.indices.ctypes.data,
+               graph.weights.ctypes.data, out.ctypes.data, None, None,
+               counts.ctypes.data, n, False, False)
+    scratch = lib.repro_sweep_scratch_new(n)
+    if not scratch:
+        raise MemoryError("native sweep scratch")
+    try:
+        failed = lib.repro_sweep_rows(ctypes.byref(ctx), scratch,
+                                      sources.ctypes.data, len(sources))
+    finally:
+        lib.repro_sweep_scratch_free(scratch)
+    if failed:
+        raise MemoryError("native sweep heap")
 
 
 def bind(graph, state, **kwargs) -> Optional[NativeSweep]:

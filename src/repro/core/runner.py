@@ -387,10 +387,10 @@ def solve_apsp_shards(
     is an independent Dijkstra and the output is bitwise identical to
     the in-memory solve regardless of shard size — which is why
     :func:`repro.serve.solve_to_store` builds stores that way.  Such
-    shards skip the ordering and the per-vertex sweep altogether: each
-    is one call of the compiled kernel
-    :func:`~repro.core.dijkstra.dijkstra_rows`, counted as
-    ``sweep.native_rows``.
+    shards skip the ordering and the per-vertex Python sweep
+    altogether: each is one call of the native flagless kernel
+    :func:`~repro.core.dijkstra.dijkstra_rows` into the shard buffer,
+    counted as ``sweep.native_rows``.
 
     Only the serial backend is meaningful here — the buffer is the
     memory bound, and handing it to several workers would break it.
@@ -464,22 +464,20 @@ def solve_apsp_shards(
 
 
 def _native_shard_filler(hooks: ShardHooks):
-    """Flagless shards: one compiled-kernel call per shard.
+    """Flagless shards: one native-kernel call per shard, into the
+    shard buffer.
 
-    Every row is an independent Dijkstra, so neither the ordering nor
-    the per-source sweep matters; the kernel's rows are bitwise those
-    of the sweep (see :mod:`repro.core.dijkstra`).  One call per shard,
-    never the whole matrix, keeps the interpreter lock free between
-    shards for readers sharing the process.
+    Every row is an independent sweep, so neither the ordering nor the
+    per-source Python sweep matters; the kernel's rows are bitwise those
+    of the sweep (see :mod:`repro.core.dijkstra`).  The call drops the
+    interpreter lock; one call per shard keeps the shard buffer the
+    memory bound.
     """
-    from ..graphs.build import to_scipy_csr
     from .dijkstra import dijkstra_rows
-
-    csr = to_scipy_csr(hooks.graph)
 
     def fill(start: int, block: np.ndarray) -> None:
         k = block.shape[0]
-        block[...] = dijkstra_rows(csr, np.arange(start, start + k))
+        dijkstra_rows(hooks.graph, np.arange(start, start + k), out=block)
         _obs.counter_add("sweep.native_rows", k)
 
     return fill

@@ -59,23 +59,23 @@ def _fill_local_buckets(
 def _order_positions(
     lists: List[List[List[int]]], max_degree: int
 ) -> np.ndarray:
-    """Phase 2 setup: ``orderPos[tID][deg]`` start offsets.
+    """Phase 2 setup: ``orderPos[tID][deg]`` start offsets."""
+    sizes = np.array(
+        [[len(local[d]) for d in range(max_degree + 1)] for local in lists],
+        dtype=np.int64,
+    )
+    return _positions(sizes)
+
+
+def _positions(sizes: np.ndarray) -> np.ndarray:
+    """``orderPos[tID][deg]`` from the ``(T, max+1)`` bucket sizes.
 
     The global array is laid out degree-descending, and within one
     degree thread 0's bucket precedes thread 1's, and so on.
     """
-    T = len(lists)
-    sizes = np.zeros((T, max_degree + 1), dtype=np.int64)
-    for t, local in enumerate(lists):
-        for d in range(max_degree + 1):
-            sizes[t, d] = len(local[d])
-    pos = np.zeros((T, max_degree + 1), dtype=np.int64)
-    offset = 0
-    for d in range(max_degree, -1, -1):
-        for t in range(T):
-            pos[t, d] = offset
-            offset += sizes[t, d]
-    return pos
+    totals = sizes.sum(axis=0)
+    above = np.cumsum(totals[::-1])[::-1] - totals  # degrees > d
+    return above + np.cumsum(sizes, axis=0) - sizes
 
 
 def multilists_order(
@@ -104,23 +104,25 @@ def multilists_order(
     hi = int(degrees.max())
     blocks = block_assignment(n, T)
 
-    # phase 1: parallel over thread ids, each filling its local list
-    lists: List[Optional[List[List[int]]]] = [None] * T
+    # phase 1: parallel over thread ids, each sorting its own block
+    # into degree buckets: the block's ids by ascending degree (stable,
+    # so ids ascend within a bucket) and the bucket sizes
+    bucketed: List[Optional[np.ndarray]] = [None] * T
+    sizes = np.zeros((T, hi + 1), dtype=np.int64)
 
     def fill(t: int, _thread: int) -> None:
-        local: List[List[int]] = [[] for _ in range(hi + 1)]
-        for i in blocks[t]:
-            local[int(degrees[i])].append(int(i))
-        lists[t] = local
+        keys = degrees[blocks[t]]
+        sizes[t] = np.bincount(keys, minlength=hi + 1)
+        bucketed[t] = blocks[t][np.argsort(keys, kind="stable")]
 
     parallel_for(
         T, fill, num_threads=T, schedule=Schedule.BLOCK, backend=backend
     )
-    filled: List[List[List[int]]] = [lst for lst in lists if lst is not None]
-    if len(filled) != T:
+    if any(ids is None for ids in bucketed):
         raise OrderingError("phase 1 failed to fill every thread's list")
 
-    pos = _order_positions(filled, hi)
+    pos = _positions(sizes)
+    first = np.cumsum(sizes, axis=1) - sizes  # bucket starts per thread
     order = np.empty(n, dtype=np.int64)
     low_cut = int(par_ratio * hi)  # degrees 0..low_cut merged in parallel
 
@@ -128,10 +130,8 @@ def multilists_order(
     for d in range(0, low_cut + 1):
 
         def copy_bucket(t: int, _thread: int, _d: int = d) -> None:
-            p = int(pos[t, _d])
-            for v in filled[t][_d]:
-                order[p] = v
-                p += 1
+            a, p, k = first[t, _d], pos[t, _d], sizes[t, _d]
+            order[p:p + k] = bucketed[t][a:a + k]
 
         parallel_for(
             T,
@@ -140,13 +140,13 @@ def multilists_order(
             schedule=Schedule.BLOCK,
             backend=backend,
         )
-    # phase 2b: sequential copy of the high-degree tail
-    for d in range(low_cut + 1, hi + 1):
-        for t in range(T):
-            p = int(pos[t, d])
-            for v in filled[t][d]:
-                order[p] = v
-                p += 1
+    # phase 2b: sequential copy of the high-degree tail, the end of each
+    # thread's bucketed ids, every id to its bucket's slot
+    for t in range(T):
+        a = int(sizes[t, :low_cut + 1].sum())
+        tail = bucketed[t][a:]
+        d = degrees[tail]
+        order[pos[t, d] + np.arange(a, a + tail.size) - first[t, d]] = tail
 
     return OrderingResult(
         method="multilists",

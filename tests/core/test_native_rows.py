@@ -1,24 +1,34 @@
-"""Byte identity of the compiled flagless kernel against the sweep.
+"""Byte identity of the native flagless rows against the sweep.
 
 Every flagless exact-row path (store builds, repair, the update's
 dirty-shard re-solve and endpoint refinement, Johnson's inner solve)
-runs :func:`repro.core.dijkstra.dijkstra_rows`.  The per-vertex
-``modified_dijkstra_sssp(use_flags=False)`` sweep stays as the
-reference: with non-negative weights both reach the same float fixpoint
-(the minimum over paths of the left-to-right float sum), so rows must
-agree byte for byte — on arbitrary float weights, not only on weights
-where summation order cannot matter.
+runs :func:`repro.core.dijkstra.dijkstra_rows`: the ``_sweep.c`` kernel
+with a FIFO queue and flags off, or scipy's Dijkstra when the kernel
+does not load.  The per-vertex ``modified_dijkstra_sssp(use_flags=False)``
+sweep stays as the reference: with non-negative weights all three reach
+the same float fixpoint (the minimum over paths of the left-to-right
+float sum), so rows must agree byte for byte — on arbitrary float
+weights, not only on weights where summation order cannot matter.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import dijkstra_rows, modified_dijkstra_sssp, solve_apsp_shards
+from repro.core import (
+    dijkstra_rows,
+    modified_dijkstra_sssp,
+    native,
+    solve_apsp_shards,
+)
 from repro.core.dijkstra import dijkstra_sssp
 from repro.core.johnson import bellman_ford_potentials, reweight_graph
 from repro.core.state import new_state
+from repro.exceptions import AlgorithmError, NegativeWeightError
 from repro.graphs import CSRGraph, attach_negative_weights, from_arc_arrays
 from repro.obs import MetricsRegistry, use_registry
 from repro.serve.update import (
@@ -42,9 +52,11 @@ def graphs(draw, max_n=14, directed=None, weights=None):
     (multiples of 1/4, many ties), ``"float"`` (arbitrary floats,
     rounding in every sum) or ``"zeros"`` (floats with some arcs set to
     exactly 0, built with ``allow_negative=True`` as Johnson's
-    reweighting produces).
+    reweighting produces).  Up to three trailing vertices are islands
+    with no arcs, so rows hold ``inf`` runs.
     """
     n = draw(st.integers(min_value=1, max_value=max_n))
+    islands = draw(st.integers(0, 3))
     if directed is None:
         directed = draw(st.booleans())
     if weights is None:
@@ -78,6 +90,7 @@ def graphs(draw, max_n=14, directed=None, weights=None):
         )
     src = np.asarray([p[0] for p in pairs], dtype=np.int64)
     dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    n += islands
     graph = from_arc_arrays(src, dst, w, num_vertices=n, directed=directed)
     if weights == "zeros" and graph.num_arcs:
         # zero whole edges (both arcs of an undirected one) by their
@@ -108,6 +121,18 @@ def sweep_rows(graph, sources, queue="fifo"):
     return state.dist[np.asarray(sources, dtype=np.int64)]
 
 
+@contextmanager
+def scipy_fallback():
+    """Run as if the native kernel had not loaded."""
+    with mock.patch.object(native, "load", return_value=(None, "python")):
+        yield
+
+
+def fallback_rows(graph, sources):
+    with scipy_fallback():
+        return dijkstra_rows(graph, sources)
+
+
 def streamed(graph, shard_rows, **options):
     """Concatenate the shards of one ``solve_apsp_shards`` stream."""
     blocks = [
@@ -127,30 +152,60 @@ class TestKernelRows:
         got = dijkstra_rows(graph, sources)
         assert got.dtype == np.float64
         assert got.shape == (graph.num_vertices, graph.num_vertices)
+        assert got.tobytes() == fallback_rows(graph, sources).tobytes()
         for queue in ("fifo", "heap"):
             assert got.tobytes() == sweep_rows(graph, sources, queue).tobytes()
 
     @given(graph=graphs(), data=st.data())
     @settings(**SETTINGS)
     def test_any_source_subset_in_any_order(self, graph, data):
+        # unsorted, with repeats
         sources = data.draw(
             st.lists(st.integers(0, graph.num_vertices - 1), max_size=6)
         )
         got = dijkstra_rows(graph, sources)
         assert got.shape == (len(sources), graph.num_vertices)
         assert got.tobytes() == sweep_rows(graph, sources).tobytes()
+        assert got.tobytes() == fallback_rows(graph, sources).tobytes()
 
-    def test_prebuilt_matrix_equals_graph_argument(self):
-        from repro.graphs.build import to_scipy_csr
-
+    def test_out_block_equals_returned_rows(self):
         graph = from_arc_arrays(
             [0, 1, 2], [1, 2, 0], [0.1, 0.2, 0.3], num_vertices=4,
             directed=True,
         )
         direct = dijkstra_rows(graph, [0, 3])
-        reused = dijkstra_rows(to_scipy_csr(graph), [0, 3])
-        assert direct.tobytes() == reused.tobytes()
+        block = np.full((2, 4), -1.0)
+        assert dijkstra_rows(graph, [0, 3], out=block) is block
+        assert direct.tobytes() == block.tobytes()
         assert np.isinf(direct[1, :3]).all() and direct[1, 3] == 0.0
+        with scipy_fallback():
+            block.fill(-1.0)
+            dijkstra_rows(graph, [0, 3], out=block)
+        assert direct.tobytes() == block.tobytes()
+
+    def test_bad_sources_and_blocks_raise(self):
+        graph = from_arc_arrays([0], [1], [1.0], num_vertices=3)
+        with pytest.raises(AlgorithmError, match="vertex ids"):
+            dijkstra_rows(graph, [0, 3])
+        with pytest.raises(AlgorithmError, match="out must be"):
+            dijkstra_rows(graph, [0, 1], out=np.empty((2, 2)))
+        with pytest.raises(AlgorithmError, match="out must be"):
+            dijkstra_rows(graph, [0, 1], out=np.empty((3, 2)).T)
+        assert dijkstra_rows(graph, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_negative_weights_raise_on_both_paths(self, forced):
+        # a negative cycle 0 -> 1 -> 0: a FIFO sweep would never stop
+        graph = CSRGraph(
+            np.array([0, 1, 2]), np.array([1, 0]), np.array([1.0, -2.0]),
+            directed=True, allow_negative=True,
+        )
+        if forced:
+            with scipy_fallback(), pytest.raises(NegativeWeightError):
+                dijkstra_rows(graph, [0])
+        else:
+            with pytest.raises(NegativeWeightError):
+                dijkstra_rows(graph, [0])
 
     def test_single_vertex(self):
         graph = CSRGraph(np.zeros(2, dtype=np.int64), np.zeros(0))
@@ -230,6 +285,21 @@ class TestTelemetry:
         names = [rec.path for rec in reg.spans]
         assert names.count("apsp.shard") == 3
         assert "apsp.ordering" not in names
+
+    def test_store_build_publishes_only_native_rows(self, tmp_path):
+        from repro.serve import solve_to_store
+
+        graph = from_arc_arrays(
+            [0, 1, 2, 3], [1, 2, 3, 4], [1.0, 2.0, 0.5, 1.5],
+            num_vertices=10,
+        )
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            solve_to_store(graph, tmp_path / "store", shard_rows=4)
+        counters = reg.counters()
+        assert counters["sweep.native_rows"] == 10
+        assert "sweep.count" not in counters
+        assert not any(k.startswith("ops.") for k in counters)
 
     def test_flagged_shards_keep_the_per_vertex_sweep(self):
         graph = from_arc_arrays(
