@@ -63,6 +63,7 @@ from .core import (
     seq_basic,
     seq_optimized,
     solve_apsp,
+    solve_apsp_rows,
     solve_apsp_shards,
     solver_names,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "seq_basic",
     "seq_optimized",
     "solve_apsp",
+    "solve_apsp_rows",
     "solve_apsp_shards",
     "SolverSpec",
     "ShardHooks",

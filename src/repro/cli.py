@@ -36,7 +36,8 @@ import numpy as np
 from .analysis.tables import format_table
 from .bench import experiment_ids, get_profile, run_many, save_report
 from .config import ServeConfig, SolverConfig
-from .core.runner import algorithm_names, solve_apsp
+from .core.registry import solver_names
+from .core.runner import solve_apsp
 from .graphs.datasets import dataset_info, dataset_names, load_dataset
 from .graphs.degree import degree_array
 from .graphs.io import read_edgelist
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     # solver flags default to None ("not given"): only given flags
     # override a --config file, whose absence means SolverConfig defaults
     solve.add_argument(
-        "--algorithm", choices=algorithm_names(), default=None,
+        "--algorithm", choices=solver_names(), default=None,
         help="solver (default parapsp)",
     )
     solve.add_argument(
@@ -155,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--seed", type=int, default=42)
     trace.add_argument("--edge-factor", type=int, default=8)
     trace.add_argument(
-        "--algorithm", choices=algorithm_names(), default="parapsp"
+        "--algorithm", choices=solver_names(), default="parapsp"
     )
     trace.add_argument("--threads", type=int, default=4)
     trace.add_argument(
@@ -371,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows per shard (default: ceil(n / num_nodes))",
     )
     dist.add_argument(
-        "--algorithm", default=None, choices=algorithm_names(),
+        "--algorithm", default=None, choices=solver_names(),
         help="per-rank solver from the registry (default parapsp)",
     )
     dist.add_argument(

@@ -22,9 +22,8 @@ from .par_alg2 import par_alg2
 from .par_apsp import par_apsp
 from .runner import (
     ALGORITHMS,
-    AlgorithmSpec,
-    algorithm_names,
     solve_apsp,
+    solve_apsp_rows,
     solve_apsp_shards,
 )
 from .johnson import (
@@ -60,8 +59,6 @@ __all__ = [
     "par_alg2",
     "par_apsp",
     "ALGORITHMS",
-    "AlgorithmSpec",
-    "algorithm_names",
     "SolverSpec",
     "ShardHooks",
     "register_solver",
@@ -72,6 +69,7 @@ __all__ = [
     "bellman_ford_apsp",
     "reweight_graph",
     "solve_apsp",
+    "solve_apsp_rows",
     "solve_apsp_shards",
     "SimulatedSweep",
     "simulate_sweep",

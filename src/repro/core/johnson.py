@@ -36,7 +36,6 @@ from ..exceptions import NegativeCycleError
 from ..graphs.csr import CSRGraph
 from ..obs import metrics as _obs
 from ..types import INF, Backend, Schedule, VERTEX_DTYPE
-from .modified_dijkstra import modified_dijkstra_sssp
 from .registry import ShardHooks, SolverSpec, register_solver
 from .state import APSPResult
 
@@ -199,8 +198,8 @@ def _solve_johnson(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
 
 
 def _johnson_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
-    """Shard-streaming participation: sweeps run in reweighted space,
-    each completed block is un-reweighted in place before it is yielded.
+    """Exact-row participation: rows are swept on the reweighted graph,
+    each completed block is un-reweighted in place.
 
     The potentials are a pure function of the graph, so a
     :meth:`repro.serve.DistStore.repair` re-solve reproduces shard
@@ -211,22 +210,12 @@ def _johnson_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
     inner = reweight_graph(graph, h) if reweighted else graph
     _emit_bf_metrics(passes, relaxations, reweighted)
 
-    def sweep_row(g, source, state, cfg):
-        return modified_dijkstra_sssp(
-            g,
-            int(source),
-            state,
-            queue=cfg.algorithm.queue,
-            use_flags=cfg.algorithm.use_flags,
-        )
-
     finalize = None
     if reweighted:
-        def finalize(start: int, block: np.ndarray) -> None:
-            k = block.shape[0]
-            block += h[None, :] - h[start:start + k, None]
+        def finalize(sources: np.ndarray, block: np.ndarray) -> None:
+            block += h[None, :] - h[sources, None]
 
-    return ShardHooks(inner, sweep_row, finalize)
+    return ShardHooks(inner, finalize)
 
 
 register_solver(

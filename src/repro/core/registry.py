@@ -5,8 +5,9 @@ Every APSP algorithm the library can run is described by one
 capability flag (can it take negative weights?) and the callables
 that actually solve.  :class:`repro.config.SolverConfig` validates
 against the spec, :func:`repro.core.solve_apsp`
-dispatches through ``spec.solve``, and
-:func:`repro.core.solve_apsp_shards` streams shards through
+dispatches through ``spec.solve``, and the exact-row paths
+(:func:`repro.core.solve_apsp_shards`, :func:`repro.core.solve_apsp_rows`
+and the cluster build) take their graph and row post-processing from
 ``spec.shard_hooks`` — so registering a solver here is the *only* step
 needed to expose it through the config layer, the CLI
 (``repro-apsp solve --algorithm <name>``), the smoke/bench harness and
@@ -39,34 +40,28 @@ __all__ = [
 
 @dataclass
 class ShardHooks:
-    """How one solver participates in the shard-streaming solve.
+    """How one solver produces exact rows outside :func:`solve_apsp`.
 
-    ``graph`` is the graph the rows are actually solved on (Johnson
-    substitutes its reweighted graph); ``sweep_row(graph, source,
-    state, cfg)`` fills ``state.dist[source]`` with that source's
-    distance row and returns the sweep's :class:`~repro.types.OpCounts`
-    (the cluster simulation prices each source with them; plain
-    streaming callers may ignore the return value).  Flagless shard
-    solves do not call it: they fill whole shards of ``graph`` with
-    the compiled kernel instead.  The optional
-    ``finalize(start, block)`` post-processes a completed ``(k, n)``
-    block in place before it is yielded (Johnson un-reweights there).
+    Store shards, repairs, update re-solves and the cluster build all
+    take their rows from flagless sweeps of ``graph`` (Johnson
+    substitutes its reweighted graph), one independent row per source.
+    The optional ``finalize(sources, block)`` post-processes the
+    ``(len(sources), n)`` block of those sources' rows in place
+    (Johnson un-reweights there).
     """
 
     graph: object
-    sweep_row: Callable[..., None]
-    finalize: Optional[Callable[[int, object], None]] = None
+    finalize: Optional[Callable[[object, object], None]] = None
 
 
 @dataclass(frozen=True)
 class SolverSpec:
     """Declarative description of one registered APSP solver.
 
-    The first five fields mirror the legacy ``AlgorithmSpec`` so code
-    that only reads pipeline defaults (the CLI info table, the config
-    cross-checks) is unchanged.  ``parallel`` and ``negative_weights``
-    are what requests are validated against; the callables are what
-    the runner dispatches to.
+    The first five fields are the pipeline defaults that the CLI info
+    table and the config cross-checks read.  ``parallel`` and
+    ``negative_weights`` are what requests are validated against; the
+    callables are what the runner dispatches to.
     """
 
     name: str
@@ -78,8 +73,8 @@ class SolverSpec:
     negative_weights: bool = False
     #: ``solve(graph, cfg, spec) -> APSPResult``
     solve: Optional[Callable] = field(default=None, compare=False, repr=False)
-    #: ``shard_hooks(graph, cfg) -> ShardHooks``, how the solver streams
-    #: shards for :func:`repro.serve.solve_to_store`
+    #: ``shard_hooks(graph, cfg) -> ShardHooks``, how the solver's
+    #: exact rows are produced for stores and the cluster build
     shard_hooks: Optional[Callable] = field(
         default=None, compare=False, repr=False
     )

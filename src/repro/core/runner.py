@@ -21,12 +21,20 @@ discipline, the degree kind and the Algorithm 3 ``ratio``.
 Backends: ``serial`` and ``threads`` / ``process`` run for real (wall
 clock); ``sim`` runs on a :class:`~repro.simx.MachineSpec` in virtual
 time and is how the multi-thread figures are regenerated on this host.
+
+Exact rows outside the in-memory solve — store shards
+(:func:`solve_apsp_shards`), any source subset (:func:`solve_apsp_rows`)
+and the cluster build — are all flagless sweeps of the solver's
+:class:`~repro.core.registry.ShardHooks` graph on the native kernel,
+then the hooks' ``finalize``: :func:`~repro.core.dijkstra.dijkstra_rows`
+for the first two, one flagless :func:`~repro.core.sweep.run_sweep` for
+the cluster build, which also prices each source's op counts.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -36,7 +44,7 @@ from ..graphs.degree import degree_array
 from ..obs import metrics as _obs
 from ..order import compute_order, simulate_order
 from ..simx.machine import default_machine
-from ..types import INF, Backend, PhaseTimes, Schedule
+from ..types import Backend, PhaseTimes, Schedule
 from . import native
 from .registry import (
     ShardHooks,
@@ -44,49 +52,26 @@ from .registry import (
     _REGISTRY,
     get_solver,
     register_solver,
-    solver_names,
 )
 from .simulate import simulate_sweep
-from .state import APSPResult, ShardState
+from .state import APSPResult
 from .sweep import run_sweep
 
 __all__ = [
     "ALGORITHMS",
-    "AlgorithmSpec",
     "solve_apsp",
+    "solve_apsp_rows",
     "solve_apsp_shards",
-    "algorithm_names",
 ]
-
-#: historical alias — an ``AlgorithmSpec`` is now a registry
-#: :class:`~repro.core.registry.SolverSpec` (same leading fields)
-AlgorithmSpec = SolverSpec
 
 #: the solver registry under its historical name; this *is* the live
 #: registry dict, so ``ALGORITHMS[name]`` sees every registered solver
 ALGORITHMS: Dict[str, SolverSpec] = _REGISTRY
 
 
-def algorithm_names() -> Tuple[str, ...]:
-    return solver_names()
-
-
 def _sweep_shard_hooks(graph: CSRGraph, cfg) -> ShardHooks:
-    """Sweep-family shard participation: one modified-Dijkstra row per
-    source, flag reuse restricted to in-shard rows (see
-    :func:`solve_apsp_shards`)."""
-    from .modified_dijkstra import modified_dijkstra_sssp
-
-    def sweep_row(g, source, state, cfg):
-        return modified_dijkstra_sssp(
-            g,
-            int(source),
-            state,
-            queue=cfg.algorithm.queue,
-            use_flags=cfg.algorithm.use_flags,
-        )
-
-    return ShardHooks(graph, sweep_row)
+    """Sweep-family exact rows: flagless sweeps of the graph itself."""
+    return ShardHooks(graph)
 
 
 def _register_sweep_family() -> None:
@@ -359,14 +344,7 @@ def _solve_sweep_family(graph: CSRGraph, cfg, spec: SolverSpec) -> APSPResult:
     )
 
 
-def solve_apsp_shards(
-    graph: CSRGraph,
-    *,
-    shard_rows: int,
-    start_row: int = 0,
-    stop_row: "int | None" = None,
-    **options,
-):
+def solve_apsp_shards(graph: CSRGraph, *, shard_rows: int, **options):
     """Stream the APSP matrix as ``(start_row, rows)`` blocks.
 
     The out-of-core companion of :func:`solve_apsp`: shards of
@@ -376,32 +354,19 @@ def solve_apsp_shards(
     :func:`repro.serve.solve_to_store` writes to disk shard by shard.
     ``options`` are :func:`solve_apsp`'s flat keywords.
 
-    Within a shard, sources are issued in the configured ordering
-    (restricted to the shard) and Algorithm 1's flag-reuse shortcut
-    applies to rows already finalised *in the same shard*; rows outside
-    the buffer are simply not reused.  Distances are exact either way
-    (the flag merge is an optimisation, not a correctness requirement),
-    but because the merge changes float summation order, flags-on
-    output can differ from the in-memory solver in the last bit and
-    depends on ``shard_rows``.  With ``use_flags=False`` every source
-    is an independent Dijkstra and the output is bitwise identical to
-    the in-memory solve regardless of shard size — which is why
-    :func:`repro.serve.solve_to_store` builds stores that way.  Such
-    shards skip the ordering and the per-vertex Python sweep
-    altogether: each is one call of the native flagless kernel
-    :func:`~repro.core.dijkstra.dijkstra_rows` into the shard buffer,
-    counted as ``sweep.native_rows``.
+    Flags are off whatever ``use_flags`` says: every source is an
+    independent Dijkstra, so the output is bitwise identical to the in-memory
+    flagless solve regardless of shard size.  Each shard is one call of
+    the native flagless kernel
+    :func:`~repro.core.dijkstra.dijkstra_rows` into the shard buffer
+    (see :func:`solve_apsp_rows`), counted as ``sweep.native_rows``.
 
     Only the serial backend is meaningful here — the buffer is the
     memory bound, and handing it to several workers would break it.
     Yields ``(start, rows)`` with ``rows`` of shape ``(k, n)`` where the
     last shard may be short.  The yielded array is reused between
     shards: copy (or write out) before advancing the generator.
-    ``start_row``/``stop_row`` restrict the sweep to a sub-range of
-    shards (``start_row`` on a shard boundary) — how
-    :meth:`repro.serve.DistStore.repair` re-solves only damaged shards.
     """
-    from ..config import SolverConfig
     from ..exceptions import ConfigError
 
     if not isinstance(shard_rows, int) or isinstance(shard_rows, bool) \
@@ -410,113 +375,77 @@ def solve_apsp_shards(
             f"shard_rows must be an int >= 1, got {shard_rows!r}",
             field="shard_rows",
         )
-    n_total = graph.num_vertices
-    if stop_row is None:
-        stop_row = n_total
-    if not (0 <= start_row <= stop_row <= n_total):
-        raise ConfigError(
-            f"need 0 <= start_row <= stop_row <= n ({n_total}); got "
-            f"start_row={start_row!r}, stop_row={stop_row!r}",
-            field="start_row",
-        )
-    if start_row % shard_rows != 0:
-        raise ConfigError(
-            f"start_row must fall on a shard boundary (multiple of "
-            f"{shard_rows}), got {start_row}",
-            field="start_row",
-        )
+    hooks = _exact_row_hooks(graph, options)
+    n = graph.num_vertices
+    shard_rows = min(shard_rows, max(1, n))
+    buffer = np.empty((shard_rows, n), dtype=np.float64)
+    for start in range(0, n, shard_rows):
+        k = min(shard_rows, n - start)
+        block = buffer[:k]
+        _fill_rows(hooks, np.arange(start, start + k), block)
+        _obs.counter_add("serve.store.shards_solved", 1)
+        yield start, block
+
+
+def solve_apsp_rows(graph: CSRGraph, sources, **options) -> np.ndarray:
+    """Exact distance rows ``(len(sources), n)``, one per source.
+
+    Row ``p`` is the distances from ``sources[p]``; sources may repeat
+    and come in any order.  The rows are bitwise those of
+    :func:`solve_apsp_shards` (and of the in-memory flagless solve):
+    one native flagless kernel call on the solver's
+    :class:`~repro.core.registry.ShardHooks` graph, then its
+    ``finalize`` — how :meth:`repro.serve.DistStore.repair` and
+    :func:`repro.serve.apply_edge_updates` re-solve shards and landmark
+    rows.  ``options`` are :func:`solve_apsp`'s flat keywords
+    (``use_flags`` has no effect: the rows are flagless).
+    """
+    hooks = _exact_row_hooks(graph, options)
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    block = np.empty((len(sources), graph.num_vertices), dtype=np.float64)
+    _fill_rows(hooks, sources, block)
+    return block
+
+
+def _exact_row_hooks(graph: CSRGraph, options) -> ShardHooks:
+    """Validate ``options`` for an exact-row solve and return the
+    solver's shard hooks.  ``use_flags`` is read but has no effect:
+    :func:`_fill_rows` only sweeps flagless."""
+    from ..config import SolverConfig
+    from ..exceptions import ConfigError
+
     cfg = SolverConfig.from_kwargs(**options)
     if cfg.parallel.backend != Backend.SERIAL.value:
         raise ConfigError(
-            "the shard-streaming solve runs on the serial backend "
-            f"(got {cfg.parallel.backend!r}); its whole point is the "
-            "O(shard) memory bound of one worker over one buffer",
+            "exact rows are solved on the serial backend (got "
+            f"{cfg.parallel.backend!r}): each block is one kernel call, "
+            "and the shard buffer is the memory bound",
             field="parallel.backend",
         )
-
     spec = get_solver(cfg.algorithm.name)
     if graph.has_negative_weights and not spec.negative_weights:
         raise NegativeWeightError(
             f"graph {graph.name or 'anonymous'!r} has negative arc "
             f"weights, which solver {spec.name!r} does not support"
         )
-    # the spec decides how a row is produced: which graph the sweeps run
-    # on (Johnson substitutes its reweighted graph), how one source's
-    # row is filled, and any per-block post-processing
-    hooks = spec.shard_hooks(graph, cfg)
-    fill = (
-        _flagged_shard_filler(graph, spec, hooks, cfg)
-        if cfg.algorithm.use_flags
-        else _native_shard_filler(hooks)
-    )
-    n = graph.num_vertices
-    shard_rows = min(shard_rows, max(1, n))
-    buffer = np.empty((shard_rows, n), dtype=np.float64)
-    for start in range(start_row, stop_row, shard_rows):
-        k = min(shard_rows, stop_row - start, n - start)
-        block = buffer[:k]
-        with _obs.span("apsp.shard"):
-            fill(start, block)
-        if hooks.finalize is not None:
-            hooks.finalize(start, block)
-        _obs.counter_add("serve.store.shards_solved", 1)
-        yield start, block
+    return spec.shard_hooks(graph, cfg)
 
 
-def _native_shard_filler(hooks: ShardHooks):
-    """Flagless shards: one native-kernel call per shard, into the
-    shard buffer.
+def _fill_rows(hooks: ShardHooks, sources: np.ndarray, block: np.ndarray):
+    """``sources``' exact rows into ``block``: one native-kernel call.
 
-    Every row is an independent sweep, so neither the ordering nor the
-    per-source Python sweep matters; the kernel's rows are bitwise those
-    of the sweep (see :mod:`repro.core.dijkstra`).  The call drops the
-    interpreter lock; one call per shard keeps the shard buffer the
-    memory bound.
+    Every row is an independent flagless sweep, so neither the ordering
+    nor the per-source Python sweep matters; the kernel's rows are
+    bitwise those of the sweep (see :mod:`repro.core.dijkstra`).  The
+    call drops the interpreter lock.
     """
     from .dijkstra import dijkstra_rows
 
-    def fill(start: int, block: np.ndarray) -> None:
-        k = block.shape[0]
-        dijkstra_rows(hooks.graph, np.arange(start, start + k), out=block)
-        _obs.counter_add("sweep.native_rows", k)
-
-    return fill
-
-
-def _flagged_shard_filler(graph: CSRGraph, spec: SolverSpec, hooks, cfg):
-    """Flags-on shards: per-vertex sweeps in the configured ordering,
-    reusing rows finished earlier in the same shard."""
-    ordering_name = (
-        cfg.algorithm.ordering
-        if cfg.algorithm.ordering is not None
-        else spec.ordering
-    )
-    n = graph.num_vertices
-    degrees = degree_array(graph, cfg.algorithm.degree_kind)
-    ordering_kwargs = {}
-    if ordering_name == "selection":
-        ordering_kwargs["ratio"] = cfg.algorithm.ratio
-        ordering_kwargs["fast"] = n > 4000
-    with _obs.span("apsp.ordering"):
-        order_result = compute_order(
-            ordering_name, degrees, num_threads=1, backend=Backend.SERIAL,
-            **ordering_kwargs,
-        )
-    # position[v] = issue rank of vertex v under the configured ordering
-    position = np.empty(n, dtype=np.int64)
-    position[order_result.order] = np.arange(n, dtype=np.int64)
-
-    def fill(start: int, block: np.ndarray) -> None:
-        k = block.shape[0]
-        block.fill(INF)
-        state = ShardState(block, start, n)
-        sources = start + np.argsort(
-            position[start:start + k], kind="stable"
-        )
-        for s in sources:
-            hooks.sweep_row(hooks.graph, int(s), state, cfg)
-
-    return fill
+    with _obs.span("apsp.shard"):
+        dijkstra_rows(hooks.graph, sources, out=block)
+        _obs.counter_add("sweep.native_rows", len(sources))
+        if hooks.finalize is not None:
+            hooks.finalize(sources, block)
 
 
 _register_sweep_family()

@@ -4,6 +4,11 @@ Algorithm 2 line 2–7: ``D[u, v] = ∞`` for every pair, ``flag[i] = 0``
 for every vertex.  The diagonal is set to zero lazily by each SSSP run
 (Algorithm 1 line 2), but initialising it here is equivalent and lets
 validation treat a fresh state as "no paths known yet".
+
+A state always holds the whole n×n matrix of one in-memory solve.
+Store shards, repairs and the cluster build need none: their flagless
+rows are written by the native kernel straight into caller-owned
+blocks (:func:`repro.core.runner.solve_apsp_rows`).
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from ..exceptions import AlgorithmError
 from ..simx.trace import SimResult
 from ..types import INF, OpCounts, PhaseTimes
 
-__all__ = ["APSPState", "APSPResult", "ShardState", "new_state"]
+__all__ = ["APSPState", "APSPResult", "new_state"]
 
 
 @dataclass
@@ -39,46 +44,6 @@ class APSPState:
         self.dist.fill(INF)
         np.fill_diagonal(self.dist, 0.0)
         self.flag.fill(0)
-
-
-class _ShardRowMap:
-    """Duck-typed ``dist`` for shard-local sweeps.
-
-    Maps a *vertex id* onto a row of a small ``(shard_rows, n)`` buffer
-    so :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` can
-    run unmodified while the full n×n matrix never exists.  Merges are
-    safe because flags are raised only for in-shard sources, so the
-    sweep never asks for a row outside the buffer.
-    """
-
-    __slots__ = ("buffer", "base")
-
-    def __init__(self, buffer: np.ndarray, base: int) -> None:
-        self.buffer = buffer
-        self.base = base
-
-    def __getitem__(self, vertex: int) -> np.ndarray:
-        return self.buffer[vertex - self.base]
-
-
-class ShardState:
-    """APSPState-shaped view over one shard buffer whose row 0 is
-    vertex ``base`` (see ``_ShardRowMap``), with its own flag vector.
-
-    The per-vertex sweep of a store shard and of a cluster-build rank
-    both run against it.
-    """
-
-    __slots__ = ("dist", "flag", "_n")
-
-    def __init__(self, buffer: np.ndarray, base: int, n: int) -> None:
-        self.dist = _ShardRowMap(buffer, base)
-        self.flag = np.zeros(n, dtype=np.uint8)
-        self._n = n
-
-    @property
-    def n(self) -> int:
-        return self._n
 
 
 def new_state(n: int, *, dist_buffer: Optional[np.ndarray] = None) -> APSPState:

@@ -10,15 +10,18 @@ network.  Concretely:
 * shard ``s`` (a ``shard_rows`` block of consecutive source ids) is
   owned by rank ``s % num_nodes`` — round-robin, so the descending-
   degree head of the matrix doesn't land on one rank;
-* each rank solves its shards through the **same registry/shard-hook
-  pipeline** as :func:`repro.serve.solve_to_store`, with ``use_flags``
-  forced off — every row is an independent sweep, so the assembled
-  matrix is **bitwise identical** to the single-machine solve no matter
-  how the shards are partitioned, recovered, or reordered;
+* rows come from the **same registry shard hooks** as
+  :func:`repro.serve.solve_to_store`: one flagless sweep of every
+  source on the hooks' graph (the native kernel where it loads, see
+  :func:`repro.core.sweep.run_sweep`), then the hooks' ``finalize`` —
+  every row is an independent sweep, so the assembled matrix is
+  **bitwise identical** to the single-machine solve no matter how the
+  shards are partitioned, recovered, or reordered;
 * per-rank compute time comes from pricing each source's real
-  :class:`~repro.types.OpCounts` through the cost model and playing the
-  rank's source list on the ``simx`` machine (``threads_per_node``
-  workers, memory-contention multiplier included);
+  :class:`~repro.types.OpCounts` (a row of the sweep's count matrix)
+  through the cost model and playing the rank's source list on the
+  ``simx`` machine (``threads_per_node`` workers, memory-contention
+  multiplier included);
 * assembly ships every remotely-solved shard to rank 0 as one message
   priced by :meth:`ClusterSpec.transfer_cost` (one ``latency`` plus
   ``per_element_cost`` per element — the same α–β expression as
@@ -44,12 +47,12 @@ import numpy as np
 
 from ..core.costs import DEFAULT_COST_MODEL, DijkstraCostModel
 from ..core.registry import get_solver
-from ..core.state import ShardState
+from ..core.sweep import run_sweep
 from ..exceptions import FaultPlanError, NegativeWeightError, SimulationError
 from ..faults.plan import KILL, STALL, FaultPlan
 from ..graphs.csr import CSRGraph
 from ..simx.parfor import simulate_parallel_for
-from ..types import INF, Schedule
+from ..types import Schedule
 from .cluster import ClusterSpec
 
 __all__ = ["ClusterBuildResult", "solve_apsp_cluster"]
@@ -204,21 +207,17 @@ def solve_apsp_cluster(
         fault_plan, cluster, rank_shards
     )
 
-    # ---- solve every shard once (owners and recoverers produce the
-    # same bytes, so compute is shared; timing is attributed below)
-    dist = np.full((n, n), INF, dtype=np.float64)
-    source_cost = np.zeros(n, dtype=np.float64)
-    for s in range(num_shards):
-        start = s * shard_rows
-        stop = min(start + shard_rows, n)
-        block = dist[start:stop]
-        state = ShardState(block, start, n)
-        for source in range(start, stop):
-            counts = hooks.sweep_row(hooks.graph, source, state, cfg)
-            if counts is not None:
-                source_cost[source] = cost_model.sweep_cost(counts)
-        if hooks.finalize is not None:
-            hooks.finalize(start, block)
+    # ---- solve every row once: rows are independent, so owners and
+    # recoverers produce the same bytes; compute is shared and each
+    # source's priced op counts are attributed to ranks below
+    sources = np.arange(n)
+    sweep = run_sweep(
+        hooks.graph, sources, use_flags=False, queue=cfg.algorithm.queue
+    )
+    dist = sweep.dist
+    if hooks.finalize is not None:
+        hooks.finalize(sources, dist)
+    source_cost = sweep.work_vector(cost_model)
 
     # ---- timeline: who solved what, and when they were done
     completed: List[List[int]] = []

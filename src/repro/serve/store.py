@@ -301,7 +301,7 @@ class DistStore:
         repaired (empty for a clean store).
         """
         from ..config import SolverConfig
-        from ..core.runner import solve_apsp_shards
+        from ..core.runner import solve_apsp_rows
 
         try:
             self.verify()
@@ -319,15 +319,10 @@ class DistStore:
             for index in [b for b in bad if b != "landmarks"]:
                 start, rows = self.shard_span(index)
                 entry = self.manifest["shards"][index]
-                gen = solve_apsp_shards(
-                    graph,
-                    shard_rows=self.shard_rows,
-                    start_row=start,
-                    stop_row=start + rows,
-                    **options,
+                block = solve_apsp_rows(
+                    graph, np.arange(start, start + rows), **options
                 )
-                _, block = next(gen)
-                gen.close()
+                _obs.counter_add("serve.store.shards_solved", 1)
                 payload, _, _ = self.codec.encode(block)
                 crc = _crc32(payload)
                 if crc != entry["crc32"]:
@@ -360,26 +355,14 @@ def _degree_order(graph, degree_kind: str) -> np.ndarray:
 
 def _write_landmarks(store: DistStore, graph, options) -> None:
     """(Re)build the pinned landmark rows from the graph; ``options``
-    are the solver keywords the store was built with."""
-    from ..core.runner import solve_apsp_shards
+    are the solver keywords the store was built with.  Only the
+    landmark rows are solved, not their shards."""
+    from ..core.runner import solve_apsp_rows
 
     ids = store.manifest["landmarks"]["ids"]
     if not ids:
         return
-    rows = np.empty((len(ids), store.n), dtype=np.float64)
-    for i, vertex in enumerate(ids):
-        start = (vertex // store.shard_rows) * store.shard_rows
-        stop = min(start + store.shard_rows, store.n)
-        gen = solve_apsp_shards(
-            graph,
-            shard_rows=store.shard_rows,
-            start_row=start,
-            stop_row=stop,
-            **options,
-        )
-        _, block = next(gen)
-        gen.close()
-        rows[i] = block[vertex - start]
+    rows = solve_apsp_rows(graph, ids, **options)
     raw = np.ascontiguousarray(rows).tobytes()
     # verify BEFORE writing: a wrong-graph repair must leave whatever
     # is on disk untouched instead of installing bytes it then rejects

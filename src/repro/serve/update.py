@@ -21,8 +21,8 @@ actually affect:
    dirty-row set.  The exact set must be a subset of the prescreen
    candidates; a violation raises rather than shipping a wrong store.
 3. **Copy-on-write re-solve** — dirty shards are re-solved on the new
-   graph through the same :func:`~repro.core.runner.solve_apsp_shards`
-   + codec-encode + checksum pipeline as a fresh build, written to
+   graph through :func:`~repro.core.runner.solve_apsp_rows` and the
+   same codec-encode + checksum pipeline as a fresh build, written to
    *new* generation-suffixed files beside the old ones, verified on
    disk, and only then does one atomic manifest swap (`os.replace`)
    publish the new **generation**.  Readers holding the old manifest
@@ -566,7 +566,7 @@ def apply_edge_updates(
     )
 
     # -- 5. copy-on-write re-solve of dirty shards ----------------------
-    from ..core.runner import solve_apsp_shards
+    from ..core.runner import solve_apsp_rows
 
     lm_pos = {v: i for i, v in enumerate(new_ids)}
     new_lm_rows = (
@@ -580,15 +580,10 @@ def apply_edge_updates(
 
     def solve_shard(index: int) -> np.ndarray:
         start, rows = store.shard_span(index)
-        gen = solve_apsp_shards(
-            new_graph,
-            shard_rows=shard_rows,
-            start_row=start,
-            stop_row=start + rows,
-            **cfg.to_kwargs(),
+        block = solve_apsp_rows(
+            new_graph, np.arange(start, start + rows), **cfg.to_kwargs()
         )
-        _, block = next(gen)
-        gen.close()
+        _obs.counter_add("serve.store.shards_solved", 1)
         return block
 
     try:

@@ -23,7 +23,7 @@ def _spec(name, **overrides):
         parallel=True,
         description="test solver",
         solve=lambda graph, cfg, spec: None,
-        shard_hooks=lambda graph, cfg: ShardHooks(graph, None),
+        shard_hooks=lambda graph, cfg: ShardHooks(graph),
     )
     base.update(overrides)
     return SolverSpec(**base)
@@ -128,6 +128,6 @@ class TestDispatch:
 
 class TestShardHooks:
     def test_shard_hooks_fields(self, toy_graph):
-        hooks = ShardHooks(toy_graph, lambda g, s, state, cfg: None)
+        hooks = ShardHooks(toy_graph)
         assert hooks.graph is toy_graph
         assert hooks.finalize is None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import ALGORITHMS, algorithm_names, native, runner, solve_apsp
+from repro.core import ALGORITHMS, native, runner, solve_apsp, solver_names
 from repro.exceptions import AlgorithmError
 from repro.graphs.degree import degree_array
 from repro.graphs.rmat import rmat
@@ -16,7 +16,7 @@ from tests.conftest import assert_same_apsp
 
 class TestAlgorithmRegistry:
     def test_registered_algorithms(self):
-        assert set(algorithm_names()) == {
+        assert set(solver_names()) == {
             "seq-basic",
             "seq-opt",
             "paralg1",

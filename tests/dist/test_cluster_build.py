@@ -9,13 +9,17 @@ shard size, solver, straggler, and node kill.
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import DijkstraCostModel, modified_dijkstra_sssp
 from repro.core.runner import solve_apsp
+from repro.core.state import new_state
 from repro.dist import (
     CLUSTER_COMMODITY,
     CLUSTER_FAST,
@@ -24,6 +28,11 @@ from repro.dist import (
 )
 from repro.exceptions import FaultPlanError, SimulationError
 from repro.faults import FaultPlan, FaultSpec, parse_fault_plan
+from repro.graphs.generators import (
+    attach_negative_weights,
+    attach_random_weights,
+    erdos_renyi,
+)
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +203,68 @@ class TestCostModel:
         parsed = json.loads(json.dumps(summary))
         assert parsed["num_nodes"] == CLUSTER_FAST.num_nodes
         assert parsed["recovered_shards"] == 0
+
+
+def per_source_sweeps(graph, sources, *, use_flags, queue):
+    """Reference rows and prices: one flagless ``modified_dijkstra_sssp``
+    per source on a full state, each priced with ``sweep_cost``."""
+    assert use_flags is False
+    state = new_state(graph.num_vertices)
+    counts = [
+        modified_dijkstra_sssp(
+            graph, int(s), state, queue=queue, use_flags=False
+        )
+        for s in sources
+    ]
+    return SimpleNamespace(
+        dist=state.dist,
+        work_vector=lambda model: np.array(
+            [model.sweep_cost(c) for c in counts]
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def negative_graph():
+    graph = attach_negative_weights(
+        attach_random_weights(
+            erdos_renyi(60, 0.1, seed=13, directed=True), seed=14
+        ),
+        seed=15,
+    )
+    assert graph.has_negative_weights
+    return graph
+
+
+class TestPricing:
+    """The one native sweep prices every source as the per-source loop
+    would: same rows, same work, same timelines."""
+
+    @pytest.mark.parametrize("queue", ["fifo", "heap"])
+    @pytest.mark.parametrize("algorithm", ["parapsp", "johnson"])
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_matches_per_source_sweeps(
+        self, small_weighted, negative_graph, queue, algorithm, faulted
+    ):
+        graph = negative_graph if algorithm == "johnson" else small_weighted
+        plan = FaultPlan((
+            FaultSpec(kind="kill", worker=1, after_claims=2),
+            FaultSpec(kind="stall", worker=2, seconds=321.0),
+        )) if faulted else None
+        kwargs = dict(
+            fault_plan=plan,
+            cost_model=DijkstraCostModel(pop=2.5, call=17.0),
+            queue=queue,
+            algorithm=algorithm,
+        )
+        got = solve_apsp_cluster(graph, CLUSTER_FAST, **kwargs)
+        with mock.patch("repro.dist.build.run_sweep", per_source_sweeps):
+            want = solve_apsp_cluster(graph, CLUSTER_FAST, **kwargs)
+        assert got.dist.tobytes() == want.dist.tobytes()
+        assert got.total_work == want.total_work
+        assert got.makespan == want.makespan
+        assert got.per_rank == want.per_rank
+        assert got.lost_ranks == want.lost_ranks == ((1,) if faulted else ())
 
 
 class TestValidation:

@@ -12,6 +12,12 @@ from repro.exceptions import (
     StoreError,
 )
 from repro.faults import StoreCorruptionSpec, parse_store_corruption
+from repro.graphs.generators import (
+    attach_negative_weights,
+    attach_random_weights,
+    erdos_renyi,
+)
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve import solve_to_store
 
 
@@ -171,6 +177,31 @@ class TestDetectionAndRepair:
         with pytest.raises(StoreCorruptionError):
             store.landmark_rows()
         assert store.repair(graph) == ["landmarks"]
+        assert lm_path.read_bytes() == before
+
+    @pytest.mark.parametrize("algorithm", ["parapsp", "johnson"])
+    def test_landmark_repair_solves_only_the_landmarks(
+        self, tmp_path, algorithm
+    ):
+        graph = attach_random_weights(
+            erdos_renyi(64, 0.08, seed=5, directed=True), seed=6
+        )
+        if algorithm == "johnson":
+            graph = attach_negative_weights(graph, seed=7)
+            assert graph.has_negative_weights
+        store = solve_to_store(
+            graph, tmp_path / "store", shard_rows=16, num_landmarks=5,
+            algorithm=algorithm,
+        )
+        ids = store.manifest["landmarks"]["ids"]
+        lm_path = store.path / store.manifest["landmarks"]["file"]
+        before = lm_path.read_bytes()
+        StoreCorruptionSpec(shard=0, nbytes=4, seed=2).apply(lm_path)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            assert store.repair(graph) == ["landmarks"]
+        # one row per landmark, not one whole shard per landmark
+        assert reg.counters()["sweep.native_rows"] == len(ids) == 5
         assert lm_path.read_bytes() == before
 
     def test_landmark_target_dsl_and_dict_round_trip(self):
