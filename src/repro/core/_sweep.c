@@ -8,8 +8,12 @@
  * can sweep at once.  repro_sweep_claims() is a worker's whole claim
  * loop: sources come from an atomic cursor, so a sweep phase costs one
  * foreign call per worker, not one per source.  repro_sweep_rows() runs
- * flagless sweeps into a block of rows, one row per source: the exact
- * rows of store builds, repairs and update re-solves.
+ * sweeps into a block of rows, one row per source: the exact rows of
+ * store builds, repairs and update re-solves.  It raises no flags, but
+ * it may be handed a block of finished "hub" rows: a popped hub merges
+ * its row instead of relaxing its edges, Algorithm 1's reuse with a
+ * slot map in place of the flags.  Without hubs every row is a flagless
+ * sweep.
  *
  * Concurrency: a sweep writes only its own row.  It reads another row
  * t only after loading flag[t] with acquire semantics, and it raises
@@ -24,6 +28,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
 #if __has_attribute(target_clones)
@@ -48,6 +53,9 @@ typedef struct {
     int64_t n;
     int32_t heap;
     int32_t use_flags;
+    const double *hub;          /* NULL, or K x n finished rows; == dist:
+                                   the block being filled */
+    int64_t *slot;              /* with hub: t's row in it, or -1 */
 } repro_sweep_ctx;
 
 typedef struct {
@@ -87,17 +95,25 @@ repro_sweep_scratch *repro_sweep_scratch_new(int64_t n)
     return s;
 }
 
-static int usable(const repro_sweep_ctx *c, int64_t t, int64_t source,
-                  double dispatch_time)
+/* The finished row of t this sweep may merge instead of relaxing t's
+ * edges: t's hub row, or its flagged row of the matrix; NULL if none. */
+static const double *usable(const repro_sweep_ctx *c, int64_t t,
+                            int64_t source, double dispatch_time)
 {
-    return c->use_flags && t != source
-        && __atomic_load_n(&c->flag[t], __ATOMIC_ACQUIRE)
-        && (!c->completed_at || c->completed_at[t] <= dispatch_time);
+    if (t == source)
+        return NULL;
+    if (c->hub && c->slot[t] >= 0)
+        return c->hub + c->slot[t] * c->n;
+    if (c->use_flags && __atomic_load_n(&c->flag[t], __ATOMIC_ACQUIRE)
+        && (!c->completed_at || c->completed_at[t] <= dispatch_time))
+        return c->dist + t * c->n;
+    return NULL;
 }
 
 /* ds[v] = min(ds[v], ds_t + dt[v]), counted like kernels.merge_row.
- * The rows never alias (t != source), and the store is unconditional:
- * ds is this sweep's own row, unpublished until its flag is raised. */
+ * The rows never alias (t != source, and a hub row is another block's
+ * or an earlier row of this one), and the store is unconditional: ds is
+ * this sweep's own row, unpublished until its flag is raised. */
 #ifdef REPRO_MERGE_CLONES
 __attribute__((target_clones("avx2", "default")))
 #endif
@@ -228,8 +244,9 @@ static int sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
             k[C_POPS]++;
         }
         const double ds_t = ds[t];
-        if (usable(c, t, source, dispatch_time)) {
-            merge(ds, c->dist + t * n, ds_t, n, k);
+        const double *dt = usable(c, t, source, dispatch_time);
+        if (dt) {
+            merge(ds, dt, ds_t, n, k);
             continue; /* prune: the final row covers every continuation */
         }
         const int64_t lo = c->indptr[t], hi = c->indptr[t + 1];
@@ -269,20 +286,32 @@ int repro_sweep(const repro_sweep_ctx *c, repro_sweep_scratch *s,
                  c->counts + source * C_NCOUNTS, dispatch_time);
 }
 
-/* Flagless rows: row p of c->dist and of c->counts, a block of `count`
- * rows, is the sweep from sources[p].  A flags-off sweep reads no other
- * row, so the block holds only the rows asked for; c->use_flags must be
- * 0 and c->flag may be NULL.  Returns 0, or -1 if a heap cannot grow. */
+/* Rows of a block: row p of c->dist and of c->counts, a block of
+ * `count` rows, is the row from sources[p].  c->use_flags must be 0 and
+ * c->flag may be NULL.  Without c->hub each row is a flagless sweep.
+ * With it, a source's own hub row is copied (zero counts) and every
+ * other sweep merges the hub rows it pops.  c->hub == c->dist makes the
+ * block its own hub block, the paper's sweep over the hubs: each swept
+ * row joins the slot map, so later rows merge it.  Returns 0, or -1 if
+ * a heap cannot grow. */
 int repro_sweep_rows(const repro_sweep_ctx *c, repro_sweep_scratch *s,
                      const int64_t *sources, int64_t count)
 {
     const int64_t n = c->n;
     for (int64_t p = 0; p < count; p++) {
         double *ds = c->dist + p * n;
+        int64_t *k = c->counts + p * C_NCOUNTS;
+        if (c->hub && c->slot[sources[p]] >= 0) {
+            memcpy(ds, c->hub + c->slot[sources[p]] * n, n * sizeof *ds);
+            memset(k, 0, C_NCOUNTS * sizeof *k);
+            continue;
+        }
         for (int64_t v = 0; v < n; v++)
             ds[v] = INFINITY;
-        if (sweep(c, s, sources[p], ds, c->counts + p * C_NCOUNTS, 0.0))
+        if (sweep(c, s, sources[p], ds, k, 0.0))
             return -1;
+        if (c->hub == c->dist)
+            c->slot[sources[p]] = p;
     }
     return 0;
 }

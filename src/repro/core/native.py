@@ -4,8 +4,9 @@
 ``None`` when the kernel cannot load, in which case the caller runs
 :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp` instead.
 Both compute the same rows and the same per-source ``OpCounts``.
-:func:`sweep_rows` runs flagless FIFO sweeps into a block of rows, the
-kernel behind :func:`~repro.core.dijkstra.dijkstra_rows`.
+:func:`sweep_rows` runs FIFO sweeps into a block of rows, flagless or
+merging a block of finished hub rows, the kernel behind
+:func:`~repro.core.dijkstra.dijkstra_rows`.
 
 The library is compiled with the system ``cc`` the first time a sweep
 asks for it — never at ``import repro`` — into
@@ -61,6 +62,8 @@ class _Ctx(ctypes.Structure):
         ("n", ctypes.c_int64),
         ("heap", ctypes.c_int32),
         ("use_flags", ctypes.c_int32),
+        ("hub", ctypes.c_void_p),
+        ("slot", ctypes.c_void_p),
     ]
 
 
@@ -260,20 +263,35 @@ class NativeSweep:
         self._scratch = []
 
 
-def sweep_rows(lib, graph, sources: np.ndarray, out: np.ndarray) -> None:
-    """Row ``p`` of ``out`` ← the flagless FIFO sweep from
-    ``sources[p]``, in one foreign call without the interpreter lock.
+def sweep_rows(lib, graph, sources: np.ndarray, out: np.ndarray, *,
+               hub: Optional[np.ndarray] = None,
+               slot: Optional[np.ndarray] = None) -> None:
+    """Row ``p`` of ``out`` ← the FIFO sweep from ``sources[p]``, in one
+    foreign call without the interpreter lock.
 
     ``sources`` is a C-contiguous int64 vector of vertex ids and ``out``
     a C-contiguous float64 ``(len(sources), n)`` block; the caller
     checks both, and that no weight is negative.  Scratch and counts are
     sized to the block, never to n × n.
+
+    Without ``hub`` every row is a flagless sweep.  ``hub`` is a
+    C-contiguous float64 ``(K, n)`` block of finished rows and ``slot``
+    a C-contiguous int64 vector of n entries, ``slot[t]`` the row of
+    vertex ``t`` in ``hub`` or -1: a sweep that pops a hub merges its
+    row instead of relaxing its edges, and a hub source's row is copied
+    from the block.  ``hub is out`` fills the hub block itself: each
+    swept row's slot is set, so the later rows merge it.
+    The merged sums are exact only where every sum is (the caller's
+    integral-weight gate, :func:`~repro.core.dijkstra.exact_sums`);
+    there the rows are bitwise the flagless ones.
     """
     n = graph.num_vertices
     counts = np.empty((len(sources), NCOUNTS), dtype=np.int64)
     ctx = _Ctx(graph.indptr.ctypes.data, graph.indices.ctypes.data,
                graph.weights.ctypes.data, out.ctypes.data, None, None,
-               counts.ctypes.data, n, False, False)
+               counts.ctypes.data, n, False, False,
+               None if hub is None else hub.ctypes.data,
+               None if hub is None else slot.ctypes.data)
     scratch = lib.repro_sweep_scratch_new(n)
     if not scratch:
         raise MemoryError("native sweep scratch")

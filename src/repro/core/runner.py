@@ -24,28 +24,31 @@ time and is how the multi-thread figures are regenerated on this host.
 
 Exact rows outside the in-memory solve — store shards
 (:func:`solve_apsp_shards`), any source subset (:func:`solve_apsp_rows`)
-and the cluster build — are all flagless sweeps of the solver's
+and the cluster build — are all sweeps of the solver's
 :class:`~repro.core.registry.ShardHooks` graph on the native kernel,
 then the hooks' ``finalize``: :func:`~repro.core.dijkstra.dijkstra_rows`
 for the first two, one flagless :func:`~repro.core.sweep.run_sweep` for
-the cluster build, which also prices each source's op counts.
+the cluster build, which also prices each source's op counts.  Store
+shards also reuse a block of hub rows where that is bitwise exact (see
+:func:`solve_apsp_shards`); the rows are the flagless ones either way.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..exceptions import NegativeWeightError
 from ..graphs.csr import CSRGraph
-from ..graphs.degree import degree_array
+from ..graphs.degree import degree_array, degree_order
 from ..obs import metrics as _obs
 from ..order import compute_order, simulate_order
 from ..simx.machine import default_machine
 from ..types import Backend, PhaseTimes, Schedule
 from . import native
+from .dijkstra import HubRows, dijkstra_rows, hub_rows
 from .registry import (
     ShardHooks,
     SolverSpec,
@@ -354,12 +357,23 @@ def solve_apsp_shards(graph: CSRGraph, *, shard_rows: int, **options):
     :func:`repro.serve.solve_to_store` writes to disk shard by shard.
     ``options`` are :func:`solve_apsp`'s flat keywords.
 
-    Flags are off whatever ``use_flags`` says: every source is an
-    independent Dijkstra, so the output is bitwise identical to the in-memory
-    flagless solve regardless of shard size.  Each shard is one call of
-    the native flagless kernel
+    The rows are bitwise those of the in-memory flagless solve,
+    whatever ``use_flags`` says and whatever the shard size.  Each shard
+    is one call of the native kernel
     :func:`~repro.core.dijkstra.dijkstra_rows` into the shard buffer
     (see :func:`solve_apsp_rows`), counted as ``sweep.native_rows``.
+
+    Algorithm 1's reuse, under the memory bound: the first
+    ``shard_rows`` vertices of the degree order (the store's landmark
+    order) are hubs, their rows solved once into a second buffer of the
+    shard's size, each hub merging the rows of the hubs before it
+    (counted as ``sweep.hub_rows``).  A shard sweep that
+    pops a hub merges its row instead of relaxing its edges, and a hub's
+    own shard row is copied, so a full stream still makes n sweeps.
+    Hubs are used only where every path sum is exact
+    (:func:`~repro.core.dijkstra.exact_sums`: integral weights of the
+    hooks' graph), so any merge order gives the flagless bits; float
+    weights run flagless.
 
     Only the serial backend is meaningful here — the buffer is the
     memory bound, and handing it to several workers would break it.
@@ -375,14 +389,18 @@ def solve_apsp_shards(graph: CSRGraph, *, shard_rows: int, **options):
             f"shard_rows must be an int >= 1, got {shard_rows!r}",
             field="shard_rows",
         )
-    hooks = _exact_row_hooks(graph, options)
+    cfg, hooks = _exact_row_hooks(graph, options)
     n = graph.num_vertices
     shard_rows = min(shard_rows, max(1, n))
+    hubs = hub_rows(
+        hooks.graph,
+        degree_order(hooks.graph, cfg.algorithm.degree_kind)[:shard_rows],
+    )
     buffer = np.empty((shard_rows, n), dtype=np.float64)
     for start in range(0, n, shard_rows):
         k = min(shard_rows, n - start)
         block = buffer[:k]
-        _fill_rows(hooks, np.arange(start, start + k), block)
+        _fill_rows(hooks, np.arange(start, start + k), block, hubs)
         _obs.counter_add("serve.store.shards_solved", 1)
         yield start, block
 
@@ -398,19 +416,21 @@ def solve_apsp_rows(graph: CSRGraph, sources, **options) -> np.ndarray:
     ``finalize`` — how :meth:`repro.serve.DistStore.repair` and
     :func:`repro.serve.apply_edge_updates` re-solve shards and landmark
     rows.  ``options`` are :func:`solve_apsp`'s flat keywords
-    (``use_flags`` has no effect: the rows are flagless).
+    (``use_flags`` has no effect: the rows are flagless).  No hub rows
+    are solved: for a few rows they would cost more sweeps than they
+    save.
     """
-    hooks = _exact_row_hooks(graph, options)
+    _, hooks = _exact_row_hooks(graph, options)
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     block = np.empty((len(sources), graph.num_vertices), dtype=np.float64)
     _fill_rows(hooks, sources, block)
     return block
 
 
-def _exact_row_hooks(graph: CSRGraph, options) -> ShardHooks:
+def _exact_row_hooks(graph: CSRGraph, options):
     """Validate ``options`` for an exact-row solve and return the
-    solver's shard hooks.  ``use_flags`` is read but has no effect:
-    :func:`_fill_rows` only sweeps flagless."""
+    config and the solver's shard hooks.  ``use_flags`` is read but has
+    no effect: :func:`_fill_rows` makes the flagless rows."""
     from ..config import SolverConfig
     from ..exceptions import ConfigError
 
@@ -428,21 +448,21 @@ def _exact_row_hooks(graph: CSRGraph, options) -> ShardHooks:
             f"graph {graph.name or 'anonymous'!r} has negative arc "
             f"weights, which solver {spec.name!r} does not support"
         )
-    return spec.shard_hooks(graph, cfg)
+    return cfg, spec.shard_hooks(graph, cfg)
 
 
-def _fill_rows(hooks: ShardHooks, sources: np.ndarray, block: np.ndarray):
+def _fill_rows(hooks: ShardHooks, sources: np.ndarray, block: np.ndarray,
+               hubs: Optional[HubRows] = None):
     """``sources``' exact rows into ``block``: one native-kernel call.
 
-    Every row is an independent flagless sweep, so neither the ordering
-    nor the per-source Python sweep matters; the kernel's rows are
-    bitwise those of the sweep (see :mod:`repro.core.dijkstra`).  The
-    call drops the interpreter lock.
+    Each row is a flagless sweep, or one that merges the ``hubs`` rows
+    of ``hooks.graph`` (in the hooks' space: ``finalize`` applies to
+    ``block`` only); either way the kernel's rows are bitwise those of
+    the flagless sweep (see :mod:`repro.core.dijkstra`).  The call drops
+    the interpreter lock.
     """
-    from .dijkstra import dijkstra_rows
-
     with _obs.span("apsp.shard"):
-        dijkstra_rows(hooks.graph, sources, out=block)
+        dijkstra_rows(hooks.graph, sources, out=block, hubs=hubs)
         _obs.counter_add("sweep.native_rows", len(sources))
         if hooks.finalize is not None:
             hooks.finalize(sources, block)

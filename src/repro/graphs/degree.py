@@ -18,7 +18,10 @@ from ..exceptions import GraphError
 from ..types import VERTEX_DTYPE
 from .csr import CSRGraph
 
-__all__ = ["DegreeKind", "degree_array", "degree_bounds", "degree_histogram"]
+__all__ = [
+    "DegreeKind", "degree_array", "degree_bounds", "degree_histogram",
+    "degree_order",
+]
 
 
 class DegreeKind(enum.Enum):
@@ -54,6 +57,14 @@ def degree_array(
     if kind is DegreeKind.IN:
         return graph.in_degrees()
     return graph.out_degrees() + graph.in_degrees()
+
+
+def degree_order(
+    graph: CSRGraph, kind: "DegreeKind | str" = DegreeKind.OUT
+) -> np.ndarray:
+    """Vertices by descending degree, ties toward the smaller id: the
+    store's landmark order and the hub order of exact-row builds."""
+    return np.argsort(-degree_array(graph, kind), kind="stable")
 
 
 def degree_bounds(degrees: np.ndarray) -> tuple[int, int]:

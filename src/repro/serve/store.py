@@ -16,8 +16,9 @@ layer never materialises n×n.  A :class:`DistStore` is a directory:
                         bounds in repro.serve.engine must stay exact)
 
 built shard-by-shard from :func:`repro.core.runner.solve_apsp_shards`,
-so peak resident memory during the build is O(shard_rows × n) — one
-buffer — never O(n²).
+so peak resident memory during the build is O(shard_rows × n) — the
+shard buffer plus, on integral weights, a hub-row block of the same
+size — never O(n²).
 
 Shard bytes go through a pluggable **codec**
 (:mod:`repro.serve.codecs`): ``raw`` f8 (byte-identical to schema
@@ -28,11 +29,12 @@ Checksums are computed over the **encoded** bytes, so corruption
 detection and :meth:`DistStore.repair` work identically for every
 codec.
 
-Stores are **byte-deterministic**: the build forces ``use_flags=False``
-(every source an independent Dijkstra), which makes shard bytes
-independent of ``shard_rows``, and codec encoding is deterministic by
-contract — so a repaired shard must reproduce the manifest checksum or
-the repair itself fails loudly.
+Stores are **byte-deterministic**: every shard row is bitwise the
+flagless row (the build reuses hub rows only where integral weights
+make every sum exact), which makes shard bytes independent of
+``shard_rows``, and codec encoding is deterministic by contract — so a
+repaired shard must reproduce the manifest checksum or the repair
+itself fails loudly.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from typing import Any, Dict, List
 import numpy as np
 
 from ..exceptions import StoreCorruptionError, StoreError
+from ..graphs.degree import degree_order
 from ..obs import metrics as _obs
 from . import telemetry as _tel
 from .codecs import get_codec
@@ -292,7 +295,7 @@ class DistStore:
     def repair(self, graph) -> List[Any]:
         """Re-solve damaged shards from the graph; exact or loud.
 
-        Because stores are byte-deterministic (built flags-off from the
+        Because stores are byte-deterministic (flagless rows from the
         manifest's own config, then deterministically encoded), a
         correct repair must reproduce the original encoded checksum
         exactly; if it does not, the graph passed in is not the graph
@@ -342,15 +345,7 @@ class DistStore:
 
 def _landmark_vertices(graph, count: int, degree_kind: str) -> List[int]:
     count = min(count, graph.num_vertices)
-    return [int(v) for v in _degree_order(graph, degree_kind)[:count]]
-
-
-def _degree_order(graph, degree_kind: str) -> np.ndarray:
-    """Vertices by descending degree, ties toward the smaller id."""
-    from ..graphs.degree import degree_array
-
-    degrees = degree_array(graph, degree_kind)
-    return np.argsort(-degrees, kind="stable")
+    return [int(v) for v in degree_order(graph, degree_kind)[:count]]
 
 
 def _write_landmarks(store: DistStore, graph, options) -> None:
@@ -461,7 +456,7 @@ def _build_store_files(graph, path, store_cfg, cfg):
     codec_obj = get_codec(store_cfg.codec)
     if codec_obj.needs_degree_order:
         codec_params["order"] = [
-            int(v) for v in _degree_order(graph, cfg.algorithm.degree_kind)
+            int(v) for v in degree_order(graph, cfg.algorithm.degree_kind)
         ]
         codec_obj = get_codec(store_cfg.codec, **codec_params)
 

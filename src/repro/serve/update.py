@@ -54,6 +54,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import StoreCorruptionError, StoreError
+from ..graphs.degree import degree_order
 from ..obs import metrics as _obs
 from . import telemetry as _tel
 from .codecs import get_codec
@@ -61,7 +62,6 @@ from .store import (
     _MANIFEST,
     DistStore,
     _crc32,
-    _degree_order,
     _landmark_vertices,
 )
 
@@ -544,7 +544,7 @@ def apply_edge_updates(
     codec_probe = get_codec(store.codec_name)
     if codec_probe.needs_degree_order:
         new_order = [
-            int(v) for v in _degree_order(new_graph, cfg.algorithm.degree_kind)
+            int(v) for v in degree_order(new_graph, cfg.algorithm.degree_kind)
         ]
         if new_order != list(codec_params.get("order", [])):
             # the codec's byte layout depends on the degree order, so a

@@ -9,6 +9,11 @@ sweep stays as the reference: with non-negative weights all three reach
 the same float fixpoint (the minimum over paths of the left-to-right
 float sum), so rows must agree byte for byte — on arbitrary float
 weights, not only on weights where summation order cannot matter.
+
+Store builds also merge hub rows (:func:`repro.core.dijkstra.hub_rows`)
+where every path sum is an exact integer; there the rows must equal the
+flagless ones bitwise too, and everywhere else the gate must solve no
+hub rows at all.
 """
 
 from contextlib import contextmanager
@@ -26,7 +31,7 @@ from repro.core import (
     solve_apsp_rows,
     solve_apsp_shards,
 )
-from repro.core.dijkstra import dijkstra_sssp
+from repro.core.dijkstra import dijkstra_sssp, exact_sums, hub_rows
 from repro.core.johnson import bellman_ford_potentials, reweight_graph
 from repro.core.state import new_state
 from repro.exceptions import AlgorithmError, NegativeWeightError
@@ -53,10 +58,11 @@ def graphs(draw, max_n=14, directed=None, weights=None):
 
     ``weights``, a name or a strategy drawing one: ``"dyadic"``
     (multiples of 1/4, many ties), ``"float"`` (arbitrary floats,
-    rounding in every sum) or ``"zeros"`` (floats with some arcs set to
+    rounding in every sum), ``"zeros"`` (floats with some arcs set to
     exactly 0, built with ``allow_negative=True`` as Johnson's
-    reweighting produces).  Up to three trailing vertices are islands
-    with no arcs, so rows hold ``inf`` runs.
+    reweighting produces) or ``"integral"`` (integers 1–9 with some arcs
+    set to 0, where hub rows are reused).  Up to three trailing vertices
+    are islands with no arcs, so rows hold ``inf`` runs.
     """
     n = draw(st.integers(min_value=1, max_value=max_n))
     islands = draw(st.integers(0, 3))
@@ -75,11 +81,12 @@ def graphs(draw, max_n=14, directed=None, weights=None):
         )
     ) if n > 1 else []
     m = len(pairs)
-    if weights == "dyadic":
+    if weights in ("dyadic", "integral"):
         w = np.asarray(
             draw(st.lists(st.integers(1, 12), min_size=m, max_size=m)),
             dtype=np.float64,
-        ) / 4.0
+        )
+        w = w / 4.0 if weights == "dyadic" else np.ceil(w * 0.75)
     else:
         w = np.asarray(
             draw(
@@ -95,7 +102,7 @@ def graphs(draw, max_n=14, directed=None, weights=None):
     dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
     n += islands
     graph = from_arc_arrays(src, dst, w, num_vertices=n, directed=directed)
-    if weights == "zeros" and graph.num_arcs:
+    if weights in ("zeros", "integral") and graph.num_arcs:
         # zero whole edges (both arcs of an undirected one) by their
         # canonical endpoint pair
         arc_src = np.repeat(np.arange(n), np.diff(graph.indptr))
@@ -314,17 +321,22 @@ class TestTelemetry:
     def test_store_build_publishes_only_native_rows(self, tmp_path):
         from repro.serve import solve_to_store
 
-        graph = from_arc_arrays(
+        weighted = from_arc_arrays(
             [0, 1, 2, 3], [1, 2, 3, 4], [1.0, 2.0, 0.5, 1.5],
             num_vertices=10,
         )
-        reg = MetricsRegistry()
-        with use_registry(reg):
-            solve_to_store(graph, tmp_path / "store", shard_rows=4)
-        counters = reg.counters()
-        assert counters["sweep.native_rows"] == 10
-        assert "sweep.count" not in counters
-        assert not any(k.startswith("ops.") for k in counters)
+        unit = weighted.with_unit_weights()
+        # n exact rows either way: the unit-weight build solves its 4
+        # hub rows once and copies them into their own shard rows
+        for graph, hubs in ((weighted, 0), (unit, 4)):
+            reg = MetricsRegistry()
+            with use_registry(reg):
+                solve_to_store(graph, tmp_path / f"store{hubs}", shard_rows=4)
+            counters = reg.counters()
+            assert counters["sweep.native_rows"] == 10
+            assert counters.get("sweep.hub_rows", 0) == hubs
+            assert "sweep.count" not in counters
+            assert not any(k.startswith("ops.") for k in counters)
 
     def test_flagged_shards_run_the_flagless_kernel(self):
         # float weights, where a flag merge could move the last bit
@@ -345,6 +357,104 @@ class TestTelemetry:
         counters = reg.counters()
         assert counters["sweep.native_rows"] == n
         assert "sweep.count" not in counters
+
+
+def hub_count(graph, shard_rows, **options):
+    """The stream's rows and the hub rows its gate chose to solve."""
+    reg = MetricsRegistry()
+    with use_registry(reg):
+        rows = np.concatenate(
+            [rows for _, rows in streamed(graph, shard_rows, **options)]
+        )
+    return rows, reg.counters().get("sweep.hub_rows", 0)
+
+
+class TestHubReuse:
+    @given(graph=graphs(weights="integral"), data=st.data())
+    @settings(**SETTINGS)
+    def test_hub_rows_equal_flagless_rows(self, graph, data):
+        n = graph.num_vertices
+        flagless = solve_apsp_rows(graph, range(n))  # K = 0
+        assert flagless.tobytes() == sweep_rows(graph, range(n)).tobytes()
+        assert flagless.tobytes() == fallback_rows(graph, range(n)).tobytes()
+        uneven = [k for k in range(2, n) if n % k]
+        sizes = [1, n] + ([data.draw(st.sampled_from(uneven))] if uneven else [])
+        for shard_rows in sizes:  # K = 1, K = n, K not dividing n
+            rows, hubs = hub_count(graph, shard_rows)
+            assert hubs == min(shard_rows, n)
+            assert rows.tobytes() == flagless.tobytes()
+
+    @given(
+        graph=graphs(directed=True, weights="integral"),
+        seed=st.integers(0, 2**16),
+        shard_rows=st.sampled_from([1, 3, 7]),
+    )
+    @settings(**SETTINGS)
+    def test_johnson_on_integral_negative_weights(self, graph, seed,
+                                                  shard_rows):
+        # integer potentials: negative integral arcs, integral h, and a
+        # reweighted inner graph that passes the gate
+        graph = attach_negative_weights(graph, seed=seed)
+        h, _, _ = bellman_ford_potentials(graph)
+        inner = reweight_graph(graph, h) if np.any(h != 0.0) else graph
+        assert exact_sums(inner)
+        n = graph.num_vertices
+        want = sweep_rows(inner, range(n)) + (h[None, :] - h[:, None])
+        rows, hubs = hub_count(graph, shard_rows, algorithm="johnson")
+        assert hubs == min(shard_rows, n)
+        assert rows.tobytes() == want.tobytes()
+        flagless = solve_apsp_rows(graph, range(n), algorithm="johnson")
+        assert rows.tobytes() == flagless.tobytes()
+
+    @given(graph=graphs(weights="integral"), seed=st.integers(0, 2**16))
+    @settings(**SETTINGS)
+    def test_hub_block_is_the_flagless_rows(self, graph, seed):
+        # the hub block merges its own earlier rows as it is filled
+        ids = np.random.default_rng(seed).permutation(graph.num_vertices)
+        hubs = hub_rows(graph, ids)
+        assert hubs.rows.tobytes() == sweep_rows(graph, ids).tobytes()
+        assert (hubs.slot[ids] == np.arange(len(ids))).all()
+
+    @pytest.mark.parametrize("case", ["float", "inf", "2**53"])
+    def test_gate_solves_no_hubs_where_sums_can_round(self, case):
+        weight = {"float": 0.5, "inf": np.inf, "2**53": 2.0**52}[case]
+        graph = from_arc_arrays(
+            [0, 1, 2, 3], [1, 2, 3, 0], [1.0, 2.0, weight, 1.0],
+            num_vertices=5,
+        )
+        # (n - 1) * max_w = 4 * 2**52 = 2**54 for the big weight
+        assert not exact_sums(graph)
+        assert hub_rows(graph, [0, 1]) is None
+        rows, hubs = hub_count(graph, 2)
+        assert hubs == 0
+        assert rows.tobytes() == sweep_rows(graph, range(5)).tobytes()
+
+    def test_gate_bound_is_strict(self):
+        # (n - 1) * max_w just below 2**53 passes; at 2**53 it fails
+        for max_w, exact in ((2.0**52 - 1, True), (2.0**52, False)):
+            graph = from_arc_arrays(
+                [0, 1], [1, 2], [1.0, max_w], num_vertices=3,
+            )
+            assert exact_sums(graph) is exact
+            rows, hubs = hub_count(graph, 3)
+            assert hubs == (3 if exact else 0)
+            assert rows.tobytes() == sweep_rows(graph, range(3)).tobytes()
+
+    def test_no_hubs_when_the_kernel_does_not_load(self):
+        graph = rmat(5, 4, seed=1)
+        with scipy_fallback():
+            rows, hubs = hub_count(graph, 8)
+        assert hubs == 0
+        assert rows.tobytes() == solve_apsp_rows(
+            graph, range(graph.num_vertices)
+        ).tobytes()
+
+    def test_row_subsets_solve_no_hubs(self):
+        graph = rmat(6, 4, seed=1)
+        reg = MetricsRegistry()
+        with use_registry(reg):
+            solve_apsp_rows(graph, range(16))
+        assert "sweep.hub_rows" not in reg.counters()
 
 
 def old_exact_dirty_rows(graph_old, graph_new, endpoints):

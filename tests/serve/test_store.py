@@ -127,6 +127,24 @@ class TestStoreRoundTrip:
         # what must NOT appear is anything close to n^2 doubles.
         assert peak < full_bytes / 2
 
+    def test_hub_rows_cost_about_one_more_shard_buffer(self, tmp_path):
+        from repro.graphs import attach_random_weights, barabasi_albert
+
+        # unit weights reuse a 16-row hub block; float weights reuse none
+        graph = barabasi_albert(400, 3, seed=5).with_unit_weights()
+        shard_bytes = 16 * graph.num_vertices * 8
+        peaks = []
+        for g in (attach_random_weights(graph, seed=6), graph):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            solve_to_store(
+                g, tmp_path / f"store{len(peaks)}", shard_rows=16,
+                num_landmarks=2,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2 * shard_bytes
+
     def test_store_bytes_independent_of_shard_rows(
         self, small_weighted, tmp_path
     ):
