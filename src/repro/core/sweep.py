@@ -10,12 +10,13 @@ one ``parallel_for`` task making one foreign call, which takes sources
 from an atomic cursor (the shared one of ``schedule(dynamic, chunk)``,
 or the worker's own static assignment) and drops the interpreter lock
 throughout, so threads sweep in parallel.  On the serial executor that
-call walks the executor's own issue order.  Two runs still claim one
+call walks the executor's own issue order.  Three runs claim one
 source per task in Python: the fallback without a C compiler, which
 calls :func:`~repro.core.modified_dijkstra.modified_dijkstra_sssp`,
-and every run with a fault plan, whose claim and iteration hooks fire
-per source.  All of them give the rows and per-source ``OpCounts`` of
-an in-order loop of ``modified_dijkstra_sssp`` on one worker.
+every run with a fault plan, whose claim and iteration hooks fire per
+source, and the process backend.  All of them give the rows and
+per-source ``OpCounts`` of an in-order loop of
+``modified_dijkstra_sssp`` on one worker.
 
 Concurrency notes (threads backend): every sweep writes only its own
 row of the distance matrix; rows of *other* sources are only read after
@@ -28,18 +29,21 @@ paper's §5 claim and is asserted in the test suite (bitwise on integer
 weights; racy reuse may reorder float sums in the last bit).
 
 Process backend: the matrix and the flag vector live in
-``multiprocessing.shared_memory``; workers inherit the mapping via
-fork and run the Python sweep.  Flags are single bytes, so torn reads
-are impossible; x86-TSO (and the CPython interpreter's own
-synchronisation) preserve the row-then-flag write order.
+``multiprocessing.shared_memory``; workers inherit the mapping and the
+kernel bound over it via fork, sweep one source per work item with the
+same body as every other backend, and send the source's count row back
+through the result pipe.  Flags are single bytes, so torn reads are
+impossible, and the kernel's acquire/release flag accesses order rows
+and flags across processes as across threads.
 """
 
 from __future__ import annotations
 
 import ctypes
 import time
+from contextlib import ExitStack
 from dataclasses import astuple
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -146,9 +150,10 @@ def run_sweep(
     ``order[i]`` is the i-th source to issue (Algorithm 8 line 6–7);
     it must be a permutation of the vertex ids.  Returns per-source
     counts indexed by *vertex id* (not position).  Where the native
-    kernel loads and no ``fault_plan`` is set, each worker claims and
-    sweeps its sources in one native call; otherwise each source is one
-    task (see the module docstring).
+    kernel loads and no ``fault_plan`` is set, each serial or threads
+    worker claims and sweeps its sources in one native call; otherwise,
+    and on the process backend, each source is one task (see the module
+    docstring).
 
     Crash recovery: under ``on_worker_death="retry"`` a lost source has
     its distance row reset to the fresh-sweep state — INF everywhere, 0
@@ -164,49 +169,55 @@ def run_sweep(
     order = issue_order(order, n)
     if backend is Backend.SIM:
         raise BackendError("use repro.core.simulate for the SIM backend")
-    if backend is Backend.PROCESS:
-        if num_threads != 1 and fork_available():
-            return _sweep_process(
-                graph,
-                order,
-                num_threads=num_threads,
-                schedule=schedule,
-                chunk=chunk,
-                queue=queue,
-                use_flags=use_flags,
-                fault_plan=fault_plan,
-                on_worker_death=on_worker_death,
-                timeout=timeout,
-                max_retries=max_retries,
-            )
+    if backend is Backend.PROCESS and (
+        num_threads == 1 or not fork_available()
+    ):
         # one worker, or no fork: the same sweep in this process
         backend, num_threads = Backend.SERIAL, 1
     check_loop(n, num_threads, chunk, on_worker_death)
 
-    state = new_state(n)
-    kernel = native.bind(
-        graph, state, queue=queue, use_flags=use_flags,
-        workers=num_threads,
-    )
-    t0 = time.perf_counter()
-    try:
-        if kernel is not None and fault_plan is None:
-            _sweep_claims(kernel, order, backend, num_threads, schedule, chunk)
-            counts = kernel.counts[:, :6]
-        else:
-            counts = _sweep_sources(
-                graph, order, state, kernel, backend=backend,
-                num_threads=num_threads, schedule=schedule, chunk=chunk,
-                queue=queue, use_flags=use_flags, fault_plan=fault_plan,
-                on_worker_death=on_worker_death,
+    with ExitStack() as segments:
+        if backend is Backend.PROCESS:
+            # forked workers write one mapping of the matrix and flags
+            dist, flag = (
+                segments.enter_context(SharedArray.allocate(shape, dtype)).array
+                for shape, dtype in (((n, n), np.float64), ((n,), np.uint8))
             )
-    finally:
-        if kernel is not None:
-            kernel.publish()
-            kernel.close()
-    elapsed = time.perf_counter() - t0
+            state = APSPState(dist, flag)
+            state.reset()
+        else:
+            state = new_state(n)
+        # bound once here: each forked worker writes its private copy of
+        # scratch 0 and its own count rows, which travel back as results
+        kernel = native.bind(
+            graph, state, queue=queue, use_flags=use_flags,
+            workers=1 if backend is Backend.PROCESS else num_threads,
+        )
+        t0 = time.perf_counter()
+        try:
+            if (kernel is not None and fault_plan is None
+                    and backend is not Backend.PROCESS):
+                _sweep_claims(
+                    kernel, order, backend, num_threads, schedule, chunk
+                )
+                counts = kernel.counts[:, :6]
+            else:
+                counts = _sweep_sources(
+                    graph, order, state, kernel, backend=backend,
+                    num_threads=num_threads, schedule=schedule, chunk=chunk,
+                    queue=queue, use_flags=use_flags, fault_plan=fault_plan,
+                    on_worker_death=on_worker_death, timeout=timeout,
+                    max_retries=max_retries,
+                )
+        finally:
+            if kernel is not None:
+                kernel.publish()
+                kernel.close()
+        elapsed = time.perf_counter() - t0
+        # a shared segment dies with the context
+        dist = state.dist.copy() if backend is Backend.PROCESS else state.dist
     name = "native" if kernel is not None else native.kernel_name()
-    return SweepOutcome(state.dist, counts, elapsed, name)
+    return SweepOutcome(dist, counts, elapsed, name)
 
 
 def _sweep_claims(
@@ -266,50 +277,57 @@ def _sweep_sources(
     use_flags: bool,
     fault_plan,
     on_worker_death: str,
+    timeout: Optional[float],
+    max_retries: int,
 ) -> np.ndarray:
-    """One ``parallel_for`` task per source: the Python fallback, and
-    every fault-plan run, whose claim and iteration hooks fire per
-    source.  Returns the ``(n, 6)`` count matrix."""
+    """One task per source: the Python fallback, every fault-plan run,
+    whose claim and iteration hooks fire per source, and the process
+    backend, whose forked workers each return their sources' count
+    rows.  Returns the ``(n, 6)`` count matrix."""
     n = graph.num_vertices
     sources = order.tolist()
     if kernel is None:
-        counts = np.zeros((n, 6), dtype=np.int64)
+        table = np.zeros((n, 6), dtype=np.int64)
 
         def sweep(s: int, _thread: int) -> None:
-            counts[s] = astuple(modified_dijkstra_sssp(
+            table[s] = astuple(modified_dijkstra_sssp(
                 graph, s, state, queue=queue, use_flags=use_flags
             ))
     else:
-        counts, sweep = kernel.counts[:, :6], kernel
+        table, sweep = kernel.counts, kernel
 
     def body(i: int, thread: int) -> None:
         with _obs.span("sweep.source"):
             sweep(sources[i], thread)
 
-    def forget(s: int) -> None:
-        counts[s] = 0
+    reset = _row_resetter(state, order, table)
+    if backend is Backend.PROCESS:
+        def work(i: int) -> np.ndarray:
+            body(i, 0)
+            return table[sources[i]]
 
-    parallel_for(
-        n,
-        body,
-        num_threads=num_threads,
-        schedule=schedule,
-        chunk=chunk,
-        backend=backend,
-        fault_plan=fault_plan,
-        on_worker_death=on_worker_death,
-        on_retry=_row_resetter(state, order, forget),
-    )
-    return counts
+        table[order] = run_parallel_map(
+            n, work, num_threads=num_threads, schedule=schedule,
+            chunk=chunk, fault_plan=fault_plan,
+            on_worker_death=on_worker_death, timeout=timeout,
+            max_retries=max_retries, on_retry=reset,
+        )
+    else:
+        parallel_for(
+            n, body, num_threads=num_threads, schedule=schedule,
+            chunk=chunk, backend=backend, fault_plan=fault_plan,
+            on_worker_death=on_worker_death, on_retry=reset,
+        )
+    return table[:, :6]
 
 
-def _row_resetter(state: APSPState, order: np.ndarray, forget=None):
+def _row_resetter(state: APSPState, order: np.ndarray, counts: np.ndarray):
     """Recovery hook: return fresh-sweep state to lost sources.
 
     ``indices`` are loop positions; position ``i`` is source
     ``order[i]``, whose row may be half-written by a dead worker.  A
     row reset mirrors :meth:`APSPState.reset` for that single source
-    (and ``forget`` drops its counts), after which re-running the sweep
+    (and zeroes its ``counts`` row), after which re-running the sweep
     produces the exact row again (shortest-path distances are unique,
     so recovery is bitwise).
     """
@@ -319,64 +337,6 @@ def _row_resetter(state: APSPState, order: np.ndarray, forget=None):
             state.dist[s, :] = INF
             state.dist[s, s] = 0.0
             state.flag[s] = 0
-            if forget is not None:
-                forget(s)
+            counts[s] = 0
 
     return reset
-
-
-def _sweep_process(
-    graph: CSRGraph,
-    order: np.ndarray,
-    *,
-    num_threads: int,
-    schedule: Schedule,
-    chunk: int,
-    queue: str,
-    use_flags: bool,
-    fault_plan=None,
-    on_worker_death: str = "raise",
-    timeout: Optional[float] = None,
-    max_retries: int = 3,
-) -> SweepOutcome:
-    """Shared-memory multiprocessing sweep.
-
-    The distance matrix and flag vector are allocated in shared memory
-    *before* forking, so every worker mutates the same physical pages;
-    per-source op counts travel back through the result pipe.  A killed
-    worker may leave half-written rows in the shared matrix — the
-    recovery hook resets exactly those rows before the lost sources are
-    re-swept, so the retried matrix is bitwise-identical.
-    """
-    n = graph.num_vertices
-    with SharedArray.allocate((n, n), np.float64) as shared_dist, \
-            SharedArray.allocate((n,), np.uint8) as shared_flag:
-        state = APSPState(dist=shared_dist.array, flag=shared_flag.array)
-        state.reset()
-
-        def work(i: int) -> Tuple[int, OpCounts]:
-            s = int(order[i])
-            counts = modified_dijkstra_sssp(
-                graph, s, state, queue=queue, use_flags=use_flags
-            )
-            return s, counts
-
-        t0 = time.perf_counter()
-        results = run_parallel_map(
-            n,
-            work,
-            num_threads=num_threads,
-            schedule=schedule,
-            chunk=chunk,
-            fault_plan=fault_plan,
-            on_worker_death=on_worker_death,
-            timeout=timeout,
-            max_retries=max_retries,
-            on_retry=_row_resetter(state, order),
-        )
-        elapsed = time.perf_counter() - t0
-        counts = np.zeros((n, 6), dtype=np.int64)
-        for s, ops in results:
-            counts[s] = astuple(ops)
-        dist = shared_dist.array.copy()  # segment dies with the context
-    return SweepOutcome(dist, counts, elapsed, "python (process backend)")

@@ -19,7 +19,7 @@ from .schedule import (
     static_assignment,
     static_cyclic_assignment,
 )
-from .backends.process import SharedArray, SharedMatrix, fork_available
+from .backends.process import SharedArray, fork_available
 
 __all__ = [
     "Backend",
@@ -33,6 +33,5 @@ __all__ = [
     "static_assignment",
     "static_cyclic_assignment",
     "SharedArray",
-    "SharedMatrix",
     "fork_available",
 ]

@@ -8,9 +8,9 @@ GIL).  Two usage modes:
   a picklable result per iteration; mutations of parent memory do *not*
   propagate back.  Fork inheritance means closures over large read-only
   numpy arrays (the CSR graph) cost nothing to ship.
-* Shared-state algorithms (the APSP distance matrix) instead allocate
-  their matrix in :class:`SharedMatrix` so all workers write the same
-  physical pages, mirroring the paper's shared-memory design.
+* Shared-state algorithms (the APSP distance matrix and flags) instead
+  allocate their arrays in :class:`SharedArray` so all workers write the
+  same physical pages, mirroring the paper's shared-memory design.
 
 Crash safety (ISSUE 4): the parent never blocks on a single pipe.  It
 multiplexes result pipes *and* process sentinels through
@@ -57,7 +57,7 @@ from ...types import Schedule
 from ..schedule import ClaimSource, check_loop
 from . import serial as _serial
 
-__all__ = ["fork_available", "run_parallel_map", "SharedArray", "SharedMatrix"]
+__all__ = ["fork_available", "run_parallel_map", "SharedArray"]
 
 #: seconds to wait for a reaped worker before escalating to terminate()
 _JOIN_GRACE = 5.0
@@ -436,21 +436,3 @@ class SharedArray:
             self._shm.unlink()
         except FileNotFoundError:  # already unlinked elsewhere
             pass
-
-
-class SharedMatrix(SharedArray):
-    """2-D float64 :class:`SharedArray` — the APSP distance matrix."""
-
-    def __init__(self, rows: int, cols: int) -> None:
-        super().__init__((rows, cols), np.float64)
-
-    @classmethod
-    @contextmanager
-    def allocate(  # type: ignore[override]
-        cls, rows: int, cols: int
-    ) -> Iterator["SharedMatrix"]:
-        matrix = cls(rows, cols)
-        try:
-            yield matrix
-        finally:
-            matrix.close()

@@ -8,7 +8,6 @@ reference they must agree with bit for bit.
 
 from .checks import check_sorted, check_stable_argsort
 from .counting import counting_argsort, counting_sort
-from .radix import radix_argsort, radix_sort
 from .multilists_sort import (
     multilists_argsort,
     multilists_sort,
@@ -22,7 +21,5 @@ __all__ = [
     "counting_sort",
     "multilists_argsort",
     "multilists_sort",
-    "radix_argsort",
-    "radix_sort",
     "simulate_multilists_sort",
 ]

@@ -18,8 +18,9 @@ matrix.
 
 Also here: the loader (one library from racing first loads, the Python
 fallback without a compiler), the portable build flags, counter
-parity with the Python sweep, kernel and merge-ISA provenance, and the
-issue-order check.
+parity with the Python sweep, the process backend (native, bitwise on
+unit weights, publishing like the others), kernel and merge-ISA
+provenance, and the issue-order check.
 """
 
 import ctypes
@@ -47,6 +48,7 @@ from repro.faults import KILL, FaultPlan
 from repro.graphs import CSRGraph, from_arc_arrays
 from repro.graphs.rmat import rmat
 from repro.obs import MetricsRegistry, use_registry
+from repro.parallel import fork_available
 from repro.simx import default_machine
 from repro.types import OpCounts, Schedule
 from tests.conftest import assert_same_apsp
@@ -550,8 +552,40 @@ def test_results_name_the_kernel(small_weighted):
     assert solve_apsp(small_weighted, backend="sim").sweep_kernel == name
     assert solve_apsp(
         small_weighted, backend="process", num_threads=2
-    ).sweep_kernel == "python (process backend)"
+    ).sweep_kernel == name
     assert seq_adaptive(small_weighted).sweep_kernel is None
+
+
+@pytest.mark.skipif(not fork_available(), reason="no fork")
+class TestProcessBackend:
+    """Forked workers sweep one source per work item through the body
+    every backend runs, over one shared matrix and flag vector."""
+
+    @needs_kernel
+    def test_native_bitwise_and_published(self):
+        graph = rmat(8, 8, seed=2)
+        serial = solve_apsp(graph)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            procs = solve_apsp(graph, backend="process", num_threads=2)
+        assert procs.sweep_kernel == "native"
+        assert procs.dist.tobytes() == serial.dist.tobytes()
+        # the workers' count rows reach the parent's registry
+        counters = registry.counters()
+        assert counters["sweep.count"] == graph.num_vertices
+        for field, value in procs.ops.as_dict().items():
+            assert counters.get(f"ops.{field}", 0) == value, field
+        assert counters["kernel.merge_row.calls"] == procs.ops.row_merges
+
+    def test_without_the_kernel_still_exact(self, monkeypatch):
+        graph = rmat(7, 8, seed=2)
+        serial = solve_apsp(graph)
+        monkeypatch.setattr(native, "load",
+                            lambda: (None, "python (forced)"))
+        procs = solve_apsp(graph, backend="process", num_threads=2)
+        assert procs.sweep_kernel == "python (forced)"
+        assert procs.sweep_simd is None
+        assert procs.dist.tobytes() == serial.dist.tobytes()
 
 
 def test_build_targets_no_host_isa():
@@ -581,7 +615,7 @@ def test_results_name_the_merge_isa(small_weighted):
     assert solve_apsp(small_weighted, backend="sim").sweep_simd == name
     assert solve_apsp(
         small_weighted, backend="process", num_threads=2
-    ).sweep_simd is None
+    ).sweep_simd == name
     assert seq_adaptive(small_weighted).sweep_simd is None
 
 

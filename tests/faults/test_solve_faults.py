@@ -12,7 +12,9 @@ property, not a correctness one: which finished rows a sweep merges
 depends on timing, and a merge computes the same shortest distance
 along a different floating-point summation order (ulp-level wiggle).
 The deterministic backends (serial, sim) replay a given fault plan
-bit-identically run over run, and that IS asserted.
+bit-identically run over run, and that IS asserted.  On integer
+weights every sum is exact, so there a recovered process solve is
+asserted bitwise equal to the fault-free serial one.
 """
 
 import multiprocessing
@@ -22,9 +24,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import solve_apsp
+from repro.core import native, solve_apsp
 from repro.exceptions import AlgorithmError, BackendError
 from repro.faults import CORRUPT_PIPE, KILL, RAISE, STALL, FaultPlan, FaultSpec
+from repro.graphs import CSRGraph
 from repro.graphs.generators import attach_random_weights, erdos_renyi
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.parallel import fork_available
@@ -84,6 +87,31 @@ class TestProcessAcceptance:
         assert counters["faults.worker_deaths"] >= 1
         assert counters["faults.recovered_indices"] >= 1
         assert counters["faults.retry_rounds"] >= 1
+        assert multiprocessing.active_children() == []
+
+    def test_sigkill_on_integer_weights_recovers_bitwise(self, graph):
+        """Integer weights make every sum exact, so the recovered matrix
+        is the fault-free serial solve's bit for bit, and the workers
+        ran the kernel every backend runs."""
+        integral = CSRGraph(graph.indptr, graph.indices,
+                            np.ceil(graph.weights), directed=graph.directed)
+        clean = solve_apsp(integral, algorithm="parapsp", num_threads=1)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            result = solve_apsp(
+                integral,
+                algorithm="parapsp",
+                num_threads=THREADS,
+                backend="process",
+                fault_plan=KILL_ALL,
+                on_worker_death="retry",
+            )
+        assert result.dist.tobytes() == clean.dist.tobytes()
+        assert result.sweep_kernel == native.kernel_name()
+        counters = registry.snapshot()["counters"]
+        assert counters["faults.worker_deaths"] >= 1
+        assert counters["faults.recovered_indices"] >= 1
+        assert counters["sweep.count"] == N
         assert multiprocessing.active_children() == []
 
     def test_batched_process_recovers_exact(self, three_blocks):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import BackendError
-from repro.parallel import SharedArray, SharedMatrix, fork_available
+from repro.parallel import SharedArray, fork_available
 from repro.parallel.backends.process import run_parallel_map
 from repro.types import Schedule
 
@@ -46,11 +46,10 @@ class TestSharedArray:
             run_parallel_map(8, work, num_threads=2)
             assert shared.array.tolist() == [i * 2.0 for i in range(8)]
 
-
-class TestSharedMatrix:
     def test_matrix_is_2d_float(self):
-        with SharedMatrix.allocate(4, 5) as m:
+        with SharedArray.allocate((4, 5)) as m:
             assert m.array.shape == (4, 5)
+            assert m.array.dtype == np.float64
             m.array[:] = 1.5
             assert m.array.sum() == 30.0
 
