@@ -46,24 +46,11 @@ class APSPState:
         self.flag.fill(0)
 
 
-def new_state(n: int, *, dist_buffer: Optional[np.ndarray] = None) -> APSPState:
-    """Fresh state for an ``n``-vertex graph.
-
-    ``dist_buffer`` lets the process backend supply a shared-memory
-    array; it must be ``float64`` C-contiguous of shape ``(n, n)``.
-    """
+def new_state(n: int) -> APSPState:
+    """Fresh state for an ``n``-vertex graph."""
     if n < 0:
         raise AlgorithmError(f"vertex count must be >= 0, got {n}")
-    if dist_buffer is None:
-        dist = np.empty((n, n), dtype=np.float64)
-    else:
-        if dist_buffer.shape != (n, n) or dist_buffer.dtype != np.float64:
-            raise AlgorithmError(
-                f"dist buffer must be float64[{n},{n}], got "
-                f"{dist_buffer.dtype}{dist_buffer.shape}"
-            )
-        dist = dist_buffer
-    state = APSPState(dist=dist, flag=np.zeros(n, dtype=np.uint8))
+    state = APSPState(dist=np.empty((n, n)), flag=np.zeros(n, dtype=np.uint8))
     state.reset()
     return state
 

@@ -312,6 +312,13 @@ def _sweep_sources(
             on_worker_death=on_worker_death, timeout=timeout,
             max_retries=max_retries, on_retry=reset,
         )
+        reg = _obs.get_registry()
+        if kernel is None and reg is not None:
+            # the Python sweep reported into each forked child's
+            # registry, which died with it; publish() reports for the kernel
+            reg.add("sweep.count", n)
+            reg.add_many(OpCounts(*table.sum(axis=0).tolist()).as_dict(),
+                         prefix="ops")
     else:
         parallel_for(
             n, body, num_threads=num_threads, schedule=schedule,

@@ -63,22 +63,6 @@ class DatasetSpec:
         return mult * self.real_edges / self.real_vertices
 
 
-def _ba_recipe(avg_degree: float, directed: bool) -> Callable[[int, int], CSRGraph]:
-    """Barabási–Albert recipe matched to a target average degree.
-
-    BA with parameter m has average degree ≈ 2m (undirected); we pick m
-    so the stand-in's mean degree tracks the real graph's.  Note BA's
-    minimum degree is m, so BA stand-ins lack the degree-1 tail — use
-    :func:`_plc_recipe` for datasets whose low-degree pile-up matters.
-    """
-    m = max(1, int(round(avg_degree / 2)))
-
-    def build(n: int, seed: int) -> CSRGraph:
-        return gen.barabasi_albert(n, min(m, n - 1), seed=seed, directed=directed)
-
-    return build
-
-
 #: hub spectrum planted into every power-law stand-in: one vertex at the
 #: degree ceiling, then a geometric cascade below it — the hub-dominance
 #: profile of real scale-free graphs that a small-n tail sample misses

@@ -242,10 +242,6 @@ class ShardRouter:
             moves.append((shard, hot, cold))
         return moves
 
-    def clear_overrides(self) -> None:
-        """Forget all rebalance pins (back to the pure ring placement)."""
-        self._overrides.clear()
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -44,7 +44,6 @@ rebuild.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -166,16 +165,6 @@ def parse_edge_updates(text: str) -> List[EdgeUpdate]:
     return updates
 
 
-def _edge_weights(graph) -> Dict[Tuple[int, int], float]:
-    """Canonical ``(min, max) -> weight`` map of an undirected graph."""
-    arcs = graph.arc_array()
-    mask = arcs[:, 0] < arcs[:, 1]
-    return {
-        (int(u), int(v)): float(w)
-        for (u, v), w in zip(arcs[mask], graph.weights[mask])
-    }
-
-
 def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
     """The mutated :class:`~repro.graphs.CSRGraph` a batch describes.
 
@@ -183,7 +172,18 @@ def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
     repeating an edge within one batch raises — a batch must be
     unambiguous about the graph it produces.
     """
-    from ..graphs.build import from_edges
+    return _mutate(graph, updates)[0]
+
+
+def _mutate(graph, updates: Iterable[EdgeUpdate]):
+    """``(mutated graph, each update's old weight or None)``.
+
+    One ``searchsorted`` over the sorted ``u * n + v`` keys of the
+    ``u < v`` arcs finds every updated edge; deletes drop out by mask,
+    reweights are written in place, inserts are appended.  Of parallel
+    arcs (a hand-built CSR) the last one's weight counts.
+    """
+    from ..graphs.build import from_arc_arrays
 
     if graph.directed:
         raise StoreError(
@@ -210,23 +210,45 @@ def apply_updates_to_graph(graph, updates: Iterable[EdgeUpdate]):
                 "one update batch"
             )
         seen.add(upd.key)
-    edges = _edge_weights(graph)
-    for upd in updates:
-        if upd.weight is None:
-            if upd.key not in edges:
-                raise StoreError(
-                    f"cannot delete absent edge ({upd.key[0]}, "
-                    f"{upd.key[1]})"
-                )
-            del edges[upd.key]
-        else:
-            edges[upd.key] = upd.weight
-    return from_edges(
-        ((u, v, w) for (u, v), w in sorted(edges.items())),
-        num_vertices=n,
-        directed=False,
+
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
+    upper = src < graph.indices
+    keys = src[upper] * n + graph.indices[upper]
+    weights = graph.weights[upper]  # a copy: the graph stays frozen
+    if keys.size and not np.all(keys[1:] > keys[:-1]):
+        # unsorted rows or parallel arcs: keep each key's last arc
+        order = np.argsort(keys, kind="stable")
+        keys, weights = keys[order], weights[order]
+        last = np.append(keys[1:] != keys[:-1], True)
+        keys, weights = keys[last], weights[last]
+
+    upd_keys = np.array([upd.key[0] * n + upd.key[1] for upd in updates],
+                        dtype=np.int64)
+    new_w = np.array(
+        [np.nan if upd.weight is None else upd.weight for upd in updates],
+        dtype=np.float64,
+    )
+    pos = np.searchsorted(keys, upd_keys)
+    found = pos < keys.size
+    found[found] = keys[pos[found]] == upd_keys[found]
+    delete = np.isnan(new_w)
+    if np.any(delete & ~found):
+        u, v = updates[int(np.flatnonzero(delete & ~found)[0])].key
+        raise StoreError(f"cannot delete absent edge ({u}, {v})")
+    old = [float(weights[p]) if hit else None
+           for p, hit in zip(pos.tolist(), found.tolist())]
+
+    weights[pos[found & ~delete]] = new_w[found & ~delete]
+    keep = np.ones(keys.size, dtype=bool)
+    keep[pos[delete]] = False
+    insert = ~found
+    keys = np.concatenate([keys[keep], upd_keys[insert]])
+    weights = np.concatenate([weights[keep], new_w[insert]])
+    new_graph = from_arc_arrays(
+        keys // n, keys % n, weights, num_vertices=n, directed=False,
         name=graph.name,
     )
+    return new_graph, old
 
 
 @dataclass(frozen=True)
@@ -289,21 +311,22 @@ class UpdateResult:
 # -- dirty-row analysis -------------------------------------------------
 
 
-def _classify(store_edges, updates):
+def _classify(updates, old_weights):
     """Split a batch into relax-tighter and relax-looser edge lists.
 
     Returns ``(decreases, increases, endpoints)`` where each entry is
     ``(u, v, w)`` with ``w`` the weight relevant to the certificate:
     the *new* weight for an insert/decrease (can the new arc improve
     anything?), the *old* weight for a delete/increase (was the old arc
-    on any shortest path?).  No-op reweights drop out entirely.
+    on any shortest path?).  ``old_weights[i]`` is update ``i``'s
+    pre-batch weight, ``None`` for an insert.  No-op reweights drop out
+    entirely.
     """
     decreases: List[Tuple[int, int, float]] = []
     increases: List[Tuple[int, int, float]] = []
     endpoints: set = set()
-    for upd in updates:
+    for upd, w_old in zip(updates, old_weights):
         u, v = upd.key
-        w_old = store_edges.get(upd.key)
         w_new = upd.weight
         if w_new is None:
             increases.append((u, v, w_old))
@@ -495,7 +518,7 @@ def apply_edge_updates(
             f"built for n={store.n}"
         )
     updates = list(updates)
-    new_graph = apply_updates_to_graph(graph, updates)  # validates batch
+    new_graph, old_weights = _mutate(graph, updates)  # validates batch
 
     if cfg_u.verify_before:
         # an update must never be layered on top of silent corruption:
@@ -509,8 +532,7 @@ def apply_edge_updates(
     shard_rows = store.shard_rows
     new_gen = store.generation + 1
 
-    store_edges = _edge_weights(graph)  # pre-update weights
-    decreases, increases, endpoints = _classify(store_edges, updates)
+    decreases, increases, endpoints = _classify(updates, old_weights)
 
     # -- 1. landmark prescreen (certified clean rows) -------------------
     old_lm_rows = store.landmark_rows() if store.landmark_ids else None
@@ -539,7 +561,10 @@ def apply_edge_updates(
     )
 
     # -- 3. codec bookkeeping -------------------------------------------
-    new_manifest = copy.deepcopy(store.manifest)
+    # copy only what the update replaces; the old store's manifest
+    # (live readers may hold it) is never mutated
+    new_manifest = dict(store.manifest)
+    new_manifest["shards"] = list(store.manifest["shards"])
     codec_params = dict(store.manifest.get("codec_params", {}))
     codec_probe = get_codec(store.codec_name)
     if codec_probe.needs_degree_order:

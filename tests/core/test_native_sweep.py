@@ -587,6 +587,30 @@ class TestProcessBackend:
         assert procs.sweep_simd is None
         assert procs.dist.tobytes() == serial.dist.tobytes()
 
+    @pytest.mark.parametrize("use_flags", [True, False])
+    def test_without_the_kernel_publishes_like_threads(self, monkeypatch,
+                                                       use_flags):
+        graph = rmat(6, 8, seed=1)
+        monkeypatch.setattr(native, "load",
+                            lambda: (None, "python (forced)"))
+        published = {}
+        for backend in ("threads", "process"):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                result = solve_apsp(graph, backend=backend, num_threads=2,
+                                    use_flags=use_flags)
+            published[backend] = {
+                k: v for k, v in registry.counters().items()
+                if k == "sweep.count" or k.startswith("ops.")
+            }
+            assert published[backend]["sweep.count"] == graph.num_vertices
+            for field, value in result.ops.as_dict().items():
+                assert published[backend].get(f"ops.{field}", 0) == value
+        assert published["process"].keys() == published["threads"].keys()
+        if not use_flags:
+            # with flags on, which rows a sweep merges depends on timing
+            assert published["process"] == published["threads"]
+
 
 def test_build_targets_no_host_isa():
     """The cached library may be loaded on another CPU, so no

@@ -25,18 +25,6 @@ class TestState:
         assert np.isinf(state.dist[0, 1])
         assert state.flag[2] == 0
 
-    def test_external_buffer(self):
-        buf = np.empty((3, 3), dtype=np.float64)
-        state = new_state(3, dist_buffer=buf)
-        assert state.dist is buf
-        assert buf[0, 0] == 0.0
-
-    def test_bad_buffer(self):
-        with pytest.raises(AlgorithmError):
-            new_state(3, dist_buffer=np.empty((2, 3)))
-        with pytest.raises(AlgorithmError):
-            new_state(2, dist_buffer=np.empty((2, 2), dtype=np.float32))
-
     def test_negative_size(self):
         with pytest.raises(AlgorithmError):
             new_state(-1)

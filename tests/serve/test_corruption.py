@@ -129,7 +129,8 @@ class TestDetectionAndRepair:
         import json
 
         from repro.serve import DistStore, apply_edge_updates
-        from repro.serve.update import EdgeUpdate, _edge_weights
+        from repro.serve.update import EdgeUpdate
+        from tests.serve.edge_oracle import edge_weights
 
         store, graph = built
         manifest_path = store.path / "manifest.json"
@@ -146,7 +147,7 @@ class TestDetectionAndRepair:
         assert target.read_bytes() == before
         store.verify()
 
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         result = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2)])
         assert result.generation == 1
         result.store.verify()

@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 from repro.config import UpdateConfig
 from repro.core.runner import solve_apsp
-from repro.exceptions import StoreCorruptionError, StoreError
-from repro.graphs import attach_random_weights, barabasi_albert
+from repro.exceptions import GraphError, StoreCorruptionError, StoreError
+from repro.graphs import (
+    CSRGraph,
+    attach_random_weights,
+    barabasi_albert,
+    from_edges,
+)
 from repro.serve import (
     DistStore,
     QueryEngine,
@@ -23,7 +28,8 @@ from repro.serve import (
     parse_edge_updates,
     solve_to_store,
 )
-from repro.serve.update import EdgeUpdate, _edge_weights
+from repro.serve.update import EdgeUpdate
+from tests.serve.edge_oracle import edge_weights, mutate_by_dict
 
 
 def _crcs(store):
@@ -92,7 +98,7 @@ class TestBatchParsing:
 
 class TestGraphMutation:
     def test_insert_delete_reweight(self, small_weighted):
-        edges = _edge_weights(small_weighted)
+        edges = edge_weights(small_weighted)
         (e_del, _), (e_rw, _) = sorted(edges.items())[:2]
         non_edge = next(
             (u, v)
@@ -106,16 +112,16 @@ class TestGraphMutation:
             EdgeUpdate(*non_edge, weight=1.5),
         ]
         mutated = apply_updates_to_graph(small_weighted, batch)
-        new_edges = _edge_weights(mutated)
+        new_edges = edge_weights(mutated)
         assert e_del not in new_edges
         assert new_edges[e_rw] == 3.25
         assert new_edges[non_edge] == 1.5
         assert len(new_edges) == len(edges)  # -1 +1
         # the input graph is untouched
-        assert _edge_weights(small_weighted) == edges
+        assert edge_weights(small_weighted) == edges
 
     def test_rejects_deleting_absent_edge(self, small_weighted):
-        edges = _edge_weights(small_weighted)
+        edges = edge_weights(small_weighted)
         non_edge = next(
             (u, v)
             for u in range(small_weighted.num_vertices)
@@ -146,10 +152,166 @@ class TestGraphMutation:
             apply_updates_to_graph(directed, [EdgeUpdate(0, 2, 1.0)])
 
 
+def _arrays(graph):
+    return (graph.indptr.tobytes(), graph.indices.tobytes(),
+            graph.weights.tobytes(), graph.name)
+
+
+def _outcome(mutate, graph, batch):
+    """``("ok", arrays)`` or ``("err", type, message)`` of one mutation."""
+    try:
+        return ("ok", _arrays(mutate(graph, batch)))
+    except (StoreError, GraphError) as exc:
+        return ("err", type(exc), str(exc))
+
+
+@st.composite
+def csr_graphs(draw):
+    """Small undirected graphs: float, unit or integral weights, with
+    isolated vertices; some are hand-built CSR with unsorted rows and
+    parallel arcs."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    kind = draw(st.sampled_from(["float", "unit", "integral"]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda p: p[0] != p[1]),
+        max_size=3 * n,
+    ))
+    if kind == "float":
+        weight = st.floats(0.05, 40.0, allow_nan=False, allow_infinity=False)
+    elif kind == "unit":
+        weight = st.just(1.0)
+    else:
+        weight = st.integers(1, 9).map(float)
+    edges = [(u, v, draw(weight)) for u, v in pairs]
+    name = draw(st.sampled_from(["", "g"]))
+    if not draw(st.booleans()):
+        return from_edges(edges, num_vertices=n, name=name)
+    # hand-built: both arcs of every drawn edge, rows in draw order
+    arcs = [(u, v, w) for u, v, w in edges] + [(v, u, w) for u, v, w in edges]
+    arcs.sort(key=lambda a: a[0])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount([a[0] for a in arcs], minlength=n), out=indptr[1:])
+    return CSRGraph(
+        indptr,
+        np.array([a[1] for a in arcs], dtype=np.int64),
+        np.array([a[2] for a in arcs], dtype=np.float64),
+        name=name,
+    )
+
+
+@st.composite
+def mixed_batches(draw, graph):
+    """Distinct-key insert, delete, reweight and no-op reweight, inserts
+    at vertex 0 and n - 1 included; often plus one invalid item (absent
+    delete, repeated edge, out-of-range vertex) somewhere."""
+    n = graph.num_vertices
+    edges = edge_weights(graph)
+    keys = sorted(edges)
+    ends = st.sampled_from([0, n - 1]) | st.integers(0, n - 1)
+    weight = st.floats(0.05, 40.0, allow_nan=False, allow_infinity=False)
+    batch = {}
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["insert", "delete", "reweight", "noop"]))
+        if kind == "insert" or not keys:
+            u, v = draw(ends), draw(ends)
+            upd = EdgeUpdate(u, v, draw(weight)) if u != v else None
+        else:
+            u, v = draw(st.sampled_from(keys))
+            if kind == "delete":
+                upd = EdgeUpdate(v, u, None)
+            else:
+                upd = EdgeUpdate(u, v, edges[(u, v)] if kind == "noop"
+                                 else draw(weight))
+        if upd is not None and upd.key not in batch:
+            batch[upd.key] = upd
+    batch = list(batch.values())
+    bad = draw(st.sampled_from([None, "absent", "again", "range"]))
+    if bad == "range":
+        upd = EdgeUpdate(0, n + draw(st.integers(0, 3)), 1.0)
+    elif bad == "again" and batch:
+        u, v = draw(st.sampled_from(batch)).key
+        upd = EdgeUpdate(v, u, None)
+    elif bad == "absent" and len(keys) < n * (n - 1) // 2:
+        upd = EdgeUpdate(*next(
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) not in edges
+        ))
+    else:
+        return batch
+    batch.insert(draw(st.integers(0, len(batch))), upd)
+    return batch
+
+
+class TestArrayMutationOracle:
+    """The array-form mutation equals the dict path bitwise."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_dict_path(self, data):
+        graph = data.draw(csr_graphs())
+        batch = data.draw(mixed_batches(graph))
+        before = _arrays(graph)
+        assert _outcome(apply_updates_to_graph, graph, batch) == _outcome(
+            mutate_by_dict, graph, batch
+        )
+        assert _arrays(graph) == before
+
+    def test_parallel_arcs_last_weight_wins(self):
+        # hand-built CSR: arcs (0, 2) and (0, 1) out of order, (0, 1)
+        # twice; a dict of the arcs in CSR order keeps the last weight
+        graph = CSRGraph(
+            np.array([0, 3, 5, 6]),
+            np.array([2, 1, 1, 0, 0, 0]),
+            np.array([4.0, 2.0, 3.0, 2.0, 3.0, 4.0]),
+        )
+        mutated = apply_updates_to_graph(graph, [EdgeUpdate(1, 2, 5.0)])
+        assert edge_weights(mutated) == {(0, 1): 3.0, (0, 2): 4.0, (1, 2): 5.0}
+        assert _arrays(mutated) == _arrays(
+            mutate_by_dict(graph, [EdgeUpdate(1, 2, 5.0)])
+        )
+
+    def test_non_positive_weights_raise_graph_error_after_batch_checks(self):
+        graph = CSRGraph(
+            np.array([0, 1, 3, 4]),
+            np.array([1, 0, 2, 1]),
+            np.array([-1.0, -1.0, 2.0, 2.0]),
+            allow_negative=True,
+        )
+        for batch, error, match in (
+            ([EdgeUpdate(0, 2, 1.0)], GraphError, "strictly positive"),
+            ([EdgeUpdate(0, 2, 1.0), EdgeUpdate(0, 2)], StoreError, "twice"),
+            ([EdgeUpdate(0, 2)], StoreError, "absent"),
+        ):
+            with pytest.raises(error, match=match):
+                apply_updates_to_graph(graph, batch)
+            assert _outcome(apply_updates_to_graph, graph, batch) == \
+                _outcome(mutate_by_dict, graph, batch)
+
+    def test_errors_keep_their_order(self, small_weighted):
+        """Per item in batch order: type, range, repeat; absent deletes
+        only once every item passed."""
+        edges = edge_weights(small_weighted)
+        absent = EdgeUpdate(*next(
+            (0, v) for v in range(1, small_weighted.num_vertices)
+            if (0, v) not in edges
+        ))
+        for batch, match in (
+            ([absent, EdgeUpdate(1, 10_000, 1.0)], "out of range"),
+            ([absent, EdgeUpdate(1, 2, 1.0), EdgeUpdate(2, 1)], "twice"),
+            ([EdgeUpdate(1, 2, 1.0), absent], "absent"),
+            ([EdgeUpdate(1, 2, 1.0), "1,2"], "EdgeUpdate"),
+        ):
+            with pytest.raises(StoreError, match=match):
+                apply_updates_to_graph(small_weighted, batch)
+            assert _outcome(apply_updates_to_graph, small_weighted, batch) \
+                == _outcome(mutate_by_dict, small_weighted, batch)
+
+
 class TestGenerations:
     def test_update_is_byte_identical_to_fresh_build(self, built, tmp_path):
         store, graph = built
-        edges = _edge_weights(graph)
+        edges = edge_weights(graph)
         (u, v), w = sorted(edges.items())[0]
         batch = [EdgeUpdate(u, v, w / 2.0)]  # decrease: provably dirty
         result = apply_edge_updates(store, graph, batch)
@@ -168,7 +330,7 @@ class TestGenerations:
 
     def test_cow_files_coexist_and_generation_increments(self, built):
         store, graph = built
-        edges = _edge_weights(graph)
+        edges = edge_weights(graph)
         (u, v), w = sorted(edges.items())[0]
 
         r1 = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2.0)])
@@ -185,9 +347,35 @@ class TestGenerations:
         assert r2.generation == 2
         assert sorted(p.name for p in r2.store.path.glob("*.g0002.bin"))
 
+    @pytest.mark.parametrize("codec", ["raw", "u16qd"])
+    def test_old_manifest_is_never_mutated(self, small_weighted, codec,
+                                           tmp_path):
+        import copy
+
+        graph = small_weighted
+        store = solve_to_store(
+            graph, tmp_path / "store", shard_rows=16, num_landmarks=4,
+            codec=codec,
+        )
+        snapshot = copy.deepcopy(store.manifest)
+        edges = edge_weights(graph)
+        (u, v), w = sorted(edges.items())[0]
+        hub = int(np.argmax(np.diff(graph.indptr)))
+        # a decrease, and inserts at the top hub, which may reorder
+        # the u16qd degree order and the landmark set
+        batch = [EdgeUpdate(u, v, w / 2.0)] + [
+            EdgeUpdate(hub, x, 0.5)
+            for x in range(graph.num_vertices - 6, graph.num_vertices)
+            if x != hub and (min(hub, x), max(hub, x)) not in edges
+        ]
+        result = apply_edge_updates(store, graph, batch)
+        assert result.dirty_shards
+        assert result.store.manifest != snapshot
+        assert store.manifest == snapshot
+
     def test_noop_reweight_is_free(self, built):
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         before = _crcs(store)
         result = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w)])
         assert result.generation == 1
@@ -198,7 +386,7 @@ class TestGenerations:
 
     def test_prune_removes_superseded_files(self, built):
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         result = apply_edge_updates(
             store,
             graph,
@@ -212,7 +400,7 @@ class TestGenerations:
 
     def test_prescreen_off_is_byte_equivalent(self, built, tmp_path):
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         batch = [EdgeUpdate(u, v, w / 2.0)]
         with_screen = apply_edge_updates(store, graph, batch)
 
@@ -230,7 +418,7 @@ class TestGenerations:
         import json
 
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         result = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2)])
         payload = result.to_dict()
         json.dumps(payload)
@@ -246,7 +434,7 @@ class TestGuards:
             barabasi_albert(graph.num_vertices, 3, seed=9), seed=99
         )
         before = _crcs(store)
-        (u, v), w = sorted(_edge_weights(imposter).items())[0]
+        (u, v), w = sorted(edge_weights(imposter).items())[0]
         with pytest.raises(StoreError, match="graph"):
             apply_edge_updates(store, imposter, [EdgeUpdate(u, v, w / 2)])
         survivor = DistStore.open(store.path)
@@ -268,7 +456,7 @@ class TestGuards:
 
     def test_verify_before_catches_rotten_store(self, built):
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         shard_file = store.path / store.manifest["shards"][1]["file"]
         raw = bytearray(shard_file.read_bytes())
         raw[0] ^= 0xFF
@@ -280,7 +468,7 @@ class TestGuards:
 class TestInFlightCorruptionDrill:
     def test_damaged_pending_file_aborts_with_old_generation(self, built):
         store, graph = built
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         before = _crcs(store)
 
         def damage_pending(old_store, new_manifest):
@@ -309,7 +497,7 @@ class TestEngineGenerations:
     def test_refresh_swaps_answers_atomically(self, built):
         store, graph = built
         engine = QueryEngine(store, cache_shards=2)
-        (u, v), w = sorted(_edge_weights(graph).items())[0]
+        (u, v), w = sorted(edge_weights(graph).items())[0]
         old_answer = engine.dist(u, v)
 
         batch = [EdgeUpdate(u, v, 0.01)]
@@ -327,7 +515,7 @@ class TestEngineGenerations:
     def test_threaded_readers_never_mix_generations(self, built):
         store, graph = built
         engine = QueryEngine(store, cache_shards=2)
-        (u, v), _ = sorted(_edge_weights(graph).items())[0]
+        (u, v), _ = sorted(edge_weights(graph).items())[0]
         old_answer = engine.dist(u, v)
         new_answer = 0.01
 
@@ -417,7 +605,7 @@ class TestByteIdentityProperty:
     ):
         batch = data.draw(
             update_batches(
-                _edge_weights(small_weighted), small_weighted.num_vertices
+                edge_weights(small_weighted), small_weighted.num_vertices
             )
         )
         with tempfile.TemporaryDirectory() as tmp:
