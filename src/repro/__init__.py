@@ -46,7 +46,6 @@ from .config import (
     ServeConfig,
     SolverConfig,
     StoreConfig,
-    UpdateConfig,
     load_config,
     load_serve_config,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "ServeConfig",
     "SolverConfig",
     "StoreConfig",
-    "UpdateConfig",
     "load_config",
     "load_serve_config",
     "ClusterSpec",

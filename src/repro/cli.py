@@ -43,6 +43,7 @@ from .graphs.degree import degree_array
 from .graphs.io import read_edgelist
 from .order import ORDERINGS, compute_order
 from .serve import bench as serve_bench
+from .serve import monitor as serve_monitor
 
 __all__ = ["main", "build_parser"]
 
@@ -56,23 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve APSP on a graph")
-    src = solve.add_mutually_exclusive_group(required=True)
-    src.add_argument("--dataset", choices=dataset_names(), help="registry graph")
-    src.add_argument("--edgelist", help="path to a SNAP-format edge list")
-    src.add_argument(
-        "--rmat",
-        type=int,
-        metavar="SCALE",
-        help="synthetic R-MAT graph with 2**SCALE vertices (Graph500 "
-        "parameters, seeded — deterministic)",
-    )
-    solve.add_argument("--scale", type=int, default=None)
-    solve.add_argument(
-        "--seed", type=int, default=42, help="seed for --rmat generation"
-    )
-    solve.add_argument(
-        "--edge-factor", type=int, default=8, help="edges per vertex for --rmat"
-    )
+    _add_graph_source(solve)
     # solver flags default to None ("not given"): only given flags
     # override a --config file, whose absence means SolverConfig defaults
     solve.add_argument(
@@ -93,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("block", "static-cyclic", "dynamic"),
         default=None,
     )
-    solve.add_argument("--directed", action="store_true")
     solve.add_argument("--out", help="write the distance matrix (.npy)")
     solve.add_argument(
         "--metrics",
@@ -143,18 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="unified execution trace (Chrome/Perfetto JSON, critical-path "
         "report, ASCII Gantt)",
     )
-    tsrc = trace.add_mutually_exclusive_group(required=True)
-    tsrc.add_argument("--dataset", choices=dataset_names(), help="registry graph")
-    tsrc.add_argument("--edgelist", help="path to a SNAP-format edge list")
-    tsrc.add_argument(
-        "--rmat",
-        type=int,
-        metavar="SCALE",
-        help="synthetic R-MAT graph with 2**SCALE vertices (seeded)",
-    )
-    trace.add_argument("--scale", type=int, default=None)
-    trace.add_argument("--seed", type=int, default=42)
-    trace.add_argument("--edge-factor", type=int, default=8)
+    _add_graph_source(trace)
     trace.add_argument(
         "--algorithm", choices=solver_names(), default="parapsp"
     )
@@ -171,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("block", "static-cyclic", "dynamic"),
         default=None,
     )
-    trace.add_argument("--directed", action="store_true")
     trace.add_argument(
         "--out", help="write Chrome-trace JSON here (open in ui.perfetto.dev)"
     )
@@ -228,17 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="build a sharded on-disk distance store (repro.serve)",
     )
-    ssrc = store.add_mutually_exclusive_group(required=True)
-    ssrc.add_argument("--dataset", choices=dataset_names())
-    ssrc.add_argument("--edgelist", help="path to a SNAP-format edge list")
-    ssrc.add_argument(
-        "--rmat", type=int, metavar="SCALE",
-        help="synthetic R-MAT graph with 2**SCALE vertices (seeded)",
-    )
-    store.add_argument("--scale", type=int, default=None)
-    store.add_argument("--seed", type=int, default=42)
-    store.add_argument("--edge-factor", type=int, default=8)
-    store.add_argument("--directed", action="store_true")
+    _add_graph_source(store)
     store.add_argument("--out", required=True, metavar="DIR",
                        help="store directory to create")
     # store flags default to None ("not given"), as for solve
@@ -279,17 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     update.add_argument("--store", required=True, metavar="DIR",
                         help="store directory to update in place")
-    usrc = update.add_mutually_exclusive_group(required=True)
-    usrc.add_argument("--dataset", choices=dataset_names())
-    usrc.add_argument("--edgelist", help="path to a SNAP-format edge list")
-    usrc.add_argument(
-        "--rmat", type=int, metavar="SCALE",
-        help="synthetic R-MAT graph with 2**SCALE vertices (seeded)",
-    )
-    update.add_argument("--scale", type=int, default=None)
-    update.add_argument("--seed", type=int, default=42)
-    update.add_argument("--edge-factor", type=int, default=8)
-    update.add_argument("--directed", action="store_true")
+    _add_graph_source(update)
     update.add_argument(
         "--updates", required=True, metavar="DSL",
         help="the batch: 'set=u,v,w;del=u,v;...' (set inserts or "
@@ -343,17 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated multi-node cluster build (repro.dist): "
         "partition APSP sources across ranks, cost the network",
     )
-    dsrc = dist.add_mutually_exclusive_group(required=True)
-    dsrc.add_argument("--dataset", choices=dataset_names())
-    dsrc.add_argument("--edgelist", help="path to a SNAP-format edge list")
-    dsrc.add_argument(
-        "--rmat", type=int, metavar="SCALE",
-        help="synthetic R-MAT graph with 2**SCALE vertices (seeded)",
-    )
-    dist.add_argument("--scale", type=int, default=None)
-    dist.add_argument("--seed", type=int, default=42)
-    dist.add_argument("--edge-factor", type=int, default=8)
-    dist.add_argument("--directed", action="store_true")
+    _add_graph_source(dist)
     dist.add_argument(
         "--cluster", choices=("fast", "commodity"), default=None,
         help="named cluster preset (latency/bandwidth calibration); "
@@ -400,24 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--update / --dist / --curve scenario) and write its output",
     )
 
-    monitor = sub.add_parser(
+    sub.add_parser(
         "monitor",
+        parents=[serve_monitor.build_parser(add_help=False)],
         help="tail / summarize / validate a telemetry event log",
-    )
-    monitor.add_argument(
-        "log", help="JSONL event log (repro.serve.telemetry/1)"
-    )
-    monitor.add_argument(
-        "--check", action="store_true",
-        help="validate the log; exit 1 listing problems if invalid",
-    )
-    monitor.add_argument(
-        "--tail", type=int, default=None, metavar="N",
-        help="print the last N events instead of the summary",
-    )
-    monitor.add_argument(
-        "--top", type=int, default=None, metavar="K",
-        help="how many slowest requests the summary names",
     )
 
     sub.add_parser("datasets", help="list the dataset registry")
@@ -467,25 +395,32 @@ def _save_config(path: str, cfg) -> None:
 
 
 def _add_graph_source(parser: argparse.ArgumentParser) -> None:
+    """The graph-source flags every graph-reading command takes."""
     src = parser.add_mutually_exclusive_group(required=True)
-    src.add_argument("--dataset", choices=dataset_names())
+    src.add_argument("--dataset", choices=dataset_names(), help="registry graph")
     src.add_argument("--edgelist", help="path to a SNAP-format edge list")
+    src.add_argument(
+        "--rmat",
+        type=int,
+        metavar="SCALE",
+        help="synthetic R-MAT graph with 2**SCALE vertices (Graph500 "
+        "parameters, seeded — deterministic)",
+    )
     parser.add_argument("--scale", type=int, default=None)
+    parser.add_argument(
+        "--seed", type=int, default=42, help="seed for --rmat generation"
+    )
+    parser.add_argument(
+        "--edge-factor", type=int, default=8, help="edges per vertex for --rmat"
+    )
     parser.add_argument("--directed", action="store_true")
 
 
-def _load_graph(args: argparse.Namespace):
-    if args.dataset:
-        return load_dataset(args.dataset, scale=args.scale)
-    graph, _ = read_edgelist(args.edgelist, directed=args.directed)
-    return graph
-
-
 def _solve_graph(args: argparse.Namespace):
-    """Graph from --dataset / --edgelist / --rmat (solve & trace)."""
+    """Graph from the :func:`_add_graph_source` flags."""
     if args.dataset:
         return load_dataset(args.dataset, scale=args.scale)
-    if getattr(args, "rmat", None) is not None:
+    if args.rmat is not None:
         from .graphs.rmat import rmat
 
         return rmat(
@@ -498,6 +433,35 @@ def _solve_graph(args: argparse.Namespace):
     return graph
 
 
+def _fault_plan(command: str, text: Optional[str]):
+    """The parsed ``--fault-plan`` of ``solve`` / ``dist`` (or None)."""
+    if not text:
+        return None
+    from .exceptions import FaultPlanError
+    from .faults import parse_fault_plan
+
+    try:
+        return parse_fault_plan(text)
+    except FaultPlanError as exc:
+        raise SystemExit(f"repro-apsp {command}: error: --fault-plan: {exc}")
+
+
+def _print_store_layout(store, label_width: int) -> None:
+    """The byte, shard and landmark lines of ``store`` and ``info --store``."""
+    sizes = [store.shard_nbytes(i) for i in range(store.num_shards)]
+    total = sum(sizes)
+    raw_equiv = store.n * store.n * 8
+    rows = (
+        ("bytes", f"{total} on disk ({total / 2**20:.2f} MiB); raw f8 "
+                  f"equivalent {raw_equiv} ({raw_equiv / total:.1f}x)"),
+        ("shards", f"min {min(sizes)} / mean {total / len(sizes):.0f} / "
+                   f"max {max(sizes)} bytes"),
+        ("landmarks", f"{store.landmark_ids}"),
+    )
+    for label, text in rows:
+        print(f"{label:<{label_width}}: {text}")
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     import time
 
@@ -505,15 +469,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     graph = _solve_graph(args)
     registry = MetricsRegistry() if args.metrics else None
-    fault_plan = None
-    if args.fault_plan:
-        from .exceptions import FaultPlanError
-        from .faults import parse_fault_plan
-
-        try:
-            fault_plan = parse_fault_plan(args.fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro-apsp solve: error: --fault-plan: {exc}")
+    fault_plan = _fault_plan("solve", args.fault_plan)
     cfg = _merge_config(
         "solve",
         args.config,
@@ -643,7 +599,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         summarize_network,
     )
 
-    graph = _load_graph(args)
+    graph = _solve_graph(args)
     result = solve_apsp(graph, algorithm="parapsp")
     summary = summarize_network(result.dist)
     print(f"graph                : {graph!r}")
@@ -664,7 +620,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_paths(args: argparse.Namespace) -> int:
     from .core.paths import apsp_with_paths
 
-    graph = _load_graph(args)
+    graph = _solve_graph(args)
     result = apsp_with_paths(graph)
     route = result.path(args.source, args.target)
     if route is None:
@@ -713,19 +669,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
     wall = time.perf_counter() - t0
     if args.save_config:
         _save_config(args.save_config, cfg)
-    sizes = [store.shard_nbytes(i) for i in range(store.num_shards)]
-    total = sum(sizes)
-    raw_equiv = store.n * store.n * 8
     print(f"graph     : {graph!r}")
     print(f"store     : {store.path} ({store.num_shards} shard(s) of "
           f"{store.shard_rows} row(s))")
     print(f"codec     : {store.codec_name} "
           f"(certified max abs error {store.max_abs_error:g})")
-    print(f"bytes     : {total} ({total / 2**20:.2f} MiB) on disk; "
-          f"raw f8 would be {raw_equiv} ({raw_equiv / total:.1f}x)")
-    print(f"shards    : min {min(sizes)} / mean "
-          f"{total / len(sizes):.0f} / max {max(sizes)} bytes")
-    print(f"landmarks : {store.landmark_ids}")
+    _print_store_layout(store, 10)
     print(f"built in  : {wall:.3g} s (peak memory one shard, not n^2)")
     return 0
 
@@ -734,7 +683,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
     import json as _json
     import time
 
-    from .config import UpdateConfig
     from .exceptions import ReproError
     from .serve import DistStore, apply_edge_updates, parse_edge_updates
 
@@ -742,11 +690,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
         store = DistStore.open(args.store)
         graph = _solve_graph(args)
         updates = parse_edge_updates(args.updates)
-        cfg = UpdateConfig(
-            prescreen=not args.no_prescreen, prune=args.prune
-        )
         t0 = time.perf_counter()
-        result = apply_edge_updates(store, graph, updates, config=cfg)
+        result = apply_edge_updates(
+            store, graph, updates,
+            prescreen=not args.no_prescreen, prune=args.prune,
+        )
     except ReproError as exc:
         raise SystemExit(f"repro-apsp update: error: {exc}")
     wall = time.perf_counter() - t0
@@ -851,15 +799,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         cluster = CLUSTER_COMMODITY
     else:
         cluster = CLUSTER_FAST
-    fault_plan = None
-    if args.fault_plan:
-        from .exceptions import FaultPlanError
-        from .faults import parse_fault_plan
-
-        try:
-            fault_plan = parse_fault_plan(args.fault_plan)
-        except FaultPlanError as exc:
-            raise SystemExit(f"repro-apsp dist: error: --fault-plan: {exc}")
+    fault_plan = _fault_plan("dist", args.fault_plan)
     solver_kwargs = {}
     if args.algorithm is not None:
         solver_kwargs["algorithm"] = args.algorithm
@@ -914,19 +854,6 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
-    from .serve import monitor as serve_monitor
-
-    argv = [args.log]
-    if args.check:
-        argv.append("--check")
-    if args.tail is not None:
-        argv += ["--tail", str(args.tail)]
-    if args.top is not None:
-        argv += ["--top", str(args.top)]
-    return serve_monitor.main(argv)
-
-
 def _cmd_datasets(_args: argparse.Namespace) -> int:
     rows = []
     for name in dataset_names():
@@ -961,9 +888,6 @@ def _cmd_store_info(path: str) -> int:
         store = DistStore.open(path)
     except ReproError as exc:
         raise SystemExit(f"repro-apsp info: error: {exc}")
-    sizes = [store.shard_nbytes(i) for i in range(store.num_shards)]
-    total = sum(sizes)
-    raw_equiv = store.n * store.n * 8
     print(f"store    : {store.path}")
     print(f"schema   : {store.manifest['schema']}")
     print(f"n        : {store.n} ({store.num_shards} shard(s) of "
@@ -975,11 +899,7 @@ def _cmd_store_info(path: str) -> int:
     eps = store.epsilon
     print(f"epsilon  : {'disabled' if eps is None else format(eps, 'g')} "
           f"(ALT short-circuit gap)")
-    print(f"bytes    : {total} on disk ({total / 2**20:.2f} MiB); raw f8 "
-          f"equivalent {raw_equiv} ({raw_equiv / total:.1f}x)")
-    print(f"shards   : min {min(sizes)} / mean {total / len(sizes):.0f} / "
-          f"max {max(sizes)} bytes")
-    print(f"landmarks: {store.landmark_ids}")
+    _print_store_layout(store, 9)
     cfg = store.manifest.get("config", {}).get("algorithm", {})
     print(f"solver   : {cfg.get('name', '?')} "
           f"(use_flags={cfg.get('use_flags')})")
@@ -1027,7 +947,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "query": _cmd_query,
         "dist": _cmd_dist,
         "serve-bench": _cmd_serve_bench,
-        "monitor": _cmd_monitor,
+        "monitor": serve_monitor.run,
         "datasets": _cmd_datasets,
         "info": _cmd_info,
     }

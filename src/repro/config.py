@@ -57,12 +57,7 @@ __all__ = [
     "ObsConfig",
     "SolverConfig",
     "StoreConfig",
-    "TelemetryConfig",
-    "UpdateConfig",
     "EngineConfig",
-    "AdmissionConfig",
-    "ServeCostConfig",
-    "RoutingConfig",
     "ServeConfig",
     "load_config",
     "load_serve_config",
@@ -353,78 +348,6 @@ class StoreConfig(_Group):
             object.__setattr__(self, "epsilon", float(eps))
 
 
-@dataclass(frozen=True)
-class TelemetryConfig(_Group):
-    """Request-telemetry knobs of the serving stack.
-
-    Standalone like :class:`StoreConfig` (it shapes the serving side,
-    not the solve): feeds
-    :meth:`repro.serve.telemetry.TelemetryCollector.from_config`.
-    ``sample`` is the deterministic per-trace JSONL sink admission
-    fraction — 1.0 logs every request, smaller values keep a stable
-    hash-selected subset so two identical runs still produce identical
-    logs.
-    """
-
-    _name = "telemetry"
-
-    #: ring-buffer capacity, in events (the ring answers "what just
-    #: happened"; the JSONL sink is the durable log)
-    capacity: int = 4096
-    #: per-trace sink sampling fraction, in (0, 1]
-    sample: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.capacity, int) or isinstance(
-            self.capacity, bool
-        ) or self.capacity < 1:
-            _fail(
-                "telemetry.capacity",
-                f"capacity must be an int >= 1, got {self.capacity!r}",
-            )
-        sample = self.sample
-        if not isinstance(sample, (int, float)) or isinstance(
-            sample, bool
-        ) or not 0.0 < float(sample) <= 1.0:
-            _fail(
-                "telemetry.sample",
-                f"sample must be a number in (0, 1], got {sample!r}",
-            )
-        object.__setattr__(self, "sample", float(sample))
-
-
-@dataclass(frozen=True)
-class UpdateConfig(_Group):
-    """Knobs of :func:`repro.serve.apply_edge_updates`.
-
-    Standalone like :class:`StoreConfig`: it shapes the incremental
-    update path (dirty-shard screening, pre-flight verification, old
-    generation retention), not the solve itself.
-    """
-
-    _name = "update"
-
-    #: certify shards clean via the pinned landmark (ALT) bounds before
-    #: running the exact endpoint-SSSP refinement; disabling skips the
-    #: certificate pass (the exact refinement alone is still sound)
-    prescreen: bool = True
-    #: checksum the whole store before touching it — an update must
-    #: never be layered on top of silent corruption
-    verify_before: bool = True
-    #: delete superseded shard/landmark files of older generations after
-    #: the manifest swap; off by default so live readers keep working
-    prune: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("prescreen", "verify_before", "prune"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                _fail(
-                    f"update.{name}",
-                    f"{name} must be a bool, got {value!r}",
-                )
-
-
 class _Bundle:
     """Plumbing shared by :class:`SolverConfig` and :class:`ServeConfig`:
     a frozen record of groups, the flat-keyword map onto its fields, and
@@ -619,155 +542,34 @@ def load_config(path: str) -> SolverConfig:
 
 
 # ---------------------------------------------------------------------------
-# ServeConfig — one validated description of the whole serving stack
+# ServeConfig — the file format of the serving CLI
 # ---------------------------------------------------------------------------
-
-
-def _check_int(field_name: str, value: Any, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) \
-            or value < minimum:
-        _fail(
-            field_name,
-            f"must be an int >= {minimum}, got {value!r}",
-        )
-    return value
-
-
-def _check_nonneg(field_name: str, value: Any) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not float(value) >= 0 or float(value) == float("inf"):
-        _fail(
-            field_name,
-            f"must be a finite number >= 0, got {value!r}",
-        )
-    return float(value)
 
 
 @dataclass(frozen=True)
 class EngineConfig(_Group):
-    """Query-engine and virtual-replay knobs of the serving stack.
-
-    These are the levers that trade memory for latency on the read
-    path: the LRU shard-cache size, the virtual server count, and the
-    point micro-batching window of :func:`repro.serve.replay_virtual`.
-    """
+    """Query-engine knobs of the serving stack: the LRU shard-cache size
+    (the lever that trades memory for latency on the read path) and
+    whether shard loads are checksummed."""
 
     _name = "engine"
 
     cache_shards: int = 4
     verify_loads: bool = True
-    num_servers: int = 2
-    batch_window: float = 1e-3
-    batch_max: int = 32
 
     def __post_init__(self) -> None:
-        _check_int("engine.cache_shards", self.cache_shards, 1)
+        if not isinstance(self.cache_shards, int) or isinstance(
+            self.cache_shards, bool
+        ) or self.cache_shards < 1:
+            _fail(
+                "engine.cache_shards",
+                f"cache_shards must be an int >= 1, "
+                f"got {self.cache_shards!r}",
+            )
         if not isinstance(self.verify_loads, bool):
             _fail(
                 "engine.verify_loads",
                 f"verify_loads must be a bool, got {self.verify_loads!r}",
-            )
-        _check_int("engine.num_servers", self.num_servers, 1)
-        window = _check_nonneg("engine.batch_window", self.batch_window)
-        object.__setattr__(self, "batch_window", window)
-        _check_int("engine.batch_max", self.batch_max, 1)
-
-
-@dataclass(frozen=True)
-class AdmissionConfig(_Group):
-    """Per-class in-flight budgets (the admission controller's knobs).
-
-    Mirrors :class:`repro.serve.admission.AdmissionPolicy`, but
-    validates with :class:`~repro.exceptions.ConfigError` naming the
-    field and serializes with the rest of :class:`ServeConfig`;
-    :meth:`to_policy` hands the runtime object to the front end.
-    """
-
-    _name = "admission"
-
-    max_point: int = 64
-    max_row: int = 4
-    max_topk: int = 8
-
-    def __post_init__(self) -> None:
-        for name in ("max_point", "max_row", "max_topk"):
-            _check_int(f"admission.{name}", getattr(self, name), 1)
-
-    def to_policy(self):
-        from .serve.admission import AdmissionPolicy
-
-        return AdmissionPolicy(**dataclasses.asdict(self))
-
-
-@dataclass(frozen=True)
-class ServeCostConfig(_Group):
-    """Virtual service costs of the replay model, in virtual seconds.
-
-    Field-for-field the knobs of
-    :class:`repro.serve.replay.ServeCostModel`; :meth:`to_model` builds
-    the runtime object.  Kept as a config group so a whole serving
-    scenario (costs included) round-trips through one JSON file.
-    """
-
-    _name = "cost"
-
-    load_base: float = 2e-4
-    load_per_mb: float = 0.064
-    point_cost: float = 5e-6
-    gather_cost: float = 2e-5
-    row_cost: float = 2e-4
-    topk_cost: float = 3e-4
-    approx_cost: float = 1e-5
-
-    def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            value = _check_nonneg(f"cost.{f.name}", getattr(self, f.name))
-            object.__setattr__(self, f.name, value)
-
-    def to_model(self):
-        from .serve.replay import ServeCostModel
-
-        return ServeCostModel(**dataclasses.asdict(self))
-
-
-@dataclass(frozen=True)
-class RoutingConfig(_Group):
-    """Multi-node shard-routing topology (:mod:`repro.serve.router`).
-
-    ``num_nodes=1`` is the single-node serving stack; more nodes place
-    shards on a consistent-hash ring with ``replication`` copies each,
-    ``vnodes`` ring points per node, and a per-node in-flight budget of
-    ``node_budget`` requests served by ``servers_per_node`` virtual
-    servers.
-    """
-
-    _name = "routing"
-
-    num_nodes: int = 1
-    replication: int = 1
-    vnodes: int = 64
-    hash_seed: int = 0
-    node_budget: int = 32
-    servers_per_node: int = 2
-
-    def __post_init__(self) -> None:
-        _check_int("routing.num_nodes", self.num_nodes, 1)
-        _check_int("routing.replication", self.replication, 1)
-        _check_int("routing.vnodes", self.vnodes, 1)
-        if not isinstance(self.hash_seed, int) \
-                or isinstance(self.hash_seed, bool) or self.hash_seed < 0:
-            _fail(
-                "routing.hash_seed",
-                f"hash_seed must be an int >= 0, got {self.hash_seed!r}",
-            )
-        _check_int("routing.node_budget", self.node_budget, 1)
-        _check_int("routing.servers_per_node", self.servers_per_node, 1)
-        if self.replication > self.num_nodes:
-            _fail(
-                "routing.replication",
-                f"replication {self.replication} exceeds num_nodes "
-                f"{self.num_nodes}; a shard cannot have more replicas "
-                "than there are nodes to hold them",
             )
 
 
@@ -780,71 +582,40 @@ SERVE_KWARG_MAP: Dict[str, Tuple[str, str]] = {
     "epsilon": ("store", "epsilon"),
     "cache_shards": ("engine", "cache_shards"),
     "verify_loads": ("engine", "verify_loads"),
-    "num_servers": ("engine", "num_servers"),
-    "batch_window": ("engine", "batch_window"),
-    "batch_max": ("engine", "batch_max"),
-    "max_point": ("admission", "max_point"),
-    "max_row": ("admission", "max_row"),
-    "max_topk": ("admission", "max_topk"),
-    "load_base": ("cost", "load_base"),
-    "load_per_mb": ("cost", "load_per_mb"),
-    "point_cost": ("cost", "point_cost"),
-    "gather_cost": ("cost", "gather_cost"),
-    "row_cost": ("cost", "row_cost"),
-    "topk_cost": ("cost", "topk_cost"),
-    "approx_cost": ("cost", "approx_cost"),
-    "telemetry_capacity": ("telemetry", "capacity"),
-    "telemetry_sample": ("telemetry", "sample"),
-    "prescreen": ("update", "prescreen"),
-    "verify_before": ("update", "verify_before"),
-    "prune": ("update", "prune"),
-    "num_nodes": ("routing", "num_nodes"),
-    "replication": ("routing", "replication"),
-    "vnodes": ("routing", "vnodes"),
-    "hash_seed": ("routing", "hash_seed"),
-    "node_budget": ("routing", "node_budget"),
-    "servers_per_node": ("routing", "servers_per_node"),
 }
 
 
 @dataclass(frozen=True)
 class ServeConfig(_Bundle):
-    """One complete, validated, serializable serving-stack setup.
+    """The serving stack's file format: the knobs its readers read.
 
-    The serving counterpart of :class:`SolverConfig`: the store layout
-    (``store``), the query engine and replay model (``engine``,
-    ``cost``), admission budgets (``admission``), request telemetry
-    (``telemetry``), incremental updates (``update``) and the
-    multi-node routing tier (``routing``) in one frozen object.  It is
-    the file format of ``repro-apsp store``/``query``/``serve-bench
-    --config``; the serving entry points themselves take flat keywords,
-    so the CLI hands them one group each — ``solve_to_store(graph,
-    path, **cfg.store.to_dict())``, ``QueryEngine(store,
-    cache_shards=cfg.engine.cache_shards, ...)``.
+    The serving counterpart of :class:`SolverConfig`, read by
+    ``repro-apsp store``/``query``/``serve-bench --config``: the store
+    layout (``store``) and the query engine (``engine``).  The serving
+    entry points themselves take flat keywords, so the CLI hands them
+    one group each — ``solve_to_store(graph, path,
+    **cfg.store.to_dict())``, ``QueryEngine(store,
+    cache_shards=cfg.engine.cache_shards, ...)``.  Every other serving
+    knob (admission budgets, replay costs, telemetry, updates, routing)
+    is a keyword of the runtime object that uses it, and is checked
+    there.
     """
 
     _groups = {
         "store": StoreConfig,
         "engine": EngineConfig,
-        "admission": AdmissionConfig,
-        "cost": ServeCostConfig,
-        "telemetry": TelemetryConfig,
-        "update": UpdateConfig,
-        "routing": RoutingConfig,
     }
     _kwargs = SERVE_KWARG_MAP
     _name = "serve_config"
     _keywords = "serving"
-    # the cost of a cache hit, which neither replay ever charged
-    _retired = ("cost.hit_cost",)
+    # groups and fields earlier versions wrote that no reader ever read
+    _retired = (
+        "admission", "cost", "telemetry", "update", "routing",
+        "engine.num_servers", "engine.batch_window", "engine.batch_max",
+    )
 
     store: StoreConfig = field(default_factory=StoreConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
-    admission: AdmissionConfig = field(default_factory=AdmissionConfig)
-    cost: ServeCostConfig = field(default_factory=ServeCostConfig)
-    telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
-    update: UpdateConfig = field(default_factory=UpdateConfig)
-    routing: RoutingConfig = field(default_factory=RoutingConfig)
 
     def describe(self) -> str:
         """One-line human summary (CLI banner)."""
@@ -855,11 +626,6 @@ class ServeConfig(_Bundle):
         ]
         if self.store.epsilon is not None:
             bits.append(f"epsilon={self.store.epsilon:g}")
-        if self.routing.num_nodes > 1:
-            bits.append(
-                f"nodes={self.routing.num_nodes}"
-                f"x{self.routing.replication}"
-            )
         return " ".join(bits)
 
 

@@ -38,6 +38,8 @@ __all__ = [
     "summarize_event_log",
     "tail_events",
     "format_summary",
+    "build_parser",
+    "run",
     "main",
 ]
 
@@ -176,11 +178,14 @@ def format_summary(summary: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def build_parser(add_help: bool = True) -> argparse.ArgumentParser:
+    """The monitor's flags; ``repro-apsp monitor`` adopts them as an
+    argparse parent (``add_help=False``)."""
     parser = argparse.ArgumentParser(
         prog="repro-apsp monitor",
         description="tail / summarize / validate a serving telemetry "
                     "JSONL event log",
+        add_help=add_help,
     )
     parser.add_argument("log", help="path to the JSONL event log")
     parser.add_argument(
@@ -195,7 +200,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--top", type=int, default=5, metavar="K",
         help="number of slowest exemplar trace ids in the summary",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def run(args: argparse.Namespace) -> int:
+    """Check, tail or summarize the log named by parsed ``args``."""
     if args.check:
         problems = check_event_log(args.log)
         if problems:
@@ -213,10 +222,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines = [format_summary(summarize_event_log(args.log,
                                                         top=args.top))]
     except ReproError as exc:
-        raise SystemExit(f"{parser.prog}: error: {exc}")
+        raise SystemExit(f"repro-apsp monitor: error: {exc}")
     for line in lines:
         print(line)
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover - module CLI

@@ -41,7 +41,7 @@ import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,17 @@ class ServeCostModel:
     row_cost: float = 2e-4
     topk_cost: float = 3e-4
     approx_cost: float = 1e-5
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float)) or isinstance(
+                value, bool
+            ) or not 0.0 <= float(value) < math.inf:
+                raise ServeError(
+                    f"{f.name} must be a finite number >= 0, got {value!r}"
+                )
+            object.__setattr__(self, f.name, float(value))
 
     def load_cost(self, shard_bytes: int) -> float:
         return self.load_base + self.load_per_mb * (shard_bytes / 2**20)
@@ -230,18 +241,18 @@ def replay_virtual(
     shard_rows: int,
     policy: Optional[AdmissionPolicy] = None,
     cost: Optional[ServeCostModel] = None,
-    cache_shards: Optional[int] = None,
-    num_servers: Optional[int] = None,
+    cache_shards: int = 4,
+    num_servers: int = 2,
     optimized: bool = True,
-    batch_window: Optional[float] = None,
-    batch_max: Optional[int] = None,
+    batch_window: float = 1e-3,
+    batch_max: int = 32,
     shard_nbytes: Optional[Sequence[int]] = None,
     short_circuits: Optional[Sequence[int]] = None,
     telemetry: Optional[TelemetryCollector] = None,
     codec: str = "raw",
     router=None,
-    node_budget: Optional[int] = None,
-    servers_per_node: Optional[int] = None,
+    node_budget: int = 32,
+    servers_per_node: int = 2,
     node_down: Sequence[Tuple[float, int]] = (),
 ) -> ReplayResult:
     """Deterministically replay a trace in virtual time.
@@ -291,40 +302,36 @@ def replay_virtual(
     """
     if n < 1 or shard_rows < 1:
         raise ServeError("replay needs n >= 1 and shard_rows >= 1")
-    from ..config import ServeConfig
-
-    knobs: Dict[str, Any] = {
-        k: v
-        for k, v in (
-            ("cache_shards", cache_shards),
-            ("num_servers", num_servers),
-            ("batch_window", batch_window),
-            ("batch_max", batch_max),
-            ("node_budget", node_budget),
-            ("servers_per_node", servers_per_node),
+    for name, value in (
+        ("cache_shards", cache_shards),
+        ("num_servers", num_servers),
+        ("batch_max", batch_max),
+        ("node_budget", node_budget),
+        ("servers_per_node", servers_per_node),
+    ):
+        if not isinstance(value, int) or isinstance(value, bool) \
+                or value < 1:
+            raise ServeError(f"{name} must be an int >= 1, got {value!r}")
+    if not isinstance(batch_window, (int, float)) \
+            or isinstance(batch_window, bool) \
+            or not 0.0 <= float(batch_window) < math.inf:
+        raise ServeError(
+            f"batch_window must be a finite number >= 0, "
+            f"got {batch_window!r}"
         )
-        if v is not None
-    }
-    if policy is not None:
-        if not isinstance(policy, AdmissionPolicy):
-            raise ServeError(
-                f"policy must be an AdmissionPolicy, "
-                f"got {type(policy).__name__}"
-            )
-        knobs.update(dataclasses.asdict(policy))
-    if cost is not None:
-        if not isinstance(cost, ServeCostModel):
-            raise ServeError(
-                f"cost must be a ServeCostModel, got {type(cost).__name__}"
-            )
-        knobs.update(dataclasses.asdict(cost))
-    # the ServeConfig groups hold the defaults and validate every knob
-    cfg = ServeConfig.from_kwargs(**knobs)
-    policy = cfg.admission.to_policy()
-    cost = cfg.cost.to_model()
-    cache_shards = cfg.engine.cache_shards
-    batch_window = cfg.engine.batch_window
-    batch_max = cfg.engine.batch_max
+    batch_window = float(batch_window)
+    if policy is None:
+        policy = AdmissionPolicy()
+    elif not isinstance(policy, AdmissionPolicy):
+        raise ServeError(
+            f"policy must be an AdmissionPolicy, got {type(policy).__name__}"
+        )
+    if cost is None:
+        cost = ServeCostModel()
+    elif not isinstance(cost, ServeCostModel):
+        raise ServeError(
+            f"cost must be a ServeCostModel, got {type(cost).__name__}"
+        )
     result = ReplayResult()
     num_shards = (n + shard_rows - 1) // shard_rows
     if shard_nbytes is None:
@@ -346,7 +353,7 @@ def replay_virtual(
     if router is None:
         if node_down:
             raise ServeError("node_down events need a router= to fail")
-        num_nodes, per_node = 1, cfg.engine.num_servers
+        num_nodes, per_node = 1, num_servers
         node_budget = math.inf
     else:
         from .router import ShardRouter
@@ -355,8 +362,7 @@ def replay_virtual(
             raise ServeError(
                 f"router must be a ShardRouter, got {type(router).__name__}"
             )
-        num_nodes, per_node = router.num_nodes, cfg.routing.servers_per_node
-        node_budget = cfg.routing.node_budget
+        num_nodes, per_node = router.num_nodes, servers_per_node
     batching = optimized and router is None
     servers = [ThreadClockQueue(per_node) for _ in range(num_nodes)]
     caches = [_VirtualCache(cache_shards) for _ in range(num_nodes)]

@@ -86,6 +86,11 @@ class ShardRouter:
         if not isinstance(vnodes, int) or isinstance(vnodes, bool) \
                 or vnodes < 1:
             raise ServeError(f"vnodes must be an int >= 1, got {vnodes!r}")
+        if not isinstance(hash_seed, int) or isinstance(hash_seed, bool) \
+                or hash_seed < 0:
+            raise ServeError(
+                f"hash_seed must be an int >= 0, got {hash_seed!r}"
+            )
         self.num_nodes = num_nodes
         self.replication = replication
         self.vnodes = vnodes

@@ -71,6 +71,15 @@ def _crc32(data) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
+def _graph_crc32(graph) -> int:
+    """crc32 over the CSR ``indptr``/``indices``/``weights`` bytes: the
+    digest of the graph a store serves, recorded in its manifest."""
+    crc = 0
+    for array in (graph.indptr, graph.indices, graph.weights):
+        crc = zlib.crc32(array, crc)
+    return crc & 0xFFFFFFFF
+
+
 def _shard_file(index: int) -> str:
     return f"shard_{index:05d}.bin"
 
@@ -505,7 +514,10 @@ def _build_store_files(graph, path, store_cfg, cfg):
             "file": _LANDMARKS,
             "crc32": _crc32(lm_raw),
         },
-        "graph": {"name": getattr(graph, "name", "") or ""},
+        "graph": {
+            "name": getattr(graph, "name", "") or "",
+            "crc32": _graph_crc32(graph),
+        },
         "config": cfg.to_dict(),
     }
     (path / _MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")

@@ -220,13 +220,6 @@ class TelemetryCollector:
         self._events: List[TelemetryEvent] = []
         self._start = 0  # ring head index into _events
 
-    @classmethod
-    def from_config(cls, config, sink: Optional["JsonlSink"] = None
-                    ) -> "TelemetryCollector":
-        """Build from a :class:`repro.config.TelemetryConfig`."""
-        return cls(capacity=config.capacity, sample=config.sample,
-                   sink=sink)
-
     def sampled(self, trace_id: str) -> bool:
         """Deterministic per-trace sink admission test."""
         if self.sample >= 1.0:

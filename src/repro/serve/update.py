@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import StoreCorruptionError, StoreError
+from ..exceptions import ServeError, StoreCorruptionError, StoreError
 from ..graphs.degree import degree_order
 from ..obs import metrics as _obs
 from . import telemetry as _tel
@@ -61,6 +61,7 @@ from .store import (
     _MANIFEST,
     DistStore,
     _crc32,
+    _graph_crc32,
     _landmark_vertices,
 )
 
@@ -420,9 +421,7 @@ def _prescreen_rows(
     return maybe_dirty
 
 
-def _exact_dirty_rows(
-    graph_old, graph_new, endpoints, *, store=None
-) -> np.ndarray:
+def _exact_dirty_rows(graph_old, graph_new, endpoints) -> np.ndarray:
     """Boolean mask of rows whose distances actually change.
 
     Row ``s`` changes iff ``d(s, e)`` changes for some touched endpoint
@@ -431,37 +430,31 @@ def _exact_dirty_rows(
     all endpoints pins this down; the comparison is bitwise because the
     solver's float fixpoint is canonical (min over paths of the
     running-sum float).
-
-    When ``store`` is given, the old-graph run doubles as a wrong-graph
-    guard: the endpoint's freshly solved row must agree with the row
-    the store serves (within the codec's certified error).
     """
     from ..core.dijkstra import dijkstra_rows
 
     endpoints = list(endpoints)
     d_old = dijkstra_rows(graph_old, endpoints)
-    if store is not None:
-        for e, row in zip(endpoints, d_old):
-            _check_row_matches_store(store, e, row)
     d_new = dijkstra_rows(graph_new, endpoints)
     return np.any(d_old != d_new, axis=0)
 
 
-def _check_row_matches_store(store: DistStore, e: int, d_old: np.ndarray):
-    """Raise when the graph passed to the update is not the store's."""
-    index = store.shard_of(e)
-    start, _ = store.shard_span(index)
-    served = store.load_shard(index)[e - start]
-    tol = 2.0 * store.max_abs_error
-    finite = np.isfinite(d_old)
-    mismatch = np.isfinite(served) != finite
-    with np.errstate(invalid="ignore"):
-        mismatch |= finite & (np.abs(served - d_old) > tol)
-    if np.any(mismatch):
+def _check_graph_matches_store(store: DistStore, graph) -> None:
+    """Raise unless ``graph`` is the graph the store serves, by the
+    CSR digest its manifest records."""
+    recorded = store.manifest.get("graph", {}).get("crc32")
+    if recorded is None:
         raise StoreError(
-            f"row {e} solved from the given graph disagrees with the "
-            f"store beyond the codec error bound ({tol}); is this the "
-            "graph the store was built from?"
+            "the store manifest records no graph digest (graph.crc32; "
+            "stores built before it cannot be updated); rebuild the store"
+        )
+    got = _graph_crc32(graph)
+    if got != recorded:
+        raise StoreError(
+            f"the given graph (crc32 {got:#010x}) is not the graph the "
+            f"store serves ({recorded:#010x}); after an update the "
+            "store serves the mutated graph (apply_updates_to_graph of "
+            "the batch), not the one it was built from"
         )
 
 
@@ -481,46 +474,51 @@ def apply_edge_updates(
     graph,
     updates: Iterable[EdgeUpdate],
     *,
-    config=None,
+    prescreen: bool = True,
+    verify_before: bool = True,
+    prune: bool = False,
     pre_swap_hook: Optional[Callable[[DistStore, Dict[str, Any]], None]] = None,
 ) -> UpdateResult:
     """Apply a batch of edge updates to a live store, copy-on-write.
 
     ``graph`` must be the graph the store currently serves (checked
-    against the store's own rows); the mutated graph is derived from
-    the batch.  Only provably affected shards are re-solved; new shard
-    files are written *beside* the old generation's, verified on disk,
-    and published by one atomic manifest swap carrying a bumped
-    ``generation`` — readers are never blocked and never see a torn
-    store.  Returns an :class:`UpdateResult` whose ``store`` field is
+    against the CSR digest its manifest records as ``graph.crc32``);
+    the mutated graph is derived from the batch.  Only provably
+    affected shards are re-solved; new shard files are written
+    *beside* the old generation's, verified on disk, and published by
+    one atomic manifest swap carrying a bumped ``generation`` — readers
+    are never blocked and never see a torn store.  Returns an :class:`UpdateResult` whose ``store`` field is
     the freshly opened new generation.
 
-    ``config`` is an optional :class:`repro.config.UpdateConfig`;
-    ``pre_swap_hook(old_store, new_manifest)`` runs after the new files
+    ``prescreen`` certifies shards clean via the pinned landmark (ALT)
+    bounds before the exact endpoint refinement (off, the refinement
+    alone is still sound); ``verify_before`` checksums the whole store
+    first, since an update must never be layered on top of silent
+    corruption; ``prune`` deletes superseded files of older generations
+    after the manifest swap (off by default, so live readers keep
+    working).  ``pre_swap_hook(old_store, new_manifest)`` runs after
+    the new files
     are written but before they are verified and the manifest swapped —
     the injection point for corruption drills across an in-flight
     update (a drill that damages a pending file aborts the update with
     the old generation intact).
     """
-    from ..config import SolverConfig, UpdateConfig
+    from ..config import SolverConfig
 
-    if config is None:
-        cfg_u = UpdateConfig()
-    elif isinstance(config, UpdateConfig):
-        cfg_u = config
-    else:
-        raise StoreError(
-            f"config must be an UpdateConfig, got {type(config).__name__}"
-        )
+    for name, value in (("prescreen", prescreen),
+                        ("verify_before", verify_before), ("prune", prune)):
+        if not isinstance(value, bool):
+            raise ServeError(f"{name} must be a bool, got {value!r}")
     if graph.num_vertices != store.n:
         raise StoreError(
             f"update graph has {graph.num_vertices} vertices, store was "
             f"built for n={store.n}"
         )
+    _check_graph_matches_store(store, graph)
     updates = list(updates)
     new_graph, old_weights = _mutate(graph, updates)  # validates batch
 
-    if cfg_u.verify_before:
+    if verify_before:
         # an update must never be layered on top of silent corruption:
         # a pre-existing bad shard would be copied forward as "clean"
         store.verify()
@@ -536,7 +534,7 @@ def apply_edge_updates(
 
     # -- 1. landmark prescreen (certified clean rows) -------------------
     old_lm_rows = store.landmark_rows() if store.landmark_ids else None
-    if cfg_u.prescreen and old_lm_rows is not None and len(old_lm_rows):
+    if prescreen and old_lm_rows is not None and len(old_lm_rows):
         candidate_mask = _prescreen_rows(
             old_lm_rows, n, decreases, increases
         )
@@ -547,7 +545,7 @@ def apply_edge_updates(
     )
 
     # -- 2. exact endpoint refinement -----------------------------------
-    dirty_mask = _exact_dirty_rows(graph, new_graph, endpoints, store=store)
+    dirty_mask = _exact_dirty_rows(graph, new_graph, endpoints)
     if np.any(dirty_mask & ~candidate_mask):
         leaked = np.flatnonzero(dirty_mask & ~candidate_mask)[:8]
         raise StoreError(
@@ -680,7 +678,8 @@ def apply_edge_updates(
                 default=0.0,
             )
             new_manifest["graph"] = {
-                "name": getattr(new_graph, "name", "") or ""
+                "name": getattr(new_graph, "name", "") or "",
+                "crc32": _graph_crc32(new_graph),
             }
 
             if pre_swap_hook is not None:
@@ -711,7 +710,7 @@ def apply_edge_updates(
         raise
 
     pruned: List[str] = []
-    if cfg_u.prune:
+    if prune:
         keep = {entry["file"] for entry in new_manifest["shards"]}
         keep.add(new_manifest["landmarks"]["file"])
         keep.add(_MANIFEST)

@@ -9,27 +9,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import (
-    AdmissionConfig,
+    SERVE_KWARG_MAP,
     EngineConfig,
-    RoutingConfig,
     ServeConfig,
-    ServeCostConfig,
     StoreConfig,
-    TelemetryConfig,
-    UpdateConfig,
     load_serve_config,
 )
 from repro.exceptions import ConfigError
 from repro.serve.codecs import codec_names
 
-_pos_float = st.floats(
-    min_value=1e-6, max_value=10.0, allow_nan=False, allow_infinity=False
-)
+#: a serve config file as earlier versions saved it: seven groups, every
+#: one with non-default values; only ``store`` and ``engine`` were read
+SEVEN_GROUP_FILE = {
+    "admission": {"max_point": 9, "max_row": 2, "max_topk": 3},
+    "cost": {
+        "approx_cost": 1e-05, "gather_cost": 2e-05, "load_base": 0.001,
+        "load_per_mb": 0.064, "point_cost": 1e-05, "row_cost": 0.0002,
+        "topk_cost": 0.0003,
+    },
+    "engine": {
+        "batch_max": 16, "batch_window": 0.002, "cache_shards": 8,
+        "num_servers": 3, "verify_loads": False,
+    },
+    "routing": {
+        "hash_seed": 7, "node_budget": 8, "num_nodes": 4,
+        "replication": 2, "servers_per_node": 3, "vnodes": 16,
+    },
+    "store": {
+        "codec": "u16q", "epsilon": 0.5, "num_landmarks": 4,
+        "shard_rows": 32,
+    },
+    "telemetry": {"capacity": 128, "sample": 0.5},
+    "update": {"prescreen": False, "prune": True, "verify_before": True},
+}
 
 
 @st.composite
 def serve_configs(draw):
-    """Arbitrary *valid* ServeConfigs (cross-field constraint included)."""
+    """Arbitrary *valid* ServeConfigs."""
     store = StoreConfig(
         codec=draw(st.sampled_from(codec_names())),
         shard_rows=draw(st.integers(min_value=1, max_value=512)),
@@ -42,45 +59,8 @@ def serve_configs(draw):
     engine = EngineConfig(
         cache_shards=draw(st.integers(min_value=1, max_value=64)),
         verify_loads=draw(st.booleans()),
-        num_servers=draw(st.integers(min_value=1, max_value=8)),
-        batch_window=draw(
-            st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-        ),
-        batch_max=draw(st.integers(min_value=1, max_value=128)),
     )
-    admission = AdmissionConfig(
-        max_point=draw(st.integers(min_value=1, max_value=256)),
-        max_row=draw(st.integers(min_value=1, max_value=32)),
-        max_topk=draw(st.integers(min_value=1, max_value=32)),
-    )
-    cost = ServeCostConfig(
-        load_base=draw(_pos_float),
-        point_cost=draw(_pos_float),
-    )
-    telemetry = TelemetryConfig(
-        capacity=draw(st.integers(min_value=1, max_value=8192)),
-        sample=draw(
-            st.floats(min_value=0.01, max_value=1.0, allow_nan=False)
-        ),
-    )
-    update = UpdateConfig(
-        prescreen=draw(st.booleans()),
-        verify_before=draw(st.booleans()),
-        prune=draw(st.booleans()),
-    )
-    num_nodes = draw(st.integers(min_value=1, max_value=8))
-    routing = RoutingConfig(
-        num_nodes=num_nodes,
-        replication=draw(st.integers(min_value=1, max_value=num_nodes)),
-        vnodes=draw(st.integers(min_value=1, max_value=128)),
-        hash_seed=draw(st.integers(min_value=0, max_value=2**31)),
-        node_budget=draw(st.integers(min_value=1, max_value=128)),
-        servers_per_node=draw(st.integers(min_value=1, max_value=8)),
-    )
-    return ServeConfig(
-        store=store, engine=engine, admission=admission, cost=cost,
-        telemetry=telemetry, update=update, routing=routing,
-    )
+    return ServeConfig(store=store, engine=engine)
 
 
 class TestRoundTrip:
@@ -100,13 +80,13 @@ class TestRoundTrip:
         assert ServeConfig.from_dict({}) == ServeConfig()
 
     def test_nested_plain_dicts_are_tolerated(self):
-        cfg = ServeConfig(store={"codec": "f4"}, routing={"num_nodes": 4})
+        cfg = ServeConfig(store={"codec": "f4"}, engine={"cache_shards": 6})
         assert cfg.store.codec == "f4"
-        assert cfg.routing.num_nodes == 4
+        assert cfg.engine.cache_shards == 6
 
     def test_load_serve_config_file(self, tmp_path):
         cfg = ServeConfig.from_kwargs(
-            shard_rows=32, cache_shards=8, num_nodes=4, replication=2
+            shard_rows=32, cache_shards=8, verify_loads=False
         )
         path = tmp_path / "serve.json"
         path.write_text(cfg.to_json())
@@ -128,18 +108,6 @@ class TestValidation:
              lambda: EngineConfig(cache_shards=0)),
             ("engine.verify_loads",
              lambda: EngineConfig(verify_loads=1)),
-            ("engine.batch_window",
-             lambda: EngineConfig(batch_window=-1.0)),
-            ("admission.max_point",
-             lambda: AdmissionConfig(max_point=0)),
-            ("cost.load_base", lambda: ServeCostConfig(load_base=-1.0)),
-            ("telemetry.capacity",
-             lambda: TelemetryConfig(capacity=0)),
-            ("update.prune", lambda: UpdateConfig(prune="yes")),
-            ("routing.num_nodes", lambda: RoutingConfig(num_nodes=0)),
-            ("routing.hash_seed", lambda: RoutingConfig(hash_seed=-1)),
-            ("routing.replication",
-             lambda: RoutingConfig(num_nodes=2, replication=3)),
         ],
     )
     def test_field_named_in_error(self, field, build):
@@ -160,18 +128,30 @@ class TestValidation:
 
     @pytest.mark.parametrize("hit_cost", [2e-5, None, "junk"])
     def test_from_dict_drops_exactly_the_retired_keys(self, hit_cost):
-        data = ServeConfig.from_kwargs(point_cost=1e-5).to_dict()
-        data["cost"]["hit_cost"] = hit_cost
+        data = ServeConfig.from_kwargs(cache_shards=6).to_dict()
+        data["cost"] = {"hit_cost": hit_cost, "miss_cost": 1}
+        data["engine"]["batch_max"] = hit_cost
         assert ServeConfig.from_dict(data) == ServeConfig.from_kwargs(
-            point_cost=1e-5
+            cache_shards=6
         )
-        data["cost"]["miss_cost"] = 1
-        with pytest.raises(ConfigError, match="miss_cost"):
-            ServeConfig.from_dict(data)
-        del data["cost"]["miss_cost"]
-        data["engine"]["hit_cost"] = 1  # retired only under "cost"
+        data["engine"]["hit_cost"] = 1  # retired only as the cost group
         with pytest.raises(ConfigError, match="hit_cost"):
             ServeConfig.from_dict(data)
+        del data["engine"]["hit_cost"]
+        data["store"]["batch_max"] = 1  # retired only under "engine"
+        with pytest.raises(ConfigError, match="batch_max"):
+            ServeConfig.from_dict(data)
+
+    def test_seven_group_file_loads_to_its_two_read_groups(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(SEVEN_GROUP_FILE))
+        cfg = load_serve_config(str(path))
+        assert cfg == ServeConfig.from_kwargs(
+            codec="u16q", shard_rows=32, num_landmarks=4, epsilon=0.5,
+            cache_shards=8, verify_loads=False,
+        )
+        assert set(cfg.to_dict()) == {"engine", "store"}
+        assert len(SERVE_KWARG_MAP) == 6
 
     def test_hit_cost_is_not_a_keyword(self):
         with pytest.raises(ConfigError) as exc_info:
@@ -200,11 +180,11 @@ class TestShim:
 
     def test_with_overrides(self):
         cfg = ServeConfig()
-        bumped = cfg.with_overrides(num_nodes=4, replication=2)
-        assert bumped.routing.num_nodes == 4
-        assert bumped.routing.replication == 2
+        bumped = cfg.with_overrides(cache_shards=9, codec="f4")
+        assert bumped.engine.cache_shards == 9
+        assert bumped.store.codec == "f4"
         # original untouched (frozen)
-        assert cfg.routing.num_nodes == 1
+        assert cfg.engine.cache_shards == 4
 
     @settings(max_examples=40, deadline=None)
     @given(serve_configs())
@@ -255,15 +235,6 @@ class TestEntryPointParity:
         assert engine.cache_shards == 2
         flat = QueryEngine(store, cache_shards=2)
         assert engine.dist(0, 7) == flat.dist(0, 7)
-
-    def test_frontend_honours_admission(self, store):
-        from repro.serve import QueryEngine, ServeFrontend
-
-        cfg = ServeConfig.from_kwargs(max_point=3)
-        fe = ServeFrontend(
-            QueryEngine(store), policy=cfg.admission.to_policy()
-        )
-        assert fe.policy.max_point == 3
 
     def test_config_objects_are_not_a_call_form(
         self, store, tmp_path, small_weighted

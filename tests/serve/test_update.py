@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.config import UpdateConfig
 from repro.core.runner import solve_apsp
 from repro.exceptions import GraphError, StoreCorruptionError, StoreError
 from repro.graphs import (
@@ -28,6 +27,7 @@ from repro.serve import (
     parse_edge_updates,
     solve_to_store,
 )
+from repro.serve.store import _graph_crc32
 from repro.serve.update import EdgeUpdate
 from tests.serve.edge_oracle import edge_weights, mutate_by_dict
 
@@ -391,7 +391,7 @@ class TestGenerations:
             store,
             graph,
             [EdgeUpdate(u, v, w / 2.0)],
-            config=UpdateConfig(prune=True),
+            prune=True,
         )
         assert result.pruned_files
         for name in result.pruned_files:
@@ -408,7 +408,7 @@ class TestGenerations:
             graph, tmp_path / "other", shard_rows=16, num_landmarks=4
         )
         without = apply_edge_updates(
-            other, graph, batch, config=UpdateConfig(prescreen=False)
+            other, graph, batch, prescreen=False
         )
         assert without.dirty_shards == with_screen.dirty_shards
         assert without.certified_clean_shards == 0
@@ -447,9 +447,35 @@ class TestGuards:
         with pytest.raises(StoreError, match="vertices"):
             apply_edge_updates(store, small, [EdgeUpdate(0, 5, 1.0)])
 
-    def test_config_must_be_update_config(self, built):
+    def test_pre_update_graph_refused_on_next_generation(self, built):
+        """After one batch the store serves the mutated graph; the
+        graph it was first built from no longer matches its digest."""
         store, graph = built
-        with pytest.raises(StoreError, match="UpdateConfig"):
+        (u, v), w = sorted(edge_weights(graph).items())[0]
+        first = apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2)])
+        files = {p.name: p.read_bytes() for p in store.path.iterdir()}
+        with pytest.raises(StoreError, match="graph"):
+            apply_edge_updates(first.store, graph, [EdgeUpdate(u, v)])
+        assert {p.name: p.read_bytes() for p in store.path.iterdir()} == files
+        mutated = apply_updates_to_graph(graph, [EdgeUpdate(u, v, w / 2)])
+        assert first.store.manifest["graph"]["crc32"] == _graph_crc32(mutated)
+
+    def test_store_without_graph_digest_refused(self, built):
+        import json
+
+        store, graph = built
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["graph"]["crc32"]
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+        (u, v), w = sorted(edge_weights(graph).items())[0]
+        with pytest.raises(StoreError, match="digest"):
+            apply_edge_updates(DistStore.open(store.path), graph,
+                               [EdgeUpdate(u, v, w / 2)])
+
+    def test_config_object_is_not_a_call_form(self, built):
+        store, graph = built
+        with pytest.raises(TypeError):
             apply_edge_updates(
                 store, graph, [EdgeUpdate(0, 1, 1.0)], config={"prune": True}
             )

@@ -187,6 +187,14 @@ class TestCommands:
         assert code == 0
         assert "->" in out
 
+    @pytest.mark.parametrize(("command", "expected"), [
+        (["analyze", "--top", "1"], "rmat-s5-ef8"),
+        (["paths", "--source", "0", "--target", "3"], "path     : 0 ->"),
+    ])
+    def test_analyze_and_paths_take_rmat(self, command, expected, capsys):
+        assert main(command + ["--rmat", "5"]) == 0
+        assert expected in capsys.readouterr().out
+
     def test_paths_unreachable(self, tmp_path, capsys):
         src = tmp_path / "g.txt"
         src.write_text("0 1\n2 3\n")
@@ -327,6 +335,38 @@ class TestCommands:
             f"repro-apsp monitor: error: {log}:2: "
         )
         assert main(["monitor", str(log), "--check"]) == 1
+
+    def test_monitor_takes_the_monitor_module_flags(self):
+        import argparse
+
+        from repro.serve import monitor
+
+        def options(parser):
+            return {opt for action in parser._actions
+                    for opt in action.option_strings}
+
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert options(sub.choices["monitor"]) == options(
+            monitor.build_parser()
+        )
+        assert {"--check", "--tail", "--top"} <= options(monitor.build_parser())
+
+    def test_update_refuses_the_graph_of_an_earlier_generation(
+        self, tmp_path, capsys
+    ):
+        target = str(tmp_path / "s")
+        assert main(["store", "--rmat", "6", "--out", target,
+                     "--shard-rows", "16"]) == 0
+        update = ["update", "--store", target, "--rmat", "6"]
+        assert main(update + ["--updates", "set=1,2,5.0"]) == 0
+        capsys.readouterr()
+        # the CLI rebuilds the original graph, which the generation-1
+        # store no longer serves
+        with pytest.raises(SystemExit) as exc:
+            main(update + ["--updates", "del=1,5"])
+        assert str(exc.value.code).startswith("repro-apsp update: error: ")
+        assert "graph" in str(exc.value.code)
 
     def test_serve_bench_takes_the_bench_module_flags(self):
         import argparse
@@ -482,24 +522,28 @@ class TestConfigFiles:
         assert saved["parallel"]["num_threads"] == 2
 
     def test_saved_serve_config_with_hit_cost_still_loads(self, tmp_path):
-        """Serve config files saved by earlier versions carry
-        ``cost.hit_cost``; it is dropped on load, any other unknown cost
-        key is still an error."""
+        """Serve config files saved by earlier versions carry a ``cost``
+        group (``hit_cost`` included) and other groups no reader reads;
+        they are dropped on load, re-saving writes the two read groups,
+        and an unknown key in a read group is still an error."""
         old = self._save(tmp_path, "old.json", [
             "store", "--rmat", "5", "--out", str(tmp_path / "a"),
             "--codec", "f4",
         ])
         data = json.loads(old.read_text())
-        data["cost"]["hit_cost"] = 2e-5
+        data["cost"] = {"hit_cost": 2e-5, "load_base": 1e-3}
+        data["routing"] = {"num_nodes": 4, "replication": 2}
+        data["engine"]["batch_max"] = 8
         old.write_text(json.dumps(data))
         again = self._save(tmp_path, "again.json", [
             "store", "--rmat", "5", "--out", str(tmp_path / "b"),
             "--config", str(old),
         ])
         saved = json.loads(again.read_text())
-        assert "hit_cost" not in saved["cost"]
+        assert set(saved) == {"engine", "store"}
+        assert "batch_max" not in saved["engine"]
         assert saved["store"]["codec"] == "f4"
-        data["cost"]["miss_cost"] = 1
+        data["engine"]["miss_cost"] = 1
         old.write_text(json.dumps(data))
         with pytest.raises(SystemExit, match="miss_cost"):
             main(["store", "--rmat", "5", "--out", str(tmp_path / "c"),
