@@ -522,19 +522,6 @@ class SolverConfig(_Bundle):
                 "at 1 thread)",
             )
 
-    def describe(self) -> str:
-        """One-line human summary (CLI banner)."""
-        bits = [
-            self.algorithm.name,
-            f"backend={self.parallel.backend}",
-            f"threads={self.parallel.num_threads}",
-        ]
-        if self.algorithm.schedule:
-            bits.append(f"schedule={self.algorithm.schedule}")
-        if self.faults.plan is not None:
-            bits.append(f"faults={len(self.faults.plan)}")
-        return " ".join(bits)
-
 
 def load_config(path: str) -> SolverConfig:
     """Read a :class:`SolverConfig` from a JSON file."""
@@ -616,17 +603,6 @@ class ServeConfig(_Bundle):
 
     store: StoreConfig = field(default_factory=StoreConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)
-
-    def describe(self) -> str:
-        """One-line human summary (CLI banner)."""
-        bits = [
-            f"codec={self.store.codec}",
-            f"shard_rows={self.store.shard_rows}",
-            f"cache_shards={self.engine.cache_shards}",
-        ]
-        if self.store.epsilon is not None:
-            bits.append(f"epsilon={self.store.epsilon:g}")
-        return " ".join(bits)
 
 
 def load_serve_config(path: str) -> ServeConfig:

@@ -247,17 +247,6 @@ DIST_FAULT_PLAN = FaultPlan(
 )
 
 
-def _store_fingerprint(store) -> int:
-    """crc32 over the manifest's per-shard checksums — one number that
-    changes if any stored byte changes, gated exactly in CI (stores are
-    byte-deterministic by construction)."""
-    joined = ",".join(
-        f"{entry['crc32']:08x}" for entry in store.manifest["shards"]
-    )
-    joined += f",{store.manifest['landmarks']['crc32']:08x}"
-    return zlib.crc32(joined.encode()) & 0xFFFFFFFF
-
-
 def _check(ok: bool, scenario: str, message: str) -> None:
     """Raise :class:`~repro.exceptions.BenchmarkError` unless ``ok``.
 
@@ -639,7 +628,7 @@ def run_serve_smoke(
 
         loaded = ("shard_loads", "bytes_loaded")
         serve: Dict[str, float] = {
-            "serve.store.fingerprint": float(_store_fingerprint(store)),
+            "serve.store.fingerprint": float(store.fingerprint()),
             "serve.store.num_shards": float(store.num_shards),
             "serve.store.store_bytes": float(store_bytes),
             "serve.store.raw_store_bytes": float(raw_store_bytes),
@@ -728,7 +717,7 @@ def run_update_smoke(
         store = sc.build()
         _check(store.generation == 0, "update", "fresh build did not "
                f"start at generation 0 (got {store.generation})")
-        old_fingerprint = _store_fingerprint(store)
+        old_fingerprint = store.fingerprint()
 
         # an engine holding the pre-update generation: it must keep
         # serving it, unmixed, until it explicitly refreshes
@@ -763,8 +752,8 @@ def run_update_smoke(
         # the mutated graph — same fingerprint, same size
         new_graph = apply_updates_to_graph(graph, updates)
         fresh = sc.build(new_graph, key="wall.rebuild", suffix="-rebuild")
-        updated_fp = _store_fingerprint(updated)
-        rebuild_fp = _store_fingerprint(fresh)
+        updated_fp = updated.fingerprint()
+        rebuild_fp = fresh.fingerprint()
         _check(updated_fp == rebuild_fp, "update", "updated store "
                f"fingerprint {updated_fp:#010x} differs from the rebuild's "
                f"{rebuild_fp:#010x} — updates must be byte-identical")
@@ -829,7 +818,7 @@ def run_update_smoke(
         _check(survivor.generation == 1, "update", "aborted update left "
                f"generation {survivor.generation} on disk, expected 1")
         survivor.verify()
-        _check(_store_fingerprint(survivor) == updated_fp, "update",
+        _check(survivor.fingerprint() == updated_fp, "update",
                "aborted update changed the live store's bytes")
         orphans = [p.name for p in survivor.path.iterdir()
                    if p.name.endswith(drill_suffix)]
@@ -1030,7 +1019,7 @@ def run_dist_smoke(
             "dist.fault.recovered_shards": float(len(faulted.recovered_by)),
             "dist.route.answer_fingerprint": float(fingerprint),
             "dist.route.drill_failovers": float(drill_failovers),
-            "dist.store.fingerprint": float(_store_fingerprint(store)),
+            "dist.store.fingerprint": float(store.fingerprint()),
             **_replay_flat("dist.skew", skewed,
                            ("shard_loads", "node_saturated")),
             "dist.rebalanced.moves": float(len(moves)),

@@ -80,18 +80,14 @@ def _graph_crc32(graph) -> int:
     return crc & 0xFFFFFFFF
 
 
-def _shard_file(index: int) -> str:
-    return f"shard_{index:05d}.bin"
-
-
 class DistStore:
     """Read access to a sharded distance store directory.
 
     Open with :meth:`DistStore.open`; build with :func:`solve_to_store`.
-    All loads go through :meth:`load_shard`, which checksums the
-    encoded bytes it read (unless told not to) and decodes them through
-    the manifest's codec, so serving never silently returns rotten
-    distances.
+    Every file read goes through :meth:`_read_file`, which checks the
+    length and (unless told not to) the crc32 of the encoded bytes;
+    :meth:`load_shard` then decodes them through the manifest's codec,
+    so serving never silently returns rotten distances.
     """
 
     def __init__(self, path: "str | os.PathLike", manifest: Dict[str, Any]):
@@ -129,6 +125,8 @@ class DistStore:
             manifest = json.loads(manifest_path.read_text())
         except json.JSONDecodeError as exc:
             raise StoreError(f"unreadable store manifest: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise StoreError("store manifest is not a JSON object")
         schema = manifest.get("schema")
         if schema not in (STORE_SCHEMA_VERSION, _STORE_SCHEMA_V1):
             raise StoreError(
@@ -136,14 +134,30 @@ class DistStore:
                 f"reads {STORE_SCHEMA_VERSION!r} (and legacy "
                 f"{_STORE_SCHEMA_V1!r})"
             )
-        for key in ("n", "shard_rows", "num_shards", "shards", "landmarks"):
-            if key not in manifest:
-                raise StoreError(f"store manifest missing {key!r}")
+        for key, kind in (("n", int), ("shard_rows", int), ("num_shards", int),
+                          ("shards", list), ("landmarks", dict)):
+            if not isinstance(manifest.get(key), kind):
+                raise StoreError(f"store manifest missing or mistyped {key!r}")
         if len(manifest["shards"]) != manifest["num_shards"]:
             raise StoreError(
                 f"manifest lists {len(manifest['shards'])} shards but "
                 f"declares num_shards={manifest['num_shards']}"
             )
+        # the fields the file reader and writers use, with their types
+        # (/1 manifests carry no nbytes: raw f8 size is implied)
+        for name, entry in [*enumerate(manifest["shards"]),
+                            ("landmarks", manifest["landmarks"])]:
+            entry = entry if isinstance(entry, dict) else {}
+            fields = {"file": str, "crc32": int, **(
+                {"ids": list} if name == "landmarks"
+                else {"start": int, "rows": int, "nbytes": int})}
+            for key, kind in fields.items():
+                value = entry.get(key, 0 if key == "nbytes" else None)
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise StoreError(
+                        f"store manifest entry {name!r} has a missing or "
+                        f"mistyped {key!r}: {value!r}"
+                    )
         return cls(path, manifest)
 
     # -- geometry -------------------------------------------------------
@@ -185,37 +199,46 @@ class DistStore:
 
     # -- loads ----------------------------------------------------------
 
+    def _read_file(self, name, *, verify: bool = True,
+                   count: bool = True) -> bytes:
+        """The bytes of shard ``name`` (or of ``"landmarks"``), checked
+        against their manifest entry: :class:`StoreError` if unreadable,
+        :class:`StoreCorruptionError` on a length or (with ``verify``)
+        crc32 mismatch, counted in ``serve.store.corruption_detected``
+        unless ``count`` is off."""
+        if name == "landmarks":
+            entry = self.manifest["landmarks"]
+            nbytes = len(self.landmark_ids) * self.n * _DTYPE.itemsize
+            what = "landmark file"
+        else:
+            entry = self.manifest["shards"][name]
+            nbytes = self.shard_nbytes(name)
+            what = f"shard {name}"
+        fpath = self.path / entry["file"]
+        try:
+            raw = fpath.read_bytes()
+        except OSError as exc:
+            raise StoreError(f"cannot read {what} ({fpath}): {exc}") from exc
+        if len(raw) != nbytes:
+            problem = f"has {len(raw)} bytes, expected {nbytes}"
+        elif verify and _crc32(raw) != entry["crc32"]:
+            problem = "failed its checksum"
+        else:
+            return raw
+        if count:
+            _obs.counter_add("serve.store.corruption_detected", 1)
+        raise StoreCorruptionError(f"{what} ({entry['file']}) {problem}",
+                                   shards=(name,))
+
     def load_shard(self, index: int, *, verify: bool = True) -> np.ndarray:
         """Read one shard into memory as a ``(rows, n)`` float64 array."""
-        start, rows = self.shard_span(index)
-        entry = self.manifest["shards"][index]
-        fpath = self.path / entry["file"]
-        expected = self.shard_nbytes(index)
+        _, rows = self.shard_span(index)
         load_t0 = time.perf_counter()
         with _obs.span("serve.store.load"):
+            raw = self._read_file(index, verify=verify)
+            params = self.manifest["shards"][index].get("params", {})
             try:
-                raw = fpath.read_bytes()
-            except OSError as exc:
-                raise StoreError(
-                    f"cannot read shard {index} ({fpath}): {exc}"
-                ) from exc
-            if len(raw) != expected:
-                raise StoreCorruptionError(
-                    f"shard {index} has {len(raw)} bytes, expected "
-                    f"{expected}",
-                    shards=(index,),
-                )
-            if verify and _crc32(raw) != entry["crc32"]:
-                _obs.counter_add("serve.store.corruption_detected", 1)
-                raise StoreCorruptionError(
-                    f"shard {index} failed its checksum "
-                    f"(rows [{start}, {start + rows}))",
-                    shards=(index,),
-                )
-            try:
-                arr = self.codec.decode(
-                    raw, rows, self.n, entry.get("params", {})
-                )
+                arr = self.codec.decode(raw, rows, self.n, params)
             except ValueError as exc:
                 # an unverified load of damaged bytes can fail inside
                 # the codec (e.g. deflate stream truncated) — that is
@@ -228,7 +251,7 @@ class DistStore:
                 ) from exc
         _obs.counter_add("serve.store.shard_loads", 1)
         _tel.emit("shard_load", time.perf_counter() - load_t0,
-                  shard=index, nbytes=expected, codec=self.codec_name)
+                  shard=index, nbytes=len(raw), codec=self.codec_name)
         return arr
 
     def row(self, vertex: int, *, verify: bool = True) -> np.ndarray:
@@ -244,24 +267,19 @@ class DistStore:
         built from these rows must be exact for the short-circuit
         guarantee to hold.
         """
-        entry = self.manifest["landmarks"]
-        L = len(entry["ids"])
+        L = len(self.landmark_ids)
         if L == 0:
             return np.empty((0, self.n), dtype=np.float64)
-        fpath = self.path / entry["file"]
-        raw = fpath.read_bytes()
-        if len(raw) != L * self.n * _DTYPE.itemsize:
-            raise StoreCorruptionError(
-                f"landmark file has {len(raw)} bytes, expected "
-                f"{L * self.n * _DTYPE.itemsize}",
-                shards=("landmarks",),
-            )
-        if verify and _crc32(raw) != entry["crc32"]:
-            _obs.counter_add("serve.store.corruption_detected", 1)
-            raise StoreCorruptionError(
-                "landmark rows failed their checksum", shards=("landmarks",)
-            )
+        raw = self._read_file("landmarks", verify=verify)
         return np.frombuffer(raw, dtype=_DTYPE).reshape(L, self.n).copy()
+
+    def fingerprint(self) -> int:
+        """crc32 over the manifest's per-shard and landmark checksums:
+        one number that changes if any stored byte changes, gated
+        exactly in CI (stores are byte-deterministic by construction)."""
+        shards = ",".join(f"{e['crc32']:08x}" for e in self.manifest["shards"])
+        landmarks = self.manifest["landmarks"]["crc32"]
+        return _crc32(f"{shards},{landmarks:08x}".encode())
 
     # -- integrity ------------------------------------------------------
 
@@ -270,31 +288,16 @@ class DistStore:
 
         Raises :class:`StoreCorruptionError` carrying the full list of
         damaged shards (so a caller repairs them all in one pass) —
-        returns ``None`` on a clean store.
+        returns ``None`` on a clean store.  A missing file counts as
+        damaged.
         """
         bad: List[Any] = []
-        for index, entry in enumerate(self.manifest["shards"]):
-            fpath = self.path / entry["file"]
+        lm = ["landmarks"] if self.landmark_ids else []
+        for name in [*range(self.num_shards), *lm]:
             try:
-                raw = fpath.read_bytes()
-            except OSError:
-                bad.append(index)
-                continue
-            if len(raw) != self.shard_nbytes(index) \
-                    or _crc32(raw) != entry["crc32"]:
-                bad.append(index)
-        lm = self.manifest["landmarks"]
-        if lm["ids"]:
-            fpath = self.path / lm["file"]
-            try:
-                raw = fpath.read_bytes()
-            except OSError:
-                raw = b""
-            expected = len(lm["ids"]) * self.n * _DTYPE.itemsize
-            # same length check load_shard/landmark_rows apply: a
-            # truncated file must report corruption, not just a crc miss
-            if len(raw) != expected or _crc32(raw) != lm["crc32"]:
-                bad.append("landmarks")
+                self._read_file(name, count=False)
+            except StoreError:
+                bad.append(name)
         if bad:
             _obs.counter_add("serve.store.corruption_detected", len(bad))
             raise StoreCorruptionError(
@@ -335,47 +338,117 @@ class DistStore:
                     graph, np.arange(start, start + rows), **options
                 )
                 _obs.counter_add("serve.store.shards_solved", 1)
-                payload, _, _ = self.codec.encode(block)
-                crc = _crc32(payload)
-                if crc != entry["crc32"]:
-                    raise StoreError(
-                        f"repair of shard {index} produced checksum "
-                        f"{crc:#010x}, manifest says "
-                        f"{entry['crc32']:#010x}; is this the graph the "
-                        "store was built from?"
-                    )
-                (self.path / entry["file"]).write_bytes(payload)
+                _write_shard(self.path, entry["file"], self.codec, start,
+                             block, crc32=entry["crc32"])
             if "landmarks" in bad:
-                _write_landmarks(self, graph, options)
+                lm = self.manifest["landmarks"]
+                rows = solve_apsp_rows(graph, lm["ids"], **options)
+                _write_landmarks(self.path, lm["file"], lm["ids"], rows,
+                                 crc32=lm["crc32"])
         _obs.counter_add("serve.store.shards_repaired", len(bad))
         self.verify()
         return bad
 
 
+# -- the file writers and the decisions builds and updates share --------
+
+
+def _put(path: Path, fname: str, payload: bytes, crc32=None) -> int:
+    """Write one store file and return its crc32.  With ``crc32`` given
+    (a repair) the bytes must hash to it, checked BEFORE writing: a
+    wrong-graph repair leaves whatever is on disk untouched instead of
+    installing bytes it then rejects."""
+    crc = _crc32(payload)
+    if crc32 is not None and crc != crc32:
+        raise StoreError(
+            f"repair of {fname} produced checksum {crc:#010x}, manifest "
+            f"says {crc32:#010x}; is this the graph the store was built "
+            "from?"
+        )
+    (path / fname).write_bytes(payload)
+    return crc
+
+
+def _write_shard(path: Path, fname: str, codec, start: int, block,
+                 crc32=None) -> Dict[str, Any]:
+    """Encode ``block`` (rows ``start`` on), write it as ``fname`` and
+    return its manifest entry."""
+    payload, params, err = codec.encode(block)
+    return {"file": fname, "start": start, "rows": block.shape[0],
+            "crc32": _put(path, fname, payload, crc32),
+            "nbytes": len(payload), "params": params, "max_abs_error": err}
+
+
+def _write_landmarks(path: Path, fname: str, ids, rows,
+                     crc32=None) -> Dict[str, Any]:
+    """Write the pinned landmark rows (raw f8) as ``fname`` and return
+    the manifest's ``landmarks`` entry; no file without landmarks."""
+    raw = np.ascontiguousarray(rows).tobytes()
+    crc = _put(path, fname, raw, crc32) if ids else _crc32(raw)
+    return {"ids": ids, "file": fname, "crc32": crc}
+
+
+def _publish_manifest(path: Path, manifest: Dict[str, Any]) -> None:
+    """Write ``manifest.json`` atomically: a temp file, then a rename."""
+    tmp = path / f".{_MANIFEST}.g{manifest['generation']}.tmp"
+    tmp.write_text(json.dumps(manifest, indent=2) + "\n")
+    os.replace(tmp, path / _MANIFEST)
+
+
+def _store_codec(name: str, graph, degree_kind: str):
+    """``(codec, codec_params)`` a store of ``graph`` encodes with; the
+    params carry the degree order for codecs that need it."""
+    codec = get_codec(name)
+    params: Dict[str, Any] = {}
+    if codec.needs_degree_order:
+        params["order"] = [int(v) for v in degree_order(graph, degree_kind)]
+        codec = get_codec(name, **params)
+    return codec, params
+
+
+def _graph_entry(graph) -> Dict[str, Any]:
+    """The manifest's ``graph`` block for the graph a store serves."""
+    return {"name": getattr(graph, "name", "") or "",
+            "crc32": _graph_crc32(graph)}
+
+
+def _check_graph_matches_store(store: DistStore, graph) -> None:
+    """Raise unless ``graph`` is the graph the store serves, by the
+    CSR digest its manifest records."""
+    recorded = store.manifest.get("graph", {}).get("crc32")
+    if recorded is None:
+        raise StoreError(
+            "the store manifest records no graph digest (graph.crc32; "
+            "stores built before it cannot be updated); rebuild the store"
+        )
+    got = _graph_crc32(graph)
+    if got != recorded:
+        raise StoreError(
+            f"the given graph (crc32 {got:#010x}) is not the graph the "
+            f"store serves ({recorded:#010x}); after an update the "
+            "store serves the mutated graph (apply_updates_to_graph of "
+            "the batch), not the one it was built from"
+        )
+
+
+def _take_landmark_rows(out: np.ndarray, pos: Dict[int, int], start: int,
+                        block: np.ndarray) -> None:
+    """Copy the row of every landmark ``v`` in ``pos`` that ``block``
+    (rows ``start`` on) holds into ``out[pos[v]]``."""
+    for v, i in pos.items():
+        if start <= v < start + block.shape[0]:
+            out[i] = block[v - start]
+
+
+def _max_abs_error(shards) -> float:
+    """The store-wide error bound: the worst shard's."""
+    return max((float(entry.get("max_abs_error", 0.0)) for entry in shards),
+               default=0.0)
+
+
 def _landmark_vertices(graph, count: int, degree_kind: str) -> List[int]:
     count = min(count, graph.num_vertices)
     return [int(v) for v in degree_order(graph, degree_kind)[:count]]
-
-
-def _write_landmarks(store: DistStore, graph, options) -> None:
-    """(Re)build the pinned landmark rows from the graph; ``options``
-    are the solver keywords the store was built with.  Only the
-    landmark rows are solved, not their shards."""
-    from ..core.runner import solve_apsp_rows
-
-    ids = store.manifest["landmarks"]["ids"]
-    if not ids:
-        return
-    rows = solve_apsp_rows(graph, ids, **options)
-    raw = np.ascontiguousarray(rows).tobytes()
-    # verify BEFORE writing: a wrong-graph repair must leave whatever
-    # is on disk untouched instead of installing bytes it then rejects
-    if _crc32(raw) != store.manifest["landmarks"]["crc32"]:
-        raise StoreError(
-            "landmark repair produced different bytes; is this the "
-            "graph the store was built from?"
-        )
-    (store.path / store.manifest["landmarks"]["file"]).write_bytes(raw)
 
 
 def solve_to_store(
@@ -408,17 +481,10 @@ def solve_to_store(
     """
     from ..config import SolverConfig, StoreConfig
 
+    given = dict(shard_rows=shard_rows, num_landmarks=num_landmarks,
+                 codec=codec, epsilon=epsilon)
     store_cfg = StoreConfig(
-        **{
-            name: value
-            for name, value in (
-                ("shard_rows", shard_rows),
-                ("num_landmarks", num_landmarks),
-                ("codec", codec),
-                ("epsilon", epsilon),
-            )
-            if value is not None
-        }
+        **{name: value for name, value in given.items() if value is not None}
     )
     cfg = SolverConfig.from_kwargs(**options).with_overrides(use_flags=False)
 
@@ -455,48 +521,22 @@ def _build_store_files(graph, path, store_cfg, cfg):
 
     n = graph.num_vertices
     shard_rows = store_cfg.shard_rows
+    degree_kind = cfg.algorithm.degree_kind
     landmark_ids = _landmark_vertices(
-        graph, store_cfg.num_landmarks, cfg.algorithm.degree_kind
+        graph, store_cfg.num_landmarks, degree_kind
     )
     landmark_rows = np.empty((len(landmark_ids), n), dtype=np.float64)
     landmark_pos = {v: i for i, v in enumerate(landmark_ids)}
-
-    codec_params: Dict[str, Any] = {}
-    codec_obj = get_codec(store_cfg.codec)
-    if codec_obj.needs_degree_order:
-        codec_params["order"] = [
-            int(v) for v in degree_order(graph, cfg.algorithm.degree_kind)
-        ]
-        codec_obj = get_codec(store_cfg.codec, **codec_params)
+    codec_obj, codec_params = _store_codec(store_cfg.codec, graph, degree_kind)
 
     shards: List[Dict[str, Any]] = []
-    max_abs_error = 0.0
     with _obs.span("serve.store.build"):
         for start, rows in solve_apsp_shards(
             graph, shard_rows=shard_rows, **cfg.to_kwargs()
         ):
-            k = rows.shape[0]
-            for v in range(start, start + k):
-                if v in landmark_pos:
-                    landmark_rows[landmark_pos[v]] = rows[v - start]
-            payload, params, err = codec_obj.encode(rows)
-            max_abs_error = max(max_abs_error, err)
-            fname = _shard_file(len(shards))
-            (path / fname).write_bytes(payload)
-            shards.append(
-                {
-                    "file": fname,
-                    "start": start,
-                    "rows": k,
-                    "crc32": _crc32(payload),
-                    "nbytes": len(payload),
-                    "params": params,
-                    "max_abs_error": err,
-                }
-            )
-    lm_raw = np.ascontiguousarray(landmark_rows).tobytes()
-    if landmark_ids:
-        (path / _LANDMARKS).write_bytes(lm_raw)
+            _take_landmark_rows(landmark_rows, landmark_pos, start, rows)
+            fname = f"shard_{len(shards):05d}.bin"
+            shards.append(_write_shard(path, fname, codec_obj, start, rows))
     manifest = {
         "schema": STORE_SCHEMA_VERSION,
         "n": n,
@@ -506,19 +546,14 @@ def _build_store_files(graph, path, store_cfg, cfg):
         "dtype": _DTYPE.str,
         "codec": store_cfg.codec,
         "codec_params": codec_params,
-        "max_abs_error": max_abs_error,
+        "max_abs_error": _max_abs_error(shards),
         "epsilon": store_cfg.epsilon,
         "shards": shards,
-        "landmarks": {
-            "ids": landmark_ids,
-            "file": _LANDMARKS,
-            "crc32": _crc32(lm_raw),
-        },
-        "graph": {
-            "name": getattr(graph, "name", "") or "",
-            "crc32": _graph_crc32(graph),
-        },
+        "landmarks": _write_landmarks(
+            path, _LANDMARKS, landmark_ids, landmark_rows
+        ),
+        "graph": _graph_entry(graph),
         "config": cfg.to_dict(),
     }
-    (path / _MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
+    _publish_manifest(path, manifest)
     return manifest

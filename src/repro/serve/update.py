@@ -24,7 +24,7 @@ actually affect:
    graph through :func:`~repro.core.runner.solve_apsp_rows` and the
    same codec-encode + checksum pipeline as a fresh build, written to
    *new* generation-suffixed files beside the old ones, verified on
-   disk, and only then does one atomic manifest swap (`os.replace`)
+   disk, and only then does one atomic manifest swap (a rename)
    publish the new **generation**.  Readers holding the old manifest
    keep resolving old file names; a
    :meth:`~repro.serve.engine.QueryEngine.refresh` adopts the new
@@ -44,8 +44,6 @@ rebuild.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -53,16 +51,19 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ServeError, StoreCorruptionError, StoreError
-from ..graphs.degree import degree_order
 from ..obs import metrics as _obs
 from . import telemetry as _tel
-from .codecs import get_codec
 from .store import (
-    _MANIFEST,
     DistStore,
-    _crc32,
-    _graph_crc32,
+    _check_graph_matches_store,
+    _graph_entry,
     _landmark_vertices,
+    _max_abs_error,
+    _publish_manifest,
+    _store_codec,
+    _take_landmark_rows,
+    _write_landmarks,
+    _write_shard,
 )
 
 __all__ = [
@@ -439,25 +440,6 @@ def _exact_dirty_rows(graph_old, graph_new, endpoints) -> np.ndarray:
     return np.any(d_old != d_new, axis=0)
 
 
-def _check_graph_matches_store(store: DistStore, graph) -> None:
-    """Raise unless ``graph`` is the graph the store serves, by the
-    CSR digest its manifest records."""
-    recorded = store.manifest.get("graph", {}).get("crc32")
-    if recorded is None:
-        raise StoreError(
-            "the store manifest records no graph digest (graph.crc32; "
-            "stores built before it cannot be updated); rebuild the store"
-        )
-    got = _graph_crc32(graph)
-    if got != recorded:
-        raise StoreError(
-            f"the given graph (crc32 {got:#010x}) is not the graph the "
-            f"store serves ({recorded:#010x}); after an update the "
-            "store serves the mutated graph (apply_updates_to_graph of "
-            "the batch), not the one it was built from"
-        )
-
-
 def _rows_to_shards(mask: np.ndarray, shard_rows: int, num_shards: int):
     pad = num_shards * shard_rows - mask.size
     if pad:
@@ -487,8 +469,8 @@ def apply_edge_updates(
     affected shards are re-solved; new shard files are written
     *beside* the old generation's, verified on disk, and published by
     one atomic manifest swap carrying a bumped ``generation`` — readers
-    are never blocked and never see a torn store.  Returns an :class:`UpdateResult` whose ``store`` field is
-    the freshly opened new generation.
+    are never blocked and never see a torn store.  Returns an
+    :class:`UpdateResult` whose ``store`` is the freshly opened new generation.
 
     ``prescreen`` certifies shards clean via the pinned landmark (ALT)
     bounds before the exact endpoint refinement (off, the refinement
@@ -563,18 +545,13 @@ def apply_edge_updates(
     # (live readers may hold it) is never mutated
     new_manifest = dict(store.manifest)
     new_manifest["shards"] = list(store.manifest["shards"])
-    codec_params = dict(store.manifest.get("codec_params", {}))
-    codec_probe = get_codec(store.codec_name)
-    if codec_probe.needs_degree_order:
-        new_order = [
-            int(v) for v in degree_order(new_graph, cfg.algorithm.degree_kind)
-        ]
-        if new_order != list(codec_params.get("order", [])):
-            # the codec's byte layout depends on the degree order, so a
-            # changed order invalidates every shard's encoding
-            codec_params["order"] = new_order
-            dirty_shards = set(range(store.num_shards))
-    codec_obj = get_codec(store.codec_name, **codec_params)
+    codec_obj, codec_params = _store_codec(
+        store.codec_name, new_graph, cfg.algorithm.degree_kind
+    )
+    if codec_params != store.manifest.get("codec_params", {}):
+        # the codec's byte layout depends on the degree order, so a
+        # changed order invalidates every shard's encoding
+        dirty_shards = set(range(store.num_shards))
     dirty_shards = sorted(dirty_shards)
 
     # -- 4. landmark invalidation rule ----------------------------------
@@ -591,55 +568,38 @@ def apply_edge_updates(
     # -- 5. copy-on-write re-solve of dirty shards ----------------------
     from ..core.runner import solve_apsp_rows
 
-    lm_pos = {v: i for i, v in enumerate(new_ids)}
-    new_lm_rows = (
-        np.empty((len(new_ids), n), dtype=np.float64)
-        if landmarks_rebuilt
-        else None
-    )
+    # landmark rows to copy out of re-solved shards (none unless rebuilt)
+    lm_pos = {v: i for i, v in enumerate(new_ids)} if landmarks_rebuilt else {}
+    new_lm_rows = np.empty((len(new_ids), n), dtype=np.float64)
     rows_resolved = 0
-    written: List[Path] = []
-    pending: List[Tuple[Path, int, int]] = []  # (path, crc, nbytes)
+    # (shard index or "landmarks", path) of every file written so far
+    written: List[Tuple[Any, Path]] = []
 
-    def solve_shard(index: int) -> np.ndarray:
+    def solve_shard(index: int) -> Tuple[int, np.ndarray]:
         start, rows = store.shard_span(index)
         block = solve_apsp_rows(
             new_graph, np.arange(start, start + rows), **cfg.to_kwargs()
         )
         _obs.counter_add("serve.store.shards_solved", 1)
-        return block
+        return start, block
 
     try:
         with _obs.span("serve.store.update"):
             for index in dirty_shards:
-                start, rows = store.shard_span(index)
-                block = solve_shard(index)
-                rows_resolved += rows
-                if new_lm_rows is not None:
-                    for v in range(start, start + rows):
-                        if v in lm_pos:
-                            new_lm_rows[lm_pos[v]] = block[v - start]
-                payload, params, err = codec_obj.encode(block)
+                start, block = solve_shard(index)
+                rows_resolved += block.shape[0]
+                _take_landmark_rows(new_lm_rows, lm_pos, start, block)
                 fname = _update_shard_file(index, new_gen)
-                fpath = store.path / fname
-                fpath.write_bytes(payload)
-                written.append(fpath)
-                pending.append((fpath, _crc32(payload), len(payload)))
-                new_manifest["shards"][index] = {
-                    "file": fname,
-                    "start": start,
-                    "rows": rows,
-                    "crc32": _crc32(payload),
-                    "nbytes": len(payload),
-                    "params": params,
-                    "max_abs_error": err,
-                }
+                new_manifest["shards"][index] = _write_shard(
+                    store.path, fname, codec_obj, start, block
+                )
+                written.append((index, store.path / fname))
 
             # landmark rows living in clean shards: reuse the exact old
             # pinned row when the landmark survived, otherwise re-solve
             # that one shard (counted separately in the cost)
             landmark_rows_resolved = 0
-            if new_lm_rows is not None:
+            if landmarks_rebuilt:
                 old_pos = {v: i for i, v in enumerate(old_ids)}
                 need_shard: Dict[int, List[int]] = {}
                 for v in new_ids:
@@ -651,58 +611,45 @@ def apply_edge_updates(
                     else:
                         need_shard.setdefault(shard, []).append(v)
                 for shard, vertices in sorted(need_shard.items()):
-                    start, rows = store.shard_span(shard)
-                    block = solve_shard(shard)
-                    landmark_rows_resolved += rows
-                    for v in vertices:
-                        new_lm_rows[lm_pos[v]] = block[v - start]
-                lm_raw = np.ascontiguousarray(new_lm_rows).tobytes()
+                    start, block = solve_shard(shard)
+                    landmark_rows_resolved += block.shape[0]
+                    _take_landmark_rows(
+                        new_lm_rows, {v: lm_pos[v] for v in vertices},
+                        start, block,
+                    )
                 lm_fname = _update_landmark_file(new_gen)
-                lm_fpath = store.path / lm_fname
-                lm_fpath.write_bytes(lm_raw)
-                written.append(lm_fpath)
-                pending.append((lm_fpath, _crc32(lm_raw), len(lm_raw)))
-                new_manifest["landmarks"] = {
-                    "ids": new_ids,
-                    "file": lm_fname,
-                    "crc32": _crc32(lm_raw),
-                }
+                new_manifest["landmarks"] = _write_landmarks(
+                    store.path, lm_fname, new_ids, new_lm_rows
+                )
+                written.append(("landmarks", store.path / lm_fname))
 
-            new_manifest["generation"] = new_gen
-            new_manifest["codec_params"] = codec_params
-            new_manifest["max_abs_error"] = max(
-                (
-                    float(entry.get("max_abs_error", 0.0))
-                    for entry in new_manifest["shards"]
-                ),
-                default=0.0,
+            new_manifest.update(
+                generation=new_gen, codec_params=codec_params,
+                max_abs_error=_max_abs_error(new_manifest["shards"]),
+                graph=_graph_entry(new_graph),
             )
-            new_manifest["graph"] = {
-                "name": getattr(new_graph, "name", "") or "",
-                "crc32": _graph_crc32(new_graph),
-            }
 
             if pre_swap_hook is not None:
                 pre_swap_hook(store, new_manifest)
 
             # verify every pending file on disk BEFORE the swap: an
             # in-flight corruption aborts with the old generation intact
-            for fpath, crc, nbytes in pending:
-                raw = fpath.read_bytes()
-                if len(raw) != nbytes or _crc32(raw) != crc:
+            new_store = DistStore(store.path, new_manifest)
+            for name, fpath in written:
+                try:
+                    new_store._read_file(name, count=False)
+                except StoreCorruptionError as exc:
                     raise StoreCorruptionError(
                         f"pending update file {fpath.name} was damaged "
                         "before the manifest swap; aborting the update "
                         "(the live generation is untouched)",
                         shards=(fpath.name,),
-                    )
+                    ) from exc
 
             # -- 6. atomic publish --------------------------------------
-            tmp = store.path / f".{_MANIFEST}.g{new_gen}.tmp"
-            tmp.write_text(json.dumps(new_manifest, indent=2) + "\n")
-            os.replace(tmp, store.path / _MANIFEST)
+            _publish_manifest(store.path, new_manifest)
     except BaseException:
-        for fpath in written:
+        for _, fpath in written:
             try:
                 fpath.unlink()
             except OSError:
@@ -711,11 +658,10 @@ def apply_edge_updates(
 
     pruned: List[str] = []
     if prune:
-        keep = {entry["file"] for entry in new_manifest["shards"]}
-        keep.add(new_manifest["landmarks"]["file"])
-        keep.add(_MANIFEST)
-        old_files = {entry["file"] for entry in store.manifest["shards"]}
-        old_files.add(store.manifest["landmarks"]["file"])
+        old_files, keep = (
+            {entry["file"] for entry in [*m["shards"], m["landmarks"]]}
+            for m in (store.manifest, new_manifest)
+        )
         for name in sorted(old_files - keep):
             try:
                 (store.path / name).unlink()

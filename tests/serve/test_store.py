@@ -395,3 +395,80 @@ class TestLandmarkIntegrity:
         assert "landmarks" in exc_info.value.shards
         with pytest.raises(StoreCorruptionError, match="bytes"):
             reopened.landmark_rows()
+
+
+class TestDamagedFiles:
+    """Every damaged store file surfaces as a typed store error."""
+
+    def test_missing_landmark_file_is_a_store_error(self, store_and_ref):
+        from repro.exceptions import StoreCorruptionError
+
+        store, _ = store_and_ref
+        (store.path / store.manifest["landmarks"]["file"]).unlink()
+        with pytest.raises(StoreError, match="landmark") as exc_info:
+            store.landmark_rows()
+        assert not isinstance(exc_info.value, OSError)
+        with pytest.raises(StoreCorruptionError) as exc_info:
+            store.verify()
+        assert exc_info.value.shards == ("landmarks",)
+
+    @pytest.mark.parametrize("target", [1, "landmarks"])
+    def test_truncation_counts_as_corruption(self, store_and_ref, target):
+        from repro.exceptions import StoreCorruptionError
+        from repro.obs import MetricsRegistry, use_registry
+
+        store, _ = store_and_ref
+        entry = (store.manifest["landmarks"] if target == "landmarks"
+                 else store.manifest["shards"][target])
+        path = store.path / entry["file"]
+        path.write_bytes(path.read_bytes()[:-8])
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(
+            StoreCorruptionError, match="bytes"
+        ) as exc_info:
+            if target == "landmarks":
+                store.landmark_rows(verify=False)
+            else:
+                store.load_shard(target, verify=False)
+        assert exc_info.value.shards == (target,)
+        assert registry.counters()["serve.store.corruption_detected"] == 1
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda m: [m],
+            lambda m: m["shards"][0].pop("crc32"),
+            lambda m: m["shards"][0].update(crc32="0x1234"),
+            lambda m: m["shards"][0].update(start=0.0),
+            lambda m: m["shards"][0].update(nbytes=None),
+            lambda m: m["shards"][0].update(file=3),
+            lambda m: m["shards"].__setitem__(0, "shard_00000.bin"),
+            lambda m: m["landmarks"].pop("ids"),
+            lambda m: m["landmarks"].update(crc32=True),
+            lambda m: m["landmarks"].pop("file"),
+            lambda m: m.update(shards=5),
+            lambda m: m.update(n="64"),
+        ],
+        ids=["list", "no-crc32", "str-crc32", "float-start", "null-nbytes",
+             "int-file", "str-entry", "no-landmark-ids", "bool-landmark-crc",
+             "no-landmark-file", "int-shards", "str-n"],
+    )
+    def test_open_rejects_malformed_manifest(self, store_and_ref, damage):
+        store, _ = store_and_ref
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        damaged = damage(manifest)
+        manifest = damaged if isinstance(damaged, list) else manifest
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match="manifest"):
+            DistStore.open(store.path)
+
+    def test_open_accepts_manifest_without_nbytes(self, store_and_ref):
+        # schema /1 stores carry no nbytes; the raw f8 size is implied
+        store, _ = store_and_ref
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for entry in manifest["shards"]:
+            del entry["nbytes"]
+        manifest_path.write_text(json.dumps(manifest))
+        DistStore.open(store.path).verify()

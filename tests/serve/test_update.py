@@ -518,6 +518,40 @@ class TestInFlightCorruptionDrill:
         # the aborted generation leaves no orphans behind
         assert not list(survivor.path.glob("*.g0001.bin"))
 
+    @pytest.mark.parametrize("damage", ["flip", "truncate", "delete"])
+    def test_pending_file_faults_are_typed_and_uncounted(self, built, damage):
+        from repro.obs import MetricsRegistry, use_registry
+
+        store, graph = built
+        (u, v), w = sorted(edge_weights(graph).items())[0]
+        damaged = []
+
+        def damage_pending(old_store, new_manifest):
+            path = sorted(old_store.path.glob("*.g0001.bin"))[0]
+            damaged.append(path.name)
+            if damage == "delete":
+                path.unlink()
+            elif damage == "truncate":
+                path.write_bytes(path.read_bytes()[:-3])
+            else:
+                raw = bytearray(path.read_bytes())
+                raw[0] ^= 0xFF
+                path.write_bytes(bytes(raw))
+
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(StoreError) as exc_info:
+            apply_edge_updates(store, graph, [EdgeUpdate(u, v, w / 2.0)],
+                               pre_swap_hook=damage_pending)
+        assert not isinstance(exc_info.value, OSError)
+        if damage != "delete":
+            assert isinstance(exc_info.value, StoreCorruptionError)
+            assert exc_info.value.shards == (damaged[0],)
+        counters = registry.counters()
+        assert "serve.store.corruption_detected" not in counters
+        assert "serve.store.shard_loads" not in counters
+        assert DistStore.open(store.path).generation == 0
+        assert not list(store.path.glob("*.g0001.bin"))
+
 
 class TestEngineGenerations:
     def test_refresh_swaps_answers_atomically(self, built):

@@ -252,6 +252,21 @@ class TestCommands:
         ) == 0
         assert "ALT" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", ["no-landmarks", "no-crc32"])
+    def test_query_on_damaged_store_is_a_clean_error(self, tmp_path, damage):
+        target = tmp_path / "g.dist"
+        assert main(["store", "--rmat", "6", "--out", str(target),
+                     "--shard-rows", "16", "--epsilon", "0"]) == 0
+        if damage == "no-landmarks":
+            (target / "landmarks.bin").unlink()
+        else:
+            manifest = json.loads((target / "manifest.json").read_text())
+            del manifest["shards"][0]["crc32"]
+            (target / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SystemExit) as exc_info:
+            main(["query", "--store", str(target), "--u", "0", "--v", "5"])
+        assert str(exc_info.value.code).startswith("repro-apsp query: error:")
+
     def test_store_raw_reports_no_compression(self, tmp_path, capsys):
         target = tmp_path / "raw.dist"
         assert main(
