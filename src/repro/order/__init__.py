@@ -12,7 +12,9 @@ multilists yes       yes        Algorithm 7 (MultiLists)
 ========== ========= ========== =============================
 
 Sequential references ``approx-buckets`` / ``exact-buckets`` pin down
-the semantics the parallel procedures must match.
+the semantics the parallel procedures must match; both are
+:func:`repro.sort.counting_argsort`, and MultiLists runs on
+:mod:`repro.sort`'s MultiLists engine.
 """
 
 from .base import (

@@ -10,6 +10,9 @@ procedures (ParBuckets, ParMax, MultiLists) must agree with:
   emit buckets from high to low.  Only *approximately* descending.
 * :func:`exact_bucket_order` — one bucket per degree value (``max+1``
   buckets), §4.2's fix; exactly descending, ties in ascending vertex id.
+
+Both are :func:`repro.sort.counting_argsort`, the stable bucket-list
+counting sort, over the bins or the degrees.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import List
 import numpy as np
 
 from ..exceptions import OrderingError
+from ..sort.counting import counting_argsort
 from .base import OrderingResult
 
 __all__ = [
@@ -85,32 +89,27 @@ def _emit_descending(buckets: List[List[int]]) -> np.ndarray:
     return np.asarray(out, dtype=np.int64)
 
 
+def _one_degree_per_bin(degrees: np.ndarray, bins: np.ndarray) -> bool:
+    """True when each Eq. (1) bin holds one degree, which makes the bin
+    order exactly descending.  A bin is a function of the degree, so
+    that holds iff there are as many bins in use as distinct degrees."""
+    return np.unique(degrees).size == np.unique(bins).size
+
+
 def approx_bucket_order(
     degrees: np.ndarray, *, num_bins: int = 100
 ) -> OrderingResult:
-    """Sequential reference of ParBuckets' *approximate* ordering."""
+    """Sequential reference of ParBuckets' *approximate* ordering: the
+    counting sort over the Eq. (1) bins, highest bin first."""
     degrees = np.asarray(degrees, dtype=np.int64)
-    n = degrees.size
-    if n == 0:
-        return OrderingResult(
-            method=f"approx-buckets-{num_bins}",
-            order=np.empty(0, dtype=np.int64),
-            exact=False,
-        )
-    lo, hi = int(degrees.min()), int(degrees.max())
-    bins = find_bins(degrees, hi, lo, num_bins)
-    buckets: List[List[int]] = [[] for _ in range(num_bins + 1)]
-    for v in range(n):
-        buckets[bins[v]].append(v)
-    order = _emit_descending(buckets)
-    # the ordering is exact iff each bucket is degree-homogeneous
-    exact = all(
-        len({int(degrees[v]) for v in bucket}) <= 1 for bucket in buckets
-    )
+    method = f"approx-buckets-{num_bins}"
+    if degrees.size == 0:
+        return OrderingResult(method, np.empty(0, dtype=np.int64), exact=False)
+    bins = find_bins(degrees, int(degrees.max()), int(degrees.min()), num_bins)
     return OrderingResult(
-        method=f"approx-buckets-{num_bins}",
-        order=order,
-        exact=exact,
+        method=method,
+        order=counting_argsort(bins, descending=True, max_key=num_bins),
+        exact=_one_degree_per_bin(degrees, bins),
         stats={"num_bins": float(num_bins)},
     )
 
@@ -122,20 +121,9 @@ def exact_bucket_order(degrees: np.ndarray) -> OrderingResult:
     what ParMax/MultiLists produce under their deterministic schedules.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
-    n = degrees.size
-    if n == 0:
-        return OrderingResult(
-            method="exact-buckets",
-            order=np.empty(0, dtype=np.int64),
-            exact=True,
-        )
-    hi = int(degrees.max())
-    buckets: List[List[int]] = [[] for _ in range(hi + 1)]
-    for v in range(n):
-        buckets[degrees[v]].append(v)
     return OrderingResult(
         method="exact-buckets",
-        order=_emit_descending(buckets),
+        order=counting_argsort(degrees, descending=True),
         exact=True,
-        stats={"num_buckets": float(hi + 1)},
+        stats={"num_buckets": float(degrees.max() + 1)} if degrees.size else {},
     )

@@ -20,12 +20,12 @@ vertex id (the block assignment hands each thread a contiguous id range,
 and threads are drained in id order).
 
 The same procedure doubles as a general-purpose parallel sort for keys
-in a bounded range — exposed as :func:`repro.sort.multilists_sort`.
+in a bounded range, :func:`repro.sort.multilists_argsort`.  The fill,
+the ``orderPos`` prefix and the copy-out scatter live there, in
+:mod:`repro.sort.multilists_sort`, and both procedures call them.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
 
 import numpy as np
 
@@ -34,48 +34,15 @@ from ..parallel import Backend, Schedule, parallel_for
 from ..parallel.schedule import block_assignment
 from ..simx.locksim import Op, run_lock_program
 from ..simx.machine import MachineSpec
-from ..simx.trace import SimResult, TraceEvent
+from ..simx.trace import SimResult
+from ..sort.multilists_sort import fill_buckets, order_positions, scatter
 from .base import DEFAULT_COSTS, OrderingCosts, OrderingResult
+from .buckets import exact_bucket_order
 
 __all__ = ["multilists_order", "simulate_multilists", "DEFAULT_PAR_RATIO"]
 
 #: degrees below ``parRatio × max`` are merged in parallel (§4.3)
 DEFAULT_PAR_RATIO = 0.1
-
-
-def _fill_local_buckets(
-    degrees: np.ndarray, blocks: List[np.ndarray], max_degree: int
-) -> List[List[List[int]]]:
-    """Phase 1: per-thread bucket lists (pure, no sharing)."""
-    lists: List[List[List[int]]] = []
-    for block in blocks:
-        local: List[List[int]] = [[] for _ in range(max_degree + 1)]
-        for i in block:
-            local[int(degrees[i])].append(int(i))
-        lists.append(local)
-    return lists
-
-
-def _order_positions(
-    lists: List[List[List[int]]], max_degree: int
-) -> np.ndarray:
-    """Phase 2 setup: ``orderPos[tID][deg]`` start offsets."""
-    sizes = np.array(
-        [[len(local[d]) for d in range(max_degree + 1)] for local in lists],
-        dtype=np.int64,
-    )
-    return _positions(sizes)
-
-
-def _positions(sizes: np.ndarray) -> np.ndarray:
-    """``orderPos[tID][deg]`` from the ``(T, max+1)`` bucket sizes.
-
-    The global array is laid out degree-descending, and within one
-    degree thread 0's bucket precedes thread 1's, and so on.
-    """
-    totals = sizes.sum(axis=0)
-    above = np.cumsum(totals[::-1])[::-1] - totals  # degrees > d
-    return above + np.cumsum(sizes, axis=0) - sizes
 
 
 def multilists_order(
@@ -102,36 +69,24 @@ def multilists_order(
         )
     T = max(1, num_threads)
     hi = int(degrees.max())
-    blocks = block_assignment(n, T)
-
-    # phase 1: parallel over thread ids, each sorting its own block
-    # into degree buckets: the block's ids by ascending degree (stable,
-    # so ids ascend within a bucket) and the bucket sizes
-    bucketed: List[Optional[np.ndarray]] = [None] * T
-    sizes = np.zeros((T, hi + 1), dtype=np.int64)
-
-    def fill(t: int, _thread: int) -> None:
-        keys = degrees[blocks[t]]
-        sizes[t] = np.bincount(keys, minlength=hi + 1)
-        bucketed[t] = blocks[t][np.argsort(keys, kind="stable")]
-
-    parallel_for(
-        T, fill, num_threads=T, schedule=Schedule.BLOCK, backend=backend
-    )
-    if any(ids is None for ids in bucketed):
-        raise OrderingError("phase 1 failed to fill every thread's list")
-
-    pos = _positions(sizes)
-    first = np.cumsum(sizes, axis=1) - sizes  # bucket starts per thread
+    # phase 1: parallel over thread ids, each bucketing its own block
+    bucketed, sizes = fill_buckets(degrees, hi, T, backend)
     order = np.empty(n, dtype=np.int64)
     low_cut = int(par_ratio * hi)  # degrees 0..low_cut merged in parallel
+    # Python lists keep the per-region lookups cheap: the thread rows of
+    # the slot shifts, and where each low bucket starts and ends in its
+    # thread's bucketed ids (bucket d spans bounds[t][d]:bounds[t][d+1])
+    shift = list(order_positions(sizes, descending=True))
+    bounds = np.zeros((T, low_cut + 2), dtype=np.int64)
+    np.cumsum(sizes[:, :low_cut + 1], axis=1, out=bounds[:, 1:])
+    bounds = bounds.tolist()
 
     # phase 2a: per-degree parallel regions for the low range
     for d in range(0, low_cut + 1):
 
         def copy_bucket(t: int, _thread: int, _d: int = d) -> None:
-            a, p, k = first[t, _d], pos[t, _d], sizes[t, _d]
-            order[p:p + k] = bucketed[t][a:a + k]
+            scatter(order, bucketed[t], degrees, shift[t],
+                    bounds[t][_d], bounds[t][_d + 1])
 
         parallel_for(
             T,
@@ -141,12 +96,9 @@ def multilists_order(
             backend=backend,
         )
     # phase 2b: sequential copy of the high-degree tail, the end of each
-    # thread's bucketed ids, every id to its bucket's slot
+    # thread's bucketed ids
     for t in range(T):
-        a = int(sizes[t, :low_cut + 1].sum())
-        tail = bucketed[t][a:]
-        d = degrees[tail]
-        order[pos[t, d] + np.arange(a, a + tail.size) - first[t, d]] = tail
+        scatter(order, bucketed[t], degrees, shift[t], bounds[t][-1])
 
     return OrderingResult(
         method="multilists",
@@ -189,8 +141,7 @@ def simulate_multilists(
     T = machine.clamp_threads(num_threads)
     hi = int(degrees.max())
     blocks = block_assignment(n, T)
-    lists = _fill_local_buckets(degrees, blocks, hi)
-    pos = _order_positions(lists, hi)
+    sizes = np.array([np.bincount(degrees[b], minlength=hi + 1) for b in blocks])
     low_cut = int(par_ratio * hi)
 
     # ---- phase 1: lock-free fill (one parallel region)
@@ -205,14 +156,14 @@ def simulate_multilists(
     # ---- phase 2 setup: sequential prefix over (hi+1)×T buckets
     prefix_work = (hi + 1) * T * costs.prefix
     sim = sim.merge_sequential(
-        _seq_result(prefix_work, "multilists.prefix", trace)
+        SimResult.sequential(prefix_work, "multilists.prefix", trace)
     )
 
     # ---- phase 3: one region per low degree
     for d in range(0, low_cut + 1):
         per_thread = []
         for t in range(T):
-            size = len(lists[t][d])
+            size = int(sizes[t, d])
             work = size * costs.emit
             if size:
                 # adjacent threads write adjacent order[] slots: one
@@ -224,25 +175,15 @@ def simulate_multilists(
         )
 
     # ---- phase 4: sequential high-degree copy
-    n_high = sum(
-        len(lists[t][d]) for t in range(T) for d in range(low_cut + 1, hi + 1)
-    )
+    n_high = int(sizes[:, low_cut + 1:].sum())
     tail_work = n_high * costs.emit + (hi - low_cut) * T * costs.bucket_scan
     sim = sim.merge_sequential(
-        _seq_result(tail_work, "multilists.high-tail", trace)
+        SimResult.sequential(tail_work, "multilists.high-tail", trace)
     )
-
-    order = np.empty(n, dtype=np.int64)
-    for d in range(hi + 1):
-        for t in range(T):
-            p = int(pos[t, d])
-            for v in lists[t][d]:
-                order[p] = v
-                p += 1
 
     return OrderingResult(
         method="multilists",
-        order=order,
+        order=exact_bucket_order(degrees).order,
         exact=True,
         num_threads=T,
         sim=sim,
@@ -251,19 +192,4 @@ def simulate_multilists(
             "low_cut_degree": float(low_cut),
             "parallel_regions": float(low_cut + 2),
         },
-    )
-
-
-def _seq_result(
-    work: float, name: str = "", trace: bool = False
-) -> SimResult:
-    events = []
-    if trace and work > 0:
-        events.append(TraceEvent(0, 0, 0.0, work, label=name))
-    return SimResult(
-        num_threads=1,
-        makespan=work,
-        busy=np.array([work]),
-        overhead=np.array([0.0]),
-        events=events,
     )

@@ -14,6 +14,7 @@ import numpy as np
 from ..exceptions import OrderingError
 from ..parallel import Backend
 from ..simx.machine import MachineSpec
+from ..simx.trace import SimResult
 from .base import OrderingResult
 from .buckets import approx_bucket_order, exact_bucket_order
 from .multilists import multilists_order, simulate_multilists
@@ -105,14 +106,7 @@ def simulate_order(
     n = degrees.size
     if name == "none":
         result = _identity(n)
-        from ..simx.trace import SimResult
-
-        result.sim = SimResult(
-            num_threads=1,
-            makespan=0.0,
-            busy=np.array([0.0]),
-            overhead=np.array([0.0]),
-        )
+        result.sim = SimResult.sequential(0.0)
         return result
     if name == "selection":
         return selection_order(degrees, machine=machine, **kwargs)

@@ -26,28 +26,16 @@ from ..parallel import Backend, LockArray, Schedule, parallel_for
 from ..parallel.schedule import block_assignment
 from ..simx.locksim import Op, run_lock_program
 from ..simx.machine import MachineSpec
-from ..simx.trace import SimResult, TraceEvent
+from ..simx.trace import SimResult
 from .base import DEFAULT_COSTS, OrderingCosts, OrderingResult
-from .buckets import _emit_descending, find_bins
+from .buckets import (
+    _emit_descending,
+    _one_degree_per_bin,
+    approx_bucket_order,
+    find_bins,
+)
 
 __all__ = ["par_buckets_order", "simulate_par_buckets"]
-
-
-def _emission_result(
-    n: int, num_buckets: int, costs: OrderingCosts, trace: bool = False
-) -> SimResult:
-    """Virtual cost of the sequential order[] emission loop."""
-    work = n * costs.emit + num_buckets * costs.bucket_scan
-    events = []
-    if trace and work > 0:
-        events.append(TraceEvent(0, 0, 0.0, work, label="emit-order"))
-    return SimResult(
-        num_threads=1,
-        makespan=work,
-        busy=np.array([work]),
-        overhead=np.array([0.0]),
-        events=events,
-    )
 
 
 def par_buckets_order(
@@ -91,14 +79,10 @@ def par_buckets_order(
         backend=backend,
     )
     locks.publish("order.parbuckets.locks")
-    order = _emit_descending(buckets)
-    exact = all(
-        len({int(degrees[v]) for v in bucket}) <= 1 for bucket in buckets
-    )
     return OrderingResult(
         method="parbuckets",
-        order=order,
-        exact=exact,
+        order=_emit_descending(buckets),
+        exact=_one_degree_per_bin(degrees, bins),
         num_threads=num_threads,
         stats={
             "num_bins": float(num_bins),
@@ -119,9 +103,10 @@ def simulate_par_buckets(
 ) -> OrderingResult:
     """Play ParBuckets on the simulated machine.
 
-    The returned order uses the deterministic serial tie convention
-    (ascending vertex id within buckets); the virtual-time contention is
-    computed from the true per-thread op streams.
+    The returned order and ``exact`` flag are the sequential reference's
+    (:func:`~repro.order.buckets.approx_bucket_order`: ascending vertex
+    id within buckets); the virtual-time contention is computed from the
+    true per-thread op streams.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = degrees.size
@@ -147,20 +132,14 @@ def simulate_par_buckets(
         lock_names=[f"parbuckets.bin{b}" for b in range(num_bins + 1)],
         region="parbuckets.fill",
     )
-    emission = _emission_result(n, num_bins + 1, costs, trace)
-    sim = fill.merge_sequential(emission)
-
-    buckets: List[List[int]] = [[] for _ in range(num_bins + 1)]
-    for v in range(n):
-        buckets[bins[v]].append(v)
-    order = _emit_descending(buckets)
-    exact = all(
-        len({int(degrees[v]) for v in bucket}) <= 1 for bucket in buckets
-    )
+    sim = fill.merge_sequential(SimResult.sequential(
+        n * costs.emit + (num_bins + 1) * costs.bucket_scan, "emit-order", trace
+    ))
+    reference = approx_bucket_order(degrees, num_bins=num_bins)
     return OrderingResult(
         method="parbuckets",
-        order=order,
-        exact=exact,
+        order=reference.order,
+        exact=reference.exact,
         num_threads=T,
         sim=sim,
         stats={

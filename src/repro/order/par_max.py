@@ -27,9 +27,9 @@ from ..parallel import Backend, LockArray, Schedule, parallel_for
 from ..parallel.schedule import block_assignment
 from ..simx.locksim import Op, run_lock_program
 from ..simx.machine import MachineSpec
-from ..simx.trace import SimResult, TraceEvent
+from ..simx.trace import SimResult
 from .base import DEFAULT_COSTS, OrderingCosts, OrderingResult
-from .buckets import _emit_descending
+from .buckets import _emit_descending, exact_bucket_order
 
 __all__ = ["par_max_order", "simulate_par_max", "DEFAULT_THRESHOLD"]
 
@@ -116,7 +116,8 @@ def simulate_par_max(
     Virtual phases: (1) parallel locked inserts of the high-degree
     vertices — every thread still scans its whole block to *test* the
     threshold; (2) sequential ``added[]``-guarded insert of the tail;
-    (3) sequential emission.
+    (3) sequential emission.  The order is the sequential reference's,
+    :func:`~repro.order.buckets.exact_bucket_order`.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     n = degrees.size
@@ -158,25 +159,12 @@ def simulate_par_max(
         + n * costs.emit
         + (hi + 1) * costs.bucket_scan
     )
-    phase2 = SimResult(
-        num_threads=1,
-        makespan=seq_work,
-        busy=np.array([seq_work]),
-        overhead=np.array([0.0]),
-        events=(
-            [TraceEvent(0, 0, 0.0, seq_work, label="tail-insert+emit")]
-            if trace and seq_work > 0
-            else []
-        ),
+    sim = phase1.merge_sequential(
+        SimResult.sequential(seq_work, "tail-insert+emit", trace)
     )
-    sim = phase1.merge_sequential(phase2)
-
-    buckets: List[List[int]] = [[] for _ in range(hi + 1)]
-    for v in range(n):
-        buckets[int(degrees[v])].append(v)
     return OrderingResult(
         method="parmax",
-        order=_emit_descending(buckets),
+        order=exact_bucket_order(degrees).order,
         exact=True,
         num_threads=T,
         sim=sim,

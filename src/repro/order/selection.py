@@ -137,12 +137,7 @@ def selection_order(
     sim: Optional[SimResult] = None
     if machine is not None:
         work = comparisons * costs.compare + stats.get("swaps", 0.0) * costs.swap
-        sim = SimResult(
-            num_threads=1,
-            makespan=work,
-            busy=np.array([work]),
-            overhead=np.array([0.0]),
-        )
+        sim = SimResult.sequential(work)
     # exact only over the ordered prefix; with ratio=1.0 fully exact
     exact = prefix == n
     return OrderingResult(

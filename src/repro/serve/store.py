@@ -158,6 +158,25 @@ class DistStore:
                         f"store manifest entry {name!r} has a missing or "
                         f"mistyped {key!r}: {value!r}"
                     )
+        # shards tile [0, n) in order, each 1..shard_rows rows long
+        n, end = manifest["n"], 0
+        for index, entry in enumerate(manifest["shards"]):
+            if entry["start"] != end or not (
+                    1 <= entry["rows"] <= manifest["shard_rows"]):
+                raise StoreError(
+                    f"store manifest entry {index!r} spans rows "
+                    f"{entry['start']}+{entry['rows']}; expected a start "
+                    f"of {end} and 1..{manifest['shard_rows']} rows"
+                )
+            end += entry["rows"]
+        if end != n:
+            raise StoreError(f"store manifest shards cover {end} of n={n} rows")
+        for v in manifest["landmarks"]["ids"]:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                raise StoreError(
+                    f"store manifest entry 'landmarks' has id {v!r}; "
+                    f"ids are ints in [0, {n})"
+                )
         return cls(path, manifest)
 
     # -- geometry -------------------------------------------------------

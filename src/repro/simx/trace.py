@@ -112,6 +112,23 @@ class SimResult:
                 f"{(self.busy + self.overhead).max()} > {self.makespan}"
             )
 
+    @classmethod
+    def sequential(
+        cls, work: float, label: str = "", trace: bool = False
+    ) -> "SimResult":
+        """A sequential phase: one thread busy for ``work`` units.  With
+        ``trace`` and positive work it carries one event named ``label``."""
+        return cls(
+            num_threads=1,
+            makespan=work,
+            busy=np.array([work]),
+            overhead=np.array([0.0]),
+            events=(
+                [TraceEvent(0, 0, 0.0, work, label=label)]
+                if trace and work > 0 else []
+            ),
+        )
+
     @property
     def idle(self) -> np.ndarray:
         """Per-thread idle time (load imbalance + waiting at the join)."""

@@ -7,7 +7,8 @@ their input order), ascending or descending.
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain
+from typing import List, Optional
 
 import numpy as np
 
@@ -43,32 +44,22 @@ def counting_argsort(
     descending: bool = False,
     max_key: Optional[int] = None,
 ) -> np.ndarray:
-    """Stable permutation that sorts ``keys``.
+    """Stable permutation that sorts ``keys``: every index is appended
+    to the bucket of its key, then the buckets are concatenated in key
+    order.
 
     ``max_key`` (the "fixed range" bound) lets callers pre-declare the
     key ceiling so repeated sorts of same-range data skip the scan.
     """
     keys = np.asarray(keys)
-    n = keys.size
-    if n == 0:
+    if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    hi = _check_keys(keys, max_key)
-    keys = keys.astype(np.int64, copy=False)
-    counts = np.bincount(keys, minlength=hi + 1)
+    buckets: List[List[int]] = [[] for _ in range(_check_keys(keys, max_key) + 1)]
+    for i, k in enumerate(keys.tolist()):
+        buckets[k].append(i)
     if descending:
-        counts = counts[::-1]
-        effective = hi - keys
-    else:
-        effective = keys
-    starts = np.zeros(hi + 1, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    out = np.empty(n, dtype=np.int64)
-    cursor = starts.copy()
-    for i in range(n):
-        k = effective[i]
-        out[cursor[k]] = i
-        cursor[k] += 1
-    return out
+        buckets.reverse()
+    return np.fromiter(chain.from_iterable(buckets), np.int64, keys.size)
 
 
 def counting_sort(

@@ -6,29 +6,85 @@ ranges."*  This module delivers that claim as a standalone API,
 decoupled from graphs and degrees:
 
 * every thread distributes its block of items into a private array of
-  ``K`` buckets (no locks);
+  ``K`` buckets, no locks (:func:`fill_buckets`);
 * a prefix-sum over the per-thread bucket sizes assigns each
-  ``(thread, key)`` bucket a disjoint slice of the output;
-* buckets are copied out in parallel.
+  ``(thread, key)`` bucket a disjoint slice of the output
+  (:func:`order_positions`);
+* buckets are copied out in parallel (:func:`scatter`).
 
 The result is a *stable* sort: ties keep input order, because thread
-blocks are contiguous, ascending, and drained in thread order.
+blocks are contiguous, ascending, and drained in thread order.  The
+three phases are also the engine of the degree ordering
+:func:`repro.order.multilists_order`, which copies out one region per
+low degree instead of one region in all.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import ReproError
 from ..parallel import Backend, Schedule, parallel_for
 from ..parallel.schedule import block_assignment
-from ..simx.machine import MachineSpec
-from ..simx.trace import SimResult
-from .counting import counting_argsort
+from .counting import _check_keys
 
-__all__ = ["multilists_argsort", "multilists_sort", "simulate_multilists_sort"]
+__all__ = ["multilists_argsort", "multilists_sort"]
+
+
+def fill_buckets(
+    keys: np.ndarray, hi: int, num_threads: int, backend: "Backend | str"
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Phase 1: each thread puts its block of ids into private buckets.
+
+    One task per thread id, lock-free.  Returns every thread's ids in
+    bucket order (ascending key; stable, so ids ascend within a bucket)
+    and the ``(T, hi+1)`` bucket sizes.
+    """
+    bucketed = block_assignment(keys.size, num_threads)
+    sizes = np.zeros((num_threads, hi + 1), dtype=np.int64)
+
+    def fill(t: int, _thread: int) -> None:
+        block_keys = keys[bucketed[t]]
+        sizes[t] = np.bincount(block_keys, minlength=hi + 1)
+        bucketed[t] = bucketed[t][np.argsort(block_keys, kind="stable")]
+
+    parallel_for(num_threads, fill, num_threads=num_threads,
+                 schedule=Schedule.BLOCK, backend=backend)
+    return bucketed, sizes
+
+
+def order_positions(sizes: np.ndarray, *, descending: bool) -> np.ndarray:
+    """Phase 2 setup: the ``orderPos`` prefix over the bucket sizes.
+
+    The output holds the keys in the requested direction, and within
+    one key thread 0's bucket precedes thread 1's, and so on.  Returned
+    is ``orderPos[t][k]`` minus the start of bucket ``k`` in thread
+    ``t``'s bucketed ids, so entry ``i`` of those ids, of key ``k``,
+    goes to slot ``shift[t, k] + i``.
+    """
+    totals = sizes.sum(axis=0)
+    ahead = np.cumsum(totals[::-1])[::-1] if descending else np.cumsum(totals)
+    # orderPos is ahead - totals + cumsum(axis=0) - sizes, the bucket
+    # starts at cumsum(axis=1) - sizes in its thread's ids: sizes cancel
+    return ahead - totals + np.cumsum(sizes, axis=0) - np.cumsum(sizes, axis=1)
+
+
+def scatter(out: np.ndarray, ids: np.ndarray, keys: np.ndarray,
+            shift: np.ndarray, start: int = 0, stop: Optional[int] = None
+            ) -> None:
+    """Copy ``ids[start:stop]``, a stretch of one thread's bucketed ids,
+    to their slots of ``out`` (``shift``: that thread's row).  A stretch
+    within one bucket is one slice."""
+    part = ids[start:stop]
+    if not part.size:
+        return
+    key = keys[part[0]]
+    if key == keys[part[-1]]:
+        begin = shift[key] + start
+        out[begin:begin + part.size] = part
+    else:
+        out[shift[keys[part]] + np.arange(start, start + part.size)] = part
 
 
 def multilists_argsort(
@@ -43,58 +99,20 @@ def multilists_argsort(
 
     Semantics are identical to
     :func:`repro.sort.counting.counting_argsort`; only the execution
-    strategy differs.  With one thread the two are the same algorithm.
+    strategy differs: the MultiLists fill, the ``orderPos`` prefix and
+    one parallel copy-out region.
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    n = keys.size
-    if n == 0:
+    keys = np.asarray(keys)
+    if keys.size == 0:
         return np.empty(0, dtype=np.int64)
-    if keys.min() < 0:
-        raise ReproError("keys must be non-negative")
-    hi = int(keys.max())
-    if max_key is not None:
-        if hi > max_key:
-            raise ReproError(f"key {hi} exceeds declared max_key {max_key}")
-        hi = max_key
+    hi = _check_keys(keys, max_key)
+    keys = keys.astype(np.int64, copy=False)
     T = max(1, num_threads)
-    blocks = block_assignment(n, T)
-
-    # phase 1: private bucket fill per thread (lock-free)
-    local_counts = np.zeros((T, hi + 1), dtype=np.int64)
-    local_items: List[Optional[List[List[int]]]] = [None] * T
-
-    def fill(t: int, _thread: int) -> None:
-        buckets: List[List[int]] = [[] for _ in range(hi + 1)]
-        for i in blocks[t]:
-            buckets[int(keys[i])].append(int(i))
-        local_items[t] = buckets
-        for k in range(hi + 1):
-            local_counts[t, k] = len(buckets[k])
-
-    parallel_for(T, fill, num_threads=T, schedule=Schedule.BLOCK, backend=backend)
-
-    # phase 2: per-(thread, key) output offsets
-    key_order = range(hi, -1, -1) if descending else range(hi + 1)
-    pos = np.zeros((T, hi + 1), dtype=np.int64)
-    offset = 0
-    for k in key_order:
-        for t in range(T):
-            pos[t, k] = offset
-            offset += int(local_counts[t, k])
-
-    # phase 3: parallel copy-out (disjoint slices per thread)
-    out = np.empty(n, dtype=np.int64)
-
-    def copy_out(t: int, _thread: int) -> None:
-        buckets = local_items[t]
-        assert buckets is not None
-        for k in range(hi + 1):
-            p = int(pos[t, k])
-            for item in buckets[k]:
-                out[p] = item
-                p += 1
-
-    parallel_for(T, copy_out, num_threads=T, schedule=Schedule.BLOCK, backend=backend)
+    bucketed, sizes = fill_buckets(keys, hi, T, backend)
+    shift = order_positions(sizes, descending=descending)
+    out = np.empty(keys.size, dtype=np.int64)
+    parallel_for(T, lambda t, _thread: scatter(out, bucketed[t], keys, shift[t]),
+                 num_threads=T, schedule=Schedule.BLOCK, backend=backend)
     return out
 
 
@@ -107,8 +125,7 @@ def multilists_sort(
     backend: "Backend | str" = Backend.THREADS,
 ) -> np.ndarray:
     """Sorted copy of ``keys`` via :func:`multilists_argsort`."""
-    keys = np.asarray(keys, dtype=np.int64)
-    return keys[
+    return np.asarray(keys, dtype=np.int64)[
         multilists_argsort(
             keys,
             descending=descending,
@@ -117,39 +134,3 @@ def multilists_sort(
             backend=backend,
         )
     ]
-
-
-def simulate_multilists_sort(
-    keys: np.ndarray,
-    machine: MachineSpec,
-    *,
-    num_threads: int,
-    item_cost: float = 6.0,
-) -> SimResult:
-    """Virtual-time estimate of the general sort (three balanced phases).
-
-    Unlike the degree-ordering variant there is no per-degree region
-    loop — the copy-out is one region over threads — so the sort scales
-    cleanly until the prefix term (``K × T``) catches up.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    n = keys.size
-    if n == 0:
-        raise ReproError("cannot sort an empty key array")
-    T = machine.clamp_threads(num_threads)
-    hi = int(keys.max())
-    region = machine.region_overhead(T)
-    per_thread = float(np.ceil(n / T))
-    fill = per_thread * item_cost
-    prefix = (hi + 1) * T * 2.0
-    copy = per_thread * item_cost / 2.0 + machine.false_sharing_penalty
-    makespan = 2 * region + fill + prefix + copy
-    busy = np.full(T, fill + copy)
-    overhead = np.full(T, 2 * region)
-    overhead[0] += prefix  # prefix runs on the master thread
-    return SimResult(
-        num_threads=T,
-        makespan=makespan,
-        busy=busy,
-        overhead=overhead,
-    )

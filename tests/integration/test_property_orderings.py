@@ -1,7 +1,7 @@
 """Property-based tests on the ordering procedures and the sorts."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,9 +13,14 @@ from repro.order import (
     find_bins,
     is_permutation,
     multilists_order,
+    par_buckets_order,
     par_max_order,
     selection_order,
+    simulate_multilists,
+    simulate_par_buckets,
+    simulate_par_max,
 )
+from repro.simx import MACHINE_I
 from repro.sort import check_stable_argsort, counting_argsort, multilists_argsort
 
 degree_arrays = hnp.arrays(
@@ -132,3 +137,57 @@ class TestSortProperties:
         assert np.array_equal(
             counting_argsort(keys), np.argsort(keys, kind="stable")
         )
+
+
+class TestOrderingParity:
+    """Every bucket sort in :mod:`repro.order` and :mod:`repro.sort` is
+    one stable counting sort: each path equals
+    :func:`~repro.sort.counting_argsort` bit for bit."""
+
+    @given(degrees=degree_arrays)
+    @example(degrees=np.array([7]))
+    @example(degrees=np.full(40, 5))
+    @example(degrees=np.zeros(33, dtype=np.int64))
+    @example(degrees=np.array([1] * 60 + [5000] + [2] * 9))
+    @settings(**SETTINGS)
+    def test_every_path_is_the_counting_sort(self, degrees):
+        ref = counting_argsort(degrees, descending=True)
+        # the locked ParMax/ParBuckets bodies keep their arrival order
+        # within a bucket: the reference's only on one lane
+        exact = [
+            exact_bucket_order(degrees),
+            par_max_order(degrees, num_threads=1, backend="serial"),
+            simulate_multilists(degrees, MACHINE_I, num_threads=4),
+            simulate_par_max(degrees, MACHINE_I, num_threads=4),
+        ]
+        for backend in ("serial", "threads"):
+            exact += [
+                multilists_order(degrees, num_threads=t, backend=backend)
+                for t in (1, 2, 3, 7)
+            ]
+        for result in exact:
+            assert result.exact
+            assert np.array_equal(result.order, ref), result.method
+        assert np.array_equal(
+            multilists_argsort(degrees, descending=True, num_threads=3), ref
+        )
+
+        lo, hi = int(degrees.min()), int(degrees.max())
+        bins = find_bins(degrees, hi, lo)
+        by_bin = counting_argsort(bins, descending=True)
+        # a bin that holds two degrees makes the order approximate
+        single = all(len(set(degrees[bins == b])) == 1 for b in set(bins))
+        for result in (
+            compute_order("approx-buckets", degrees),
+            par_buckets_order(degrees, num_threads=1, backend="serial"),
+            simulate_par_buckets(degrees, MACHINE_I, num_threads=4),
+        ):
+            assert result.exact == single, result.method
+            assert np.array_equal(result.order, by_bin), result.method
+
+        up = counting_argsort(degrees)
+        for max_key in (None, hi, hi + 17):
+            assert np.array_equal(
+                multilists_argsort(degrees, num_threads=3, max_key=max_key),
+                up,
+            )

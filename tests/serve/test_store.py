@@ -463,6 +463,32 @@ class TestDamagedFiles:
         with pytest.raises(StoreError, match="manifest"):
             DistStore.open(store.path)
 
+    @pytest.mark.parametrize(
+        "damage, entry",
+        [
+            (lambda m: m["shards"][0].update(rows=-1), "entry 0"),
+            (lambda m: m["shards"][1].update(start=5), "entry 1"),
+            (lambda m: m["landmarks"].update(
+                ids=[str(v) for v in m["landmarks"]["ids"]]),
+             "entry 'landmarks'"),
+            (lambda m: m["landmarks"].update(ids=[10**6]),
+             "entry 'landmarks'"),
+        ],
+        ids=["negative-rows", "shifted-start", "str-landmark-ids",
+             "landmark-id-past-n"],
+    )
+    def test_open_rejects_nonsense_geometry(self, store_and_ref, damage,
+                                            entry):
+        # well-typed but impossible: the shard reads would return a
+        # wrongly placed block, or landmark rows for absent vertices
+        store, _ = store_and_ref
+        manifest_path = store.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        damage(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(StoreError, match=f"manifest {entry}"):
+            DistStore.open(store.path)
+
     def test_open_accepts_manifest_without_nbytes(self, store_and_ref):
         # schema /1 stores carry no nbytes; the raw f8 size is implied
         store, _ = store_and_ref

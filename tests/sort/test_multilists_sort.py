@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ReproError
-from repro.simx import MACHINE_I
 from repro.sort import (
     check_stable_argsort,
     counting_argsort,
     multilists_argsort,
     multilists_sort,
-    simulate_multilists_sort,
 )
 
 
@@ -54,6 +52,11 @@ class TestEdgeCases:
         with pytest.raises(ReproError):
             multilists_argsort(np.array([-1]))
 
+    def test_float_keys_rejected(self):
+        # the counting-sort reference's key contract, not a silent cast
+        with pytest.raises(ReproError, match="integer keys"):
+            multilists_argsort(np.array([1.5, 0.7, 2.0]))
+
     def test_max_key_violation(self):
         with pytest.raises(ReproError, match="exceeds"):
             multilists_argsort(np.array([99]), max_key=10)
@@ -64,21 +67,3 @@ class TestEdgeCases:
             range(20)
         )
 
-
-class TestSimulatedCost:
-    def test_scales_with_threads(self):
-        keys = np.random.default_rng(2).integers(0, 100, size=100_000)
-        t1 = simulate_multilists_sort(keys, MACHINE_I, num_threads=1)
-        t8 = simulate_multilists_sort(keys, MACHINE_I, num_threads=8)
-        assert t8.makespan < t1.makespan / 4
-
-    def test_accounting_invariant(self):
-        keys = np.random.default_rng(3).integers(0, 50, size=1000)
-        r = simulate_multilists_sort(keys, MACHINE_I, num_threads=4)
-        assert np.all(r.busy + r.overhead <= r.makespan + 1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ReproError):
-            simulate_multilists_sort(
-                np.array([], dtype=np.int64), MACHINE_I, num_threads=2
-            )
